@@ -85,7 +85,6 @@ mod manager;
 mod node;
 pub mod order;
 pub mod reorder;
-pub mod store;
 pub mod vec;
 
 pub use error::{BddError, BudgetKind};
@@ -94,8 +93,4 @@ pub use manager::{Assignment, BddManager, BddStats, BudgetSettings};
 pub use node::Bdd;
 pub use order::OrderPolicy;
 pub use reorder::{MaintainSettings, SiftOutcome};
-pub use store::{
-    StoreBlob, StoreError, KERNEL_FORMAT_VERSION, KERNEL_FORMAT_VERSION_V1, STORE_MAGIC,
-    STORE_MAGIC_V1,
-};
 pub use vec::BddVec;

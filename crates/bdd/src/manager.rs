@@ -133,22 +133,6 @@ pub struct BddStats {
     pub quant_cache_hits: u64,
     /// Misses recorded on the bounded quantification cache.
     pub quant_cache_misses: u64,
-    /// Entries currently held in the fused `and_exists` computed table.
-    pub fused_cache_entries: usize,
-    /// Hits recorded on the fused `and_exists` computed table.
-    pub fused_cache_hits: u64,
-    /// Misses recorded on the fused `and_exists` computed table (each is
-    /// one unit of relational-product recursion work, counted against the
-    /// same step budget as ITE misses).
-    pub fused_cache_misses: u64,
-    /// Relation partitions consumed by [`BddManager::exists_conjunction`]
-    /// since construction/reset (the length of the per-partition peak
-    /// trace).
-    pub partitions_consumed: usize,
-    /// Highest live-node count observed at a partition-consumption point —
-    /// the conjunction schedule's own peak watermark (`0` until the first
-    /// partitioned conjunction runs).
-    pub partition_peak_nodes: usize,
     /// Times this manager was recycled via [`BddManager::reset`].
     pub resets: u64,
 }
@@ -162,17 +146,6 @@ impl BddStats {
             0.0
         } else {
             self.ite_cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of fused `and_exists` computed-table probes that hit, in
-    /// `[0, 1]`; `0.0` when no probe has happened yet.
-    pub fn fused_hit_rate(&self) -> f64 {
-        let total = self.fused_cache_hits + self.fused_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.fused_cache_hits as f64 / total as f64
         }
     }
 }
@@ -269,15 +242,6 @@ pub struct BddManager {
     /// slot holds a different function, so every pre-collection entry must
     /// stop matching.  Starts at 1 (tag 0 marks an empty slot).
     quant_epoch: u64,
-    /// Computed table for the fused `and_exists` relational product, keyed
-    /// by the two (commutatively ordered) operands plus the interned
-    /// quantification-set id.  GC filters it against the mark like the ITE
-    /// table; reordering purges entries naming freed slots.
-    pub(crate) and_exists_cache: FxHashMap<(Bdd, Bdd, u64), Bdd>,
-    /// Live-node count sampled after each partition consumed by
-    /// [`BddManager::exists_conjunction`] — the per-partition peak trace
-    /// behind the partition-aware statistics.
-    partition_peaks: Vec<u64>,
     var_names: Vec<String>,
     /// Name → variable index, maintained by `new_var` (first declaration
     /// wins for duplicate names, matching the old linear-scan semantics).
@@ -321,8 +285,6 @@ pub struct BddManager {
     ite_normalised: u64,
     quant_hits: u64,
     quant_misses: u64,
-    fused_hits: u64,
-    fused_misses: u64,
     resets: u64,
     /// The installed budget, kept for [`BddManager::budget`] and for
     /// error reporting.
@@ -371,8 +333,6 @@ impl BddManager {
             quant_cache: Vec::new(),
             quant_sets: FxHashMap::default(),
             quant_epoch: 1,
-            and_exists_cache: FxHashMap::default(),
-            partition_peaks: Vec::new(),
             var_names: Vec::new(),
             name_to_var: FxHashMap::default(),
             var_to_level: Vec::new(),
@@ -395,8 +355,6 @@ impl BddManager {
             ite_normalised: 0,
             quant_hits: 0,
             quant_misses: 0,
-            fused_hits: 0,
-            fused_misses: 0,
             resets: 0,
             budget: BudgetSettings::default(),
             node_ceiling: usize::MAX,
@@ -424,8 +382,6 @@ impl BddManager {
         self.quant_cache.clear(); // keeps capacity; re-filled lazily
         self.quant_sets.clear();
         self.quant_epoch = 1;
-        self.and_exists_cache.clear();
-        self.partition_peaks.clear();
         self.var_names.clear();
         self.name_to_var.clear();
         self.var_to_level.clear();
@@ -448,8 +404,6 @@ impl BddManager {
         self.ite_normalised = 0;
         self.quant_hits = 0;
         self.quant_misses = 0;
-        self.fused_hits = 0;
-        self.fused_misses = 0;
         self.resets += 1;
         // Budgets never survive a reset: a recycled pool manager must not
         // inherit the previous job's ceilings (or its step count).
@@ -532,11 +486,9 @@ impl BddManager {
     /// only when no variable of that name exists yet.
     ///
     /// Model and property builders declare through this instead of
-    /// [`BddManager::new_var`] so that an arena warm-started from a
-    /// persisted function image (see [`crate::store`]) rediscovers the
-    /// preloaded variables — and through them the preloaded node sharing —
-    /// instead of shadowing them with duplicate fresh variables.  On a
-    /// cold (empty) arena the two are identical.
+    /// [`BddManager::new_var`], so assertions built into one arena (a
+    /// whole-suite job) that name the same variable share it instead of
+    /// shadowing it with a duplicate fresh variable.
     pub fn declare(&mut self, name: impl Into<String>) -> Bdd {
         let name = name.into();
         match self.var_by_name(&name) {
@@ -731,7 +683,6 @@ impl BddManager {
     pub fn clear_caches(&mut self) {
         self.ite_cache.clear();
         self.quant_cache.clear();
-        self.and_exists_cache.clear();
         self.scratch.clear();
     }
 
@@ -848,18 +799,16 @@ impl BddManager {
         // silently alias a future node.  The quantification cache is
         // invalidated wholesale by bumping the tag epoch (its slots are
         // direct-mapped, so filtering them individually buys nothing) and
-        // the scratch memo is cleared per call anyway; the ITE and fused
-        // `and_exists` computed tables keep exactly the entries whose
-        // operands and result all survived — throwing the warm caches away
-        // wholesale makes the steps after a collection recompute (and
-        // re-allocate) everything they were suppressing, which costs more
-        // peak memory than the collection just saved.
+        // the scratch memo is cleared per call anyway; the ITE computed
+        // table keeps exactly the entries whose operands and result all
+        // survived — throwing the warm cache away wholesale makes the steps
+        // after a collection recompute (and re-allocate) everything it was
+        // suppressing, which costs more peak memory than the collection
+        // just saved.
         self.quant_epoch += 1;
         self.ite_cache.retain(|&(f, g, h), r| {
             marked[f.index()] && marked[g.index()] && marked[h.index()] && marked[r.index()]
         });
-        self.and_exists_cache
-            .retain(|&(f, g, _), r| marked[f.index()] && marked[g.index()] && marked[r.index()]);
         self.scratch.clear();
         self.gc_passes += 1;
         self.gc_reclaimed += reclaimed as u64;
@@ -966,21 +915,8 @@ impl BddManager {
             ite_normalised: self.ite_normalised,
             quant_cache_hits: self.quant_hits,
             quant_cache_misses: self.quant_misses,
-            fused_cache_entries: self.and_exists_cache.len(),
-            fused_cache_hits: self.fused_hits,
-            fused_cache_misses: self.fused_misses,
-            partitions_consumed: self.partition_peaks.len(),
-            partition_peak_nodes: self.partition_peaks.iter().copied().max().unwrap_or(0) as usize,
             resets: self.resets,
         }
-    }
-
-    /// The per-partition peak trace: the live-node count sampled after each
-    /// relation partition consumed by [`BddManager::exists_conjunction`]
-    /// since construction/reset.  [`BddStats::partition_peak_nodes`] is the
-    /// maximum of this trace.
-    pub fn partition_peaks(&self) -> &[u64] {
-        &self.partition_peaks
     }
 
     /// Number of live internal nodes whose high edge carries the complement
@@ -1438,153 +1374,6 @@ impl BddManager {
         };
         self.quant_cache[slot] = QuantSlot { f, tag, result };
         result
-    }
-
-    /// The fused relational product `∃vars. (f ∧ g)`: conjunction and
-    /// existential abstraction in one recursion, without materialising the
-    /// intermediate product BDD — the partitioned-relation kernel op.
-    ///
-    /// When the recursion splits on a quantified variable the two cofactor
-    /// products are disjoined, with an early exit once the low branch is
-    /// already `TRUE`; on an unquantified variable an ordinary node is
-    /// built.  Results are memoised in a dedicated computed table keyed
-    /// like an ITE triple — the two (commutatively ordered) operands plus
-    /// the interned quantification-set id — and each miss is one unit of
-    /// work against the same step budget as an ITE miss, so budgets and
-    /// deadlines govern the fused recursion exactly like the rest of the
-    /// kernel.
-    pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: &[u32]) -> Bdd {
-        let tag = self.quant_tag(vars, true);
-        // The fused table is filtered against the GC mark (like the ITE
-        // table), so its key needs only the epoch-free half of the tag:
-        // surviving operand handles keep their functions across passes.
-        let set_key = tag & 0xFFFF_FFFF;
-        let var_set: FxHashSet<u32> = vars.iter().copied().collect();
-        self.and_exists_rec(f, g, &var_set, set_key, tag)
-    }
-
-    fn and_exists_rec(
-        &mut self,
-        f: Bdd,
-        g: Bdd,
-        vars: &FxHashSet<u32>,
-        set_key: u64,
-        tag: u64,
-    ) -> Bdd {
-        // Terminal cases: anything conjoined with FALSE is FALSE (and
-        // quantification preserves both constants); a TRUE operand reduces
-        // the product to a plain quantification, which shares the regular
-        // quantification cache via the same full tag.
-        if f.is_false() || g.is_false() {
-            return Bdd::FALSE;
-        }
-        if f.is_true() {
-            return self.quantify_rec(g, vars, true, tag);
-        }
-        if g.is_true() || f == g {
-            return self.quantify_rec(f, vars, true, tag);
-        }
-        if f == g.negate() {
-            // f ∧ ¬f == 0: complementary operands are one bit-compare away.
-            return Bdd::FALSE;
-        }
-        // Commutative canonical operand order, as in ITE normalisation:
-        // both spellings of and_exists(f, g, V) probe the same slot.
-        let (f, g) = if self.precedes(g, f) { (g, f) } else { (f, g) };
-        let key = (f, g, set_key);
-        if let Some(&r) = self.and_exists_cache.get(&key) {
-            self.fused_hits += 1;
-            return r;
-        }
-        self.fused_misses += 1;
-        // Budget bookkeeping rides the miss path, mirroring `ite`.
-        self.ite_steps += 1;
-        if self.ite_steps > self.step_ceiling {
-            exhausted(BudgetKind::Steps, self.step_ceiling);
-        }
-        if self.ite_steps % DEADLINE_PROBE_INTERVAL == 0 {
-            self.check_deadline();
-        }
-
-        let (lf, flo, fhi) = self.split(f);
-        let (lg, glo, ghi) = self.split(g);
-        let top_level = lf.min(lg);
-        let top_var = self.level_to_var[top_level as usize];
-        let (f0, f1) = if lf == top_level { (flo, fhi) } else { (f, f) };
-        let (g0, g1) = if lg == top_level { (glo, ghi) } else { (g, g) };
-
-        let result = if vars.contains(&top_var) {
-            let lo = self.and_exists_rec(f0, g0, vars, set_key, tag);
-            if lo.is_true() {
-                // ∃-early exit: the disjunction is already TRUE, so the
-                // high-branch product never needs to be built at all.
-                Bdd::TRUE
-            } else {
-                let hi = self.and_exists_rec(f1, g1, vars, set_key, tag);
-                self.or(lo, hi)
-            }
-        } else {
-            let lo = self.and_exists_rec(f0, g0, vars, set_key, tag);
-            let hi = self.and_exists_rec(f1, g1, vars, set_key, tag);
-            self.mk_node(top_var, lo, hi)
-        };
-        self.and_exists_cache.insert(key, result);
-        result
-    }
-
-    /// Computes `∃vars. (p₀ ∧ p₁ ∧ … ∧ pₙ)` over an implicitly conjoined
-    /// partition list with a greedy early-quantification schedule.
-    ///
-    /// Partitions are consumed cheapest-support-first (ascending BDD size,
-    /// ties by handle for determinism), and a variable is quantified out —
-    /// through the fused [`BddManager::and_exists`] — at the step that
-    /// consumes the *last* partition mentioning it, so the accumulator's
-    /// support shrinks as early as the dependency structure allows instead
-    /// of only after the full monolithic conjunction exists.  Variables in
-    /// `vars` that no partition mentions are dropped outright.
-    ///
-    /// After each consumed partition the live-node count is sampled into
-    /// the per-partition peak trace ([`BddManager::partition_peaks`]).
-    pub fn exists_conjunction(&mut self, partitions: &[Bdd], vars: &[u32]) -> Bdd {
-        // Cheapest first; TRUE partitions are identity and skipped.
-        let mut order: Vec<(usize, Bdd)> = partitions
-            .iter()
-            .copied()
-            .filter(|p| !p.is_true())
-            .map(|p| (self.size(p), p))
-            .collect();
-        order.sort_by_key(|&(size, p)| (size, p.0));
-        if order.is_empty() {
-            return Bdd::TRUE;
-        }
-        // For each quantified variable, the last consumption step whose
-        // partition mentions it: quantifying at that step is sound because
-        // no later conjunct can reintroduce the variable.
-        let quantified: FxHashSet<u32> = vars.iter().copied().collect();
-        let mut last_mention: FxHashMap<u32, usize> = FxHashMap::default();
-        for (step, &(_, p)) in order.iter().enumerate() {
-            for v in self.support(p) {
-                if quantified.contains(&v) {
-                    last_mention.insert(v, step);
-                }
-            }
-        }
-        let mut ready: Vec<Vec<u32>> = vec![Vec::new(); order.len()];
-        for (&v, &step) in &last_mention {
-            ready[step].push(v);
-        }
-
-        let mut acc = Bdd::TRUE;
-        for (step, &(_, p)) in order.iter().enumerate() {
-            let mut vars_now = std::mem::take(&mut ready[step]);
-            vars_now.sort_unstable();
-            acc = self.and_exists(acc, p, &vars_now);
-            self.partition_peaks.push(self.live as u64);
-            if acc.is_false() {
-                break;
-            }
-        }
-        acc
     }
 
     /// Functional composition: substitutes `g` for variable `var` in `f`.
@@ -2237,8 +2026,6 @@ mod tests {
             let f = random_formula(m, &vars, rng, 60);
             let ex = m.exists(f, &[0, 2]);
             let fa = m.forall(f, &[1]);
-            let fused = m.and_exists(f, fa, &[0, 4]);
-            let _ = m.exists_conjunction(&[f, fa, fused], &[2, 5]);
             let composed = m.compose(f, 3, ex);
             let renamed = m.rename(composed, &[(4, 5)]).expect("rename");
             let g = m.and(renamed, fa);
@@ -2374,116 +2161,6 @@ mod tests {
         m.protect(f);
         m.gc();
         assert_eq!(m.exists(f, &[0, 2]), first);
-    }
-
-    /// The fused relational product must agree with the unfused
-    /// `exists(and(f, g), V)` spelling on randomized formula batches.
-    #[test]
-    fn and_exists_matches_the_unfused_product_on_random_formulas() {
-        let mut rng = XorShift64::new(0xFACE_2009);
-        for round in 0..12u64 {
-            let mut m = BddManager::new();
-            let vars: Vec<Bdd> = (0..6).map(|i| m.new_var(format!("x{i}"))).collect();
-            let f = random_formula(&mut m, &vars, &mut rng, 30 + round as usize);
-            let g = random_formula(&mut m, &vars, &mut rng, 30 + round as usize);
-            for set in [&[0u32][..], &[1, 3][..], &[0, 2, 4][..], &[5][..]] {
-                let fused = m.and_exists(f, g, set);
-                let product = m.and(f, g);
-                let unfused = m.exists(product, set);
-                assert_eq!(fused, unfused, "round {round}, set {set:?}");
-            }
-            // Operand order shares one cache slot (commutative canonical
-            // ordering), so the swapped spelling is pure hits.
-            let before = m.stats();
-            let swapped = m.and_exists(g, f, &[1, 3]);
-            let after = m.stats();
-            assert_eq!(swapped, m.and_exists(f, g, &[1, 3]));
-            assert_eq!(after.fused_cache_misses, before.fused_cache_misses);
-        }
-    }
-
-    /// Degenerate operands take the fused op's terminal paths.
-    #[test]
-    fn and_exists_terminal_cases() {
-        let (mut m, a, b, _) = setup();
-        let f = m.and(a, b);
-        assert_eq!(m.and_exists(f, Bdd::FALSE, &[0]), Bdd::FALSE);
-        assert_eq!(m.and_exists(Bdd::TRUE, Bdd::TRUE, &[0]), Bdd::TRUE);
-        assert_eq!(m.and_exists(Bdd::TRUE, f, &[0]), b);
-        assert_eq!(m.and_exists(f, Bdd::TRUE, &[0]), b);
-        assert_eq!(m.and_exists(f, f, &[0]), b, "f == g reduces to exists");
-        let na = m.not(a);
-        assert_eq!(m.and_exists(a, na, &[0]), Bdd::FALSE, "contradiction");
-    }
-
-    /// The early-quantification schedule over a partition list must agree
-    /// with the monolithic conjoin-then-quantify result, and must record a
-    /// per-partition peak trace.
-    #[test]
-    fn exists_conjunction_matches_the_monolithic_product() {
-        let mut rng = XorShift64::new(0xC0_FFEE);
-        let mut m = BddManager::new();
-        let vars: Vec<Bdd> = (0..8).map(|i| m.new_var(format!("p{i}"))).collect();
-        let parts: Vec<Bdd> = (0..5)
-            .map(|_| random_formula(&mut m, &vars, &mut rng, 20))
-            .collect();
-        let set = [0u32, 2, 4, 6];
-        let partitioned = m.exists_conjunction(&parts, &set);
-        let monolithic = {
-            let all = m.and_all(parts.iter().copied());
-            m.exists(all, &set)
-        };
-        assert_eq!(partitioned, monolithic);
-        let s = m.stats();
-        assert!(s.partitions_consumed >= 1, "peak trace was recorded");
-        assert!(s.partition_peak_nodes > 0);
-        assert_eq!(
-            m.partition_peaks().len(),
-            s.partitions_consumed,
-            "stats summarise the trace"
-        );
-        // Identity cases.
-        assert_eq!(m.exists_conjunction(&[], &set), Bdd::TRUE);
-        assert_eq!(m.exists_conjunction(&[Bdd::TRUE], &set), Bdd::TRUE);
-    }
-
-    /// A step budget must surface from *inside* the fused recursion as the
-    /// same typed unwind the ITE path produces.
-    #[test]
-    fn step_budget_surfaces_from_the_fused_recursion() {
-        let mut m = BddManager::new();
-        let vars: Vec<Bdd> = (0..16).map(|i| m.new_var(format!("w{i}"))).collect();
-        let mut f = Bdd::FALSE;
-        let mut g = Bdd::TRUE;
-        for w in vars.chunks(2) {
-            f = m.xor(f, w[0]);
-            let x = m.xor(w[0], w[1]);
-            g = m.and(g, x);
-        }
-        let set: Vec<u32> = (0..8).collect();
-        m.set_budget(BudgetSettings {
-            max_ite_steps: Some(4),
-            ..BudgetSettings::default()
-        });
-        let err = budget_error(|| m.and_exists(f, g, &set)).expect("budget must trip");
-        assert_eq!(
-            err,
-            BddError::BudgetExceeded {
-                kind: BudgetKind::Steps,
-                limit: 4
-            }
-        );
-        // After a reset the same product completes ungoverned.
-        m.reset();
-        let vars: Vec<Bdd> = (0..16).map(|i| m.new_var(format!("w{i}"))).collect();
-        let mut f = Bdd::FALSE;
-        let mut g = Bdd::TRUE;
-        for w in vars.chunks(2) {
-            f = m.xor(f, w[0]);
-            let x = m.xor(w[0], w[1]);
-            g = m.and(g, x);
-        }
-        assert!(budget_error(|| m.and_exists(f, g, &set)).is_none());
     }
 
     /// The `unset`-based frame unwinding must leave `all_sat` results

@@ -195,11 +195,6 @@ impl BddManager {
                     && !ctx.freed_ever[h.index()]
                     && !ctx.freed_ever[r.index()]
             });
-            self.and_exists_cache.retain(|&(f, g, _), r| {
-                !ctx.freed_ever[f.index()]
-                    && !ctx.freed_ever[g.index()]
-                    && !ctx.freed_ever[r.index()]
-            });
         }
         self.reorder_passes += 1;
         self.sift_nanos += started.elapsed().as_nanos() as u64;

@@ -30,7 +30,7 @@ impl BddVec {
     }
 
     /// Declares input variables `prefix[0]..prefix[width-1]`, reusing any
-    /// that a warm-started arena already carries (lookup-or-declare).
+    /// the arena already carries (lookup-or-declare).
     pub fn new_input(manager: &mut BddManager, prefix: &str, width: usize) -> Self {
         BddVec {
             bits: (0..width)

@@ -1,8 +1,6 @@
 //! The zero-dependency wall-clock bench harness behind `ssr bench`.
 //!
-//! The offline build environment cannot vendor Criterion, so this module
-//! provides the measurement loop every perf-facing PR is judged against:
-//! named workloads (BDD-kernel microbenchmarks plus end-to-end campaign
+//! Named workloads (BDD-kernel microbenchmarks plus end-to-end campaign
 //! runs), a warmup-then-measure loop reporting median/min/mean/max
 //! wall-clock nanoseconds over N iterations, a machine-readable JSON report
 //! (schema [`SCHEMA`]), and a diff renderer for regression gating between
@@ -22,13 +20,10 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use std::sync::Arc;
-
 use ssr_bdd::{Bdd, BddManager, BddVec, MaintainSettings, OrderPolicy};
 use ssr_engine::json::Json;
 use ssr_engine::{
-    named_policies, CampaignSpec, Granularity, JobBudget, ModelStore, NamedConfig, Partitioning,
-    RunHooks, StoreBacked, Suite,
+    named_policies, CampaignSpec, Granularity, JobBudget, NamedConfig, Partitioning, Suite,
 };
 
 /// Schema identifier written into every bench report.
@@ -46,8 +41,8 @@ pub struct BenchOptions {
     /// Kernel GC/sifting policy for the campaign (and serve) workloads.
     pub reorder: Option<MaintainSettings>,
     /// STE partitioning strategy for the campaign (and serve) workloads.
-    /// The `campaign/ifr-paper-*` ablation pair ignores this and pins its
-    /// own strategy per workload.
+    /// The `campaign/ifr-paper-{monolithic,conjunctive}` ablation pair
+    /// ignores this and pins its own strategy per workload.
     pub partitioning: Partitioning,
     /// Serve closed loop: concurrent clients.
     pub serve_clients: usize,
@@ -401,7 +396,7 @@ fn acceptance_spec(options: &BenchOptions) -> CampaignSpec {
 /// the biggest-memory job in the workload registry — pinned to one
 /// partitioning strategy per workload, so a committed report carries the
 /// peak-live-node and wall-clock deltas between the monolithic and
-/// conjunctive (early-quantification) checkers.
+/// conjunctive (streaming) checkers.
 fn ifr_paper_spec(partitioning: Partitioning, options: &BenchOptions) -> CampaignSpec {
     CampaignSpec {
         configs: vec![NamedConfig::paper()],
@@ -600,56 +595,6 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
         },
     });
 
-    out.push(Workload {
-        name: "kernel/relational-product",
-        kind: WorkloadKind::Kernel,
-        run: {
-            let mut m = BddManager::new();
-            Box::new(move || {
-                m.reset();
-                // A 16-bit partitioned transition relation: current vars at
-                // even indices, next vars at odd, one conjunct per next-state
-                // bit, image computed as one fused relational product.
-                let n = 16usize;
-                let mut xs = Vec::with_capacity(n);
-                let mut ys = Vec::with_capacity(n);
-                for i in 0..n {
-                    xs.push(m.new_var(format!("x{i}")));
-                    ys.push(m.new_var(format!("y{i}")));
-                }
-                let parts: Vec<Bdd> = (0..n)
-                    .map(|i| {
-                        let next = m.xor(xs[i], xs[(i + 1) % n]);
-                        let forced = m.and(next, xs[(i + 3) % n]);
-                        m.xnor(ys[i], forced)
-                    })
-                    .collect();
-                let state = {
-                    let lo = m.not(xs[0]);
-                    m.and(lo, xs[n / 2])
-                };
-                let xvars: Vec<u32> = (0..n as u32).map(|i| 2 * i).collect();
-                let mut all = Vec::with_capacity(n + 1);
-                all.push(state);
-                all.extend(parts.iter().copied());
-                let image = m.exists_conjunction(&all, &xvars);
-                // The fused schedule must agree with the textbook
-                // conjoin-then-quantify computation.
-                let mut conj = state;
-                for p in &parts {
-                    conj = m.and(conj, *p);
-                }
-                assert_eq!(image, m.exists(conj, &xvars));
-                let s = m.stats();
-                let mut metrics = kernel_metrics(&m);
-                metrics.push(("fused_hit_rate".into(), s.fused_hit_rate()));
-                metrics.push(("partitions".into(), s.partitions_consumed as f64));
-                metrics.push(("partition_peak".into(), s.partition_peak_nodes as f64));
-                metrics
-            })
-        },
-    });
-
     // --- campaign workloads -----------------------------------------
 
     out.push(Workload {
@@ -715,14 +660,9 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
         },
     });
 
-    // --- persistent-store ablation pair -----------------------------
-    // The same paper-sized IFR job cold (no store: netlist compiled and
-    // every BDD built from scratch) and warm (store-backed: the model and
-    // the per-job function images hydrate from disk).  The first warm
-    // call primes the store from empty — run with at least one warmup
-    // iteration so every *timed* iteration is a pure warm start; the
-    // store_hits/store_misses metrics record which one was measured.
-
+    // The same paper-sized IFR job under the bench's own partitioning
+    // option (the default `auto` unless `--partitioning` says otherwise):
+    // the headline check as `ssr check --config paper --suite ifr` runs it.
     out.push(Workload {
         name: "campaign/ifr-paper-cold",
         kind: WorkloadKind::Campaign,
@@ -732,37 +672,6 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
                 let report = spec.run();
                 assert!(report.all_hold(), "the paper IFR suite must pass");
                 campaign_metrics(&report)
-            })
-        },
-    });
-
-    out.push(Workload {
-        name: "campaign/ifr-paper-warm",
-        kind: WorkloadKind::Campaign,
-        run: {
-            let spec = ifr_paper_spec(options.partitioning, options);
-            let dir =
-                std::env::temp_dir().join(format!("ssr-bench-warm-store-{}", std::process::id()));
-            let mut primed = false;
-            Box::new(move || {
-                if !primed {
-                    // Deterministic priming: the first call always starts
-                    // from an empty store (no leftovers from earlier runs).
-                    let _ = std::fs::remove_dir_all(&dir);
-                    primed = true;
-                }
-                let store = Arc::new(ModelStore::open(dir.clone()).expect("temp-dir store opens"));
-                let source = StoreBacked::new(Arc::clone(&store));
-                let hooks = RunHooks {
-                    source: Some(&source),
-                    ..RunHooks::default()
-                };
-                let report = spec.run_with_hooks(&[], None, None, hooks);
-                assert!(report.all_hold(), "the paper IFR suite must pass");
-                let mut metrics = campaign_metrics(&report);
-                metrics.push(("store_hits".into(), report.store_hits() as f64));
-                metrics.push(("store_misses".into(), report.store_misses() as f64));
-                metrics
             })
         },
     });
@@ -966,7 +875,7 @@ mod tests {
     fn kernel_workloads_run_and_report() {
         let report = run_workloads(&["kernel".to_owned()], 1, 0, &BenchOptions::default())
             .expect("kernel workloads run");
-        assert_eq!(report.results.len(), 7);
+        assert_eq!(report.results.len(), 6);
         for r in &report.results {
             assert_eq!(r.kind, "kernel");
             assert!(r.median_ns > 0);
@@ -980,13 +889,6 @@ mod tests {
             .find(|r| r.name == "kernel/negation-heavy")
             .expect("the negation-heavy workload is registered");
         assert!(negheavy.metrics["complement_share"] > 0.0);
-        let relprod = report
-            .results
-            .iter()
-            .find(|r| r.name == "kernel/relational-product")
-            .expect("the fused relational product is registered");
-        assert!(relprod.metrics["partitions"] >= 2.0);
-        assert!(relprod.metrics["partition_peak"] > 0.0);
     }
 
     #[test]

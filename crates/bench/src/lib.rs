@@ -1,46 +1,36 @@
-//! # ssr-bench — benchmarks: the criterion-free harness and the E-series
+//! # ssr-bench — the zero-dependency wall-clock harness behind `ssr bench`
 //!
-//! Two halves:
+//! [`harness`] runs named BDD-kernel microbenchmarks, end-to-end campaign
+//! workloads and a serve closed loop, warmup/median/min over N iterations,
+//! and writes machine-readable JSON (`ssr-bench-report/v1`) plus a report
+//! differ for regression gating.  The committed `BENCH_*.json` trajectory
+//! at the repository root is produced with it, in the fully offline build.
 //!
-//! * [`harness`] — the **zero-dependency wall-clock harness** behind the
-//!   `ssr bench` CLI subcommand: named BDD-kernel microbenchmarks and
-//!   end-to-end campaign workloads, warmup/median/min over N iterations,
-//!   machine-readable JSON (`ssr-bench-report/v1`) and a report differ for
-//!   regression gating.  This is what the committed `BENCH_*.json`
-//!   trajectory at the repository root is produced with, and it runs in the
-//!   fully offline build — no Criterion required.
-//! * `benches/` — the Criterion suite, where each file reproduces one
-//!   experiment of the paper's evaluation narrative:
+//! | workload | what it measures |
+//! |----------|------------------|
+//! | `kernel/vector-add32` | 32-bit symbolic adder construction and commutativity check |
+//! | `kernel/negation-heavy` | xor/xnor-dense vector arithmetic under complement edges |
+//! | `kernel/mux-select64` | symbolic word select over 64 words |
+//! | `kernel/quantify24` | repeated existential/universal quantification |
+//! | `kernel/compose-rename` | functional composition and variable renaming |
+//! | `kernel/allsat-cube` | satisfying-assignment enumeration and cube building |
+//! | `campaign/default-assertion` | `ssr campaign --suite all --granularity assertion` on the small core |
+//! | `campaign/all-policies-suite` | every named policy × every suite, suite granularity |
+//! | `campaign/all-policies-assertion` | the same product at assertion granularity |
+//! | `campaign/ifr-paper-monolithic` | the paper core's IFR suite, monolithic checker |
+//! | `campaign/ifr-paper-conjunctive` | the paper core's IFR suite, conjunctive checker |
+//! | `campaign/ifr-paper-cold` | the paper core's IFR suite at the bench's `--partitioning` |
+//! | `serve/closed-loop` | a client fleet against an in-process `ssr-serve` daemon |
 //!
-//! | bench                | experiment | what it measures |
-//! |----------------------|------------|------------------|
-//! | `retention_cell`     | E1 (Fig. 1) | a retention register keeps a symbolic value through sleep/resume; an ordinary register loses it |
-//! | `sleep_resume`       | E2 (Figs. 2–3) | the full-core sleep/resume equivalence check, per instruction class |
-//! | `property_suite`     | E3/E4      | the 26 Property I assertions and the Property II suite, timed per functional unit |
-//! | `ifr_property`       | E6         | the §III-B instruction-memory / IFR read-after-write property (the paper reports 10.83 s on 2005 hardware) |
-//! | `symbolic_indexing`  | E7         | direct vs symbolically-indexed memory antecedents as the depth grows |
-//! | `area_savings`       | E8         | the area / standby-leakage savings model for 3/5/7-stage generations |
-//! | `scalar_vs_symbolic` | E9         | one symbolic check vs the exploding number of concrete simulations it replaces |
-//! | `decomposition`      | E10        | monolithic vs decomposed (per-unit) property checking |
-//! | `bdd_ops`            | infra      | core BDD operations and the static variable-ordering ablation |
+//! The repository benchmark — paper IFR, the paper policy sweep and served
+//! campaigns, end to end and per layer — is the separate `ssrbench`
+//! package (`ssrbench/README.md`).
 //!
 //! ## Running
-//!
-//! The criterion-free harness always works, offline included:
 //!
 //! ```text
 //! cargo run --release -p ssr-cli -- bench --iterations 5 --json BENCH.json
 //! cargo run --release -p ssr-cli -- bench --diff BENCH_02.json BENCH.json
-//! ```
-//!
-//! The Criterion benches depend on the external `criterion` (and `rand`)
-//! crates, which the offline build environment does not vendor, so those
-//! bench targets sit behind the crate's `criterion` cargo feature and are
-//! skipped by `cargo build` / `cargo test`.  In an online environment add
-//! the dev-dependencies and run:
-//!
-//! ```text
-//! cargo bench -p ssr-bench --features criterion
 //! ```
 //!
 //! For a quick paper-flow timing, the campaign engine also reports

@@ -2,13 +2,10 @@
 
 use std::process::ExitCode;
 
-use std::sync::Arc;
-
 use ssr_engine::persist::{load_partial, plan_resume, Checkpoint, PartialCampaign};
 use ssr_engine::{
-    minimise_with_engine, BlobHealth, CampaignReport, CampaignSpec, EngineOracle, Granularity,
-    JobBudget, JobResult, MaintainSettings, ModelSource, ModelStore, ReportDiff, RunHooks,
-    StoreBacked,
+    minimise_with_engine, CampaignReport, CampaignSpec, EngineOracle, Granularity, JobBudget,
+    JobResult, MaintainSettings, ReportDiff,
 };
 use ssr_netlist::stats::{stats, AreaModel};
 use ssr_properties::CoreHarness;
@@ -16,7 +13,7 @@ use ssr_retention::area::{render_table as render_savings, savings, LeakageModel}
 use ssr_retention::intent::RetentionIntent;
 use ssr_retention::selection::classify;
 
-use crate::args::{Action, Command, StoreVerb, USAGE};
+use crate::args::{Action, Command, USAGE};
 
 /// The kernel maintenance policy a command's `--reorder`/`--max-growth`
 /// flags select (`None` without `--reorder`).
@@ -42,115 +39,6 @@ pub fn run(cmd: Command) -> ExitCode {
         Action::Diff => diff(&cmd),
         Action::Serve => serve(&cmd),
         Action::Submit => submit(&cmd),
-        Action::Store => store_maintenance(&cmd),
-    }
-}
-
-/// Opens the persistent store a command's `--store-dir` names, unless
-/// `--no-store` vetoes it.  An unopenable store degrades to a cold run
-/// with a warning — warm starts are an optimisation, never a requirement.
-fn open_store(cmd: &Command) -> Option<Arc<ModelStore>> {
-    let dir = cmd.store_dir.as_ref()?;
-    if cmd.no_store {
-        return None;
-    }
-    match ModelStore::open(std::path::PathBuf::from(dir)) {
-        Ok(store) => Some(Arc::new(store)),
-        Err(e) => {
-            eprintln!("warning: store: cannot open {dir}: {e}; running cold");
-            None
-        }
-    }
-}
-
-/// `ssr store <ls|verify|gc>`: persistent-store maintenance.
-fn store_maintenance(cmd: &Command) -> ExitCode {
-    let dir = cmd.store_dir.as_ref().expect("parser enforced --store-dir");
-    let store = match ModelStore::open(std::path::PathBuf::from(dir)) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("error: cannot open store {dir}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match cmd.store_verb.expect("parser enforced a store operation") {
-        StoreVerb::Ls => match store.entries() {
-            Ok(entries) => {
-                let total: u64 = entries.iter().map(|e| e.bytes).sum();
-                for entry in &entries {
-                    // Function images carry a store format version in their
-                    // magic line; model files have none.
-                    let format = match entry.format {
-                        Some(v) => format!("v{v}"),
-                        None => "-".to_string(),
-                    };
-                    println!("{:>12}  {:>3}  {}", entry.bytes, format, entry.file);
-                }
-                println!("{} entr(ies), {} byte(s) in {dir}", entries.len(), total);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: cannot list {dir}: {e}");
-                ExitCode::from(2)
-            }
-        },
-        StoreVerb::Verify => match store.verify() {
-            Ok(outcomes) => {
-                let mut damaged = 0usize;
-                let mut upgradeable = 0usize;
-                for (entry, health) in &outcomes {
-                    match health {
-                        BlobHealth::Ok => println!("ok       {}", entry.file),
-                        BlobHealth::Upgradeable { from } => {
-                            upgradeable += 1;
-                            println!(
-                                "ok       {}: legacy format v{from}, upgradeable \
-                                 (rewritten on the next save)",
-                                entry.file
-                            );
-                        }
-                        BlobHealth::Damaged(e) => {
-                            damaged += 1;
-                            println!("DAMAGED  {}: {e}", entry.file);
-                        }
-                    }
-                }
-                println!(
-                    "{} entr(ies) verified, {upgradeable} upgradeable, {damaged} damaged \
-                     (damaged entries fall back to cold builds at run time)",
-                    outcomes.len(),
-                );
-                if damaged == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::from(1)
-                }
-            }
-            Err(e) => {
-                eprintln!("error: cannot verify {dir}: {e}");
-                ExitCode::from(2)
-            }
-        },
-        StoreVerb::Gc => {
-            let max_bytes = cmd.max_bytes.expect("parser enforced --max-bytes");
-            match store.gc(max_bytes) {
-                Ok(outcome) => {
-                    for entry in &outcome.evicted {
-                        println!("evicted  {:>12}  {}", entry.bytes, entry.file);
-                    }
-                    println!(
-                        "{} entr(ies) evicted, {} byte(s) kept (budget {max_bytes})",
-                        outcome.evicted.len(),
-                        outcome.kept_bytes,
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: cannot gc {dir}: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
     }
 }
 
@@ -213,7 +101,6 @@ fn serve(cmd: &Command) -> ExitCode {
         dispatchers: cmd.parallel,
         job_threads: cmd.jobs,
         journal_dir: cmd.journal_dir.as_ref().map(std::path::PathBuf::from),
-        store_dir: cmd.store_dir.as_ref().map(std::path::PathBuf::from),
         idle_timeout_ms: cmd.idle_timeout_ms,
         verbose: cmd.verbose,
         ..ServerConfig::default()
@@ -237,12 +124,9 @@ fn serve(cmd: &Command) -> ExitCode {
             "ssr serve: listening on {addr} ({} dispatcher(s), queue capacity {}{})",
             cmd.parallel,
             cmd.queue_capacity,
-            match (&cmd.journal_dir, &cmd.store_dir) {
-                (Some(journals), Some(store)) =>
-                    format!(", journals in {journals}, store in {store}"),
-                (Some(journals), None) => format!(", journals in {journals}"),
-                (None, Some(store)) => format!(", no persistence, store in {store}"),
-                (None, None) => ", no persistence".to_owned(),
+            match &cmd.journal_dir {
+                Some(journals) => format!(", journals in {journals}"),
+                None => ", no persistence".to_owned(),
             },
         );
     }
@@ -605,25 +489,7 @@ fn campaign(cmd: &Command) -> ExitCode {
         None => None,
     };
 
-    // Persistent store: campaigns materialise their models and per-job
-    // function images through it, so a repeat run warm-starts.
-    let store = open_store(cmd);
-    let source = store
-        .as_ref()
-        .map(|store| StoreBacked::new(Arc::clone(store)));
-    let hooks = RunHooks {
-        source: source.as_ref().map(|s| s as &dyn ModelSource),
-        ..RunHooks::default()
-    };
-    let report = spec.run_with_hooks(&prior, checkpoint.as_ref(), cmd.limit, hooks);
-    if let (Some(store), false) = (&store, cmd.quiet) {
-        println!(
-            "store: {} load hit(s), {} miss(es) in {}",
-            store.hits(),
-            store.misses(),
-            store.dir().display(),
-        );
-    }
+    let report = spec.run_with(&prior, checkpoint.as_ref(), cmd.limit);
     if report.jobs.len() < jobs.len() && !cmd.quiet {
         println!(
             "note: partial run — {} of {} job(s) completed{}",
@@ -796,14 +662,6 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
             for b in &bdds {
                 m.root(*b);
             }
-            // Fold each assertion's compiled rails through the partitioned
-            // (cheapest-support-first) reduction so the census reports real
-            // fused-op and per-partition telemetry for this design, the way
-            // the conjunctive checker consumes constraint frames.
-            if cmd.partitioning != ssr_engine::Partitioning::Monolithic {
-                let folded = m.exists_conjunction(&bdds, &[]);
-                m.root(folded);
-            }
             built += 1;
         }
         m.maintain();
@@ -838,14 +696,6 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
         s.reorder_passes,
         s.level_swaps,
         m.sift_nanos() / 1_000_000,
-    );
-    println!(
-        "    fused and-exists {:.1}% hit, {} partition(s) consumed, peak {} nodes/partition \
-         (partitioning={})",
-        100.0 * s.fused_hit_rate(),
-        s.partitions_consumed,
-        s.partition_peak_nodes,
-        cmd.partitioning.name(),
     );
     ssr_engine::ManagerPool::global().release(m);
 }
@@ -911,27 +761,6 @@ fn core_stats(cmd: &Command) -> ExitCode {
                 violations.len()
             );
             kernel_stats(cmd, &harness, &config);
-        }
-    }
-    // Persistent-store census: how much warm-start material is on disk.
-    if let Some(store) = open_store(cmd) {
-        match store.entries() {
-            Ok(entries) => {
-                let total: u64 = entries.iter().map(|e| e.bytes).sum();
-                let models = entries.iter().filter(|e| e.file.ends_with(".nls")).count();
-                println!(
-                    "\npersistent store {}: {} entr(ies) ({} model(s), {} function image(s)), \
-                     {} byte(s); this process: {} load hit(s), {} miss(es)",
-                    store.dir().display(),
-                    entries.len(),
-                    models,
-                    entries.len() - models,
-                    total,
-                    store.hits(),
-                    store.misses(),
-                );
-            }
-            Err(e) => eprintln!("warning: store: cannot list {}: {e}", store.dir().display()),
         }
     }
     let pool = ssr_engine::ManagerPool::global().stats();

@@ -111,12 +111,6 @@ pub struct RunHooks<'a> {
     /// results first, then fresh completions as workers finish).  Called
     /// from worker threads; must be `Sync`.
     pub on_job: Option<&'a (dyn Fn(&JobResult) + Sync)>,
-    /// How harnesses and per-job function images are acquired.  `None`
-    /// keeps the historical always-cold compile; a
-    /// [`crate::store::StoreBacked`] source hydrates from disk and records
-    /// store hit/miss counters per job.  An execution parameter like
-    /// `threads`: it can never change a verdict.
-    pub source: Option<&'a dyn crate::store::ModelSource>,
 }
 
 impl std::fmt::Debug for RunHooks<'_> {
@@ -124,7 +118,6 @@ impl std::fmt::Debug for RunHooks<'_> {
         f.debug_struct("RunHooks")
             .field("cancel", &self.cancel.map(CancelToken::is_cancelled))
             .field("on_job", &self.on_job.is_some())
-            .field("source", &self.source.is_some())
             .finish()
     }
 }
@@ -165,25 +158,12 @@ impl SharedHarness {
     }
 
     /// The compiled harness — built on first call — or the structured
-    /// error to report.  Always-cold compile (the historical behaviour).
+    /// error to report.
     pub fn get(&self) -> Result<&CoreHarness, &HarnessError> {
-        self.get_via(None)
-    }
-
-    /// [`SharedHarness::get`] through an explicit [`ModelSource`]: a
-    /// store-backed source hydrates the compiled model from disk (falling
-    /// back to a cold build on miss or corruption); `None` compiles cold.
-    /// The source only matters for the call that performs the build; later
-    /// calls return the cached result whatever their argument.
-    pub fn get_via(
-        &self,
-        source: Option<&dyn crate::store::ModelSource>,
-    ) -> Result<&CoreHarness, &HarnessError> {
         self.cell
             .get_or_init(|| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match source {
-                    Some(source) => source.materialise(self.config, self.order.clone()),
-                    None => CoreHarness::with_order(self.config, self.order.clone()),
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    CoreHarness::with_order(self.config, self.order.clone())
                 }))
                 .map_err(|payload| HarnessError::Panicked(panic_message(&payload)))
                 .and_then(|r| r.map_err(|e| HarnessError::Generation(format!("{e:?}"))))
@@ -231,8 +211,8 @@ pub struct CampaignSpec {
     /// across orders.
     pub order: OrderPolicy,
     /// Relation-partitioning strategy for the checker (monolithic eager
-    /// conjunction vs streamed conjunctive partitions with early
-    /// quantification; `auto` picks per assertion).  Part of the job
+    /// conjunction vs streamed conjunctive partitions; `auto` picks per
+    /// assertion).  Part of the job
     /// identity like `order`: verdicts are identical across strategies,
     /// but resource telemetry is not, so resumed runs never mix records.
     pub partitioning: Partitioning,
@@ -421,11 +401,10 @@ impl CampaignSpec {
                         }
                         let (result, exhausted) = run_governed(
                             spec,
-                            contexts[index].get_via(hooks.source),
+                            contexts[index].get(),
                             &mut manager,
                             self.budget,
                             self.reorder,
-                            hooks.source,
                         );
                         if exhausted {
                             // Telemetry for `ssr stats`: this lease tripped
@@ -505,13 +484,12 @@ fn attempt(
     manager: &mut BddManager,
     budget: JobBudget,
     maintenance: Option<MaintainSettings>,
-    source: Option<&dyn crate::store::ModelSource>,
 ) -> Attempt {
     manager.reset();
     manager.set_maintenance(maintenance);
     manager.set_budget(budget.to_settings());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_sourced(spec, harness, manager, source)
+        run_job_with(spec, harness, manager)
     }));
     match outcome {
         Ok(result) => Attempt::Done(result),
@@ -541,15 +519,14 @@ fn run_governed(
     manager: &mut BddManager,
     budget: JobBudget,
     maintenance: Option<MaintainSettings>,
-    source: Option<&dyn crate::store::ModelSource>,
 ) -> (JobResult, bool) {
-    match attempt(spec, harness, manager, budget, maintenance, source) {
+    match attempt(spec, harness, manager, budget, maintenance) {
         Attempt::Done(result) => (result, false),
         Attempt::Panicked(result) => (result, false),
         Attempt::Exhausted(_) => {
             let raised = budget.raised();
             let degraded = degraded_maintenance(maintenance, raised.node_budget);
-            match attempt(spec, harness, manager, raised, Some(degraded), source) {
+            match attempt(spec, harness, manager, raised, Some(degraded)) {
                 Attempt::Done(result) => (result, true),
                 Attempt::Panicked(result) => (result, true),
                 Attempt::Exhausted(err) => (budget_job(spec, &err), true),
@@ -643,8 +620,6 @@ fn empty_result(spec: &JobSpec) -> JobResult {
         bdd_vars: 0,
         ite_hits: 0,
         ite_misses: 0,
-        store_hits: 0,
-        store_misses: 0,
         wall_ms: 0,
         error: None,
     }
@@ -669,26 +644,6 @@ pub fn run_job_with(
     harness: Result<&CoreHarness, &HarnessError>,
     m: &mut BddManager,
 ) -> JobResult {
-    run_job_sourced(spec, harness, m, None)
-}
-
-/// [`run_job_with`] through an explicit [`crate::store::ModelSource`]: a
-/// store-backed source hydrates the job's persisted function image into the
-/// arena before the assertions are built (a per-job store *hit*), and
-/// persists the image after a cold check (a *miss*) for the next run.
-///
-/// Hydration is correctness-neutral by construction: BDDs are canonical, so
-/// preloaded nodes can only be *rediscovered* by the rebuild — the verdict
-/// and every function computed are bit-identical to a cold run.  Only
-/// telemetry (node counts, cache hit rates) may differ, and
-/// [`CampaignReport::canonical_json`](crate::report::CampaignReport::canonical_json)
-/// zeroes all of it.
-pub fn run_job_sourced(
-    spec: &JobSpec,
-    harness: Result<&CoreHarness, &HarnessError>,
-    m: &mut BddManager,
-    source: Option<&dyn crate::store::ModelSource>,
-) -> JobResult {
     let started = Instant::now();
     let mut result = empty_result(spec);
 
@@ -701,32 +656,6 @@ pub fn run_job_sourced(
         }
     };
 
-    // Warm start: hydrate the persisted function image (if any) and keep
-    // it rooted for the duration of the job so maintenance GC cannot sweep
-    // the preloaded sharing away mid-build.
-    let part_name = spec.part.render();
-    let key = source.map(|_| crate::store::FunctionKey {
-        config: &spec.config,
-        order: &spec.order,
-        partitioning: spec.partitioning,
-        suite: spec.suite.name(),
-        part: &part_name,
-    });
-    let mut preloaded = false;
-    if let (Some(source), Some(key)) = (source, key.as_ref()) {
-        m.push_root_frame();
-        match source.preload_functions(m, key) {
-            Some(roots) => {
-                for root in roots {
-                    m.root(root);
-                }
-                preloaded = true;
-                result.store_hits = 1;
-            }
-            None => result.store_misses = 1,
-        }
-    }
-
     let assertions = match spec.part {
         JobPart::WholeSuite => spec.suite.assertions(harness, m),
         JobPart::Assertion(index) => vec![spec.suite.assertion(harness, m, index)],
@@ -736,23 +665,10 @@ pub fn run_job_sourced(
         Ok(reports) => {
             result.assertions = reports.iter().map(summarise_check).collect();
             result.holds = reports.iter().all(|r| r.holds);
-            // A cold job populates the store for the next run.
-            if let (Some(source), Some(key)) = (source, key.as_ref()) {
-                if !preloaded {
-                    let mut roots = Vec::new();
-                    for assertion in &assertions {
-                        assertion.collect_bdds(&mut roots);
-                    }
-                    source.persist_functions(m, key, &roots);
-                }
-            }
         }
         Err(e) => {
             result.error = Some(format!("STE elaboration failed: {e:?}"));
         }
-    }
-    if key.is_some() {
-        m.pop_root_frame();
     }
     let stats = m.stats();
     result.bdd_nodes = stats.nodes_allocated as u64;
@@ -1041,7 +957,6 @@ mod tests {
             RunHooks {
                 cancel: Some(&token),
                 on_job: Some(&on_job),
-                ..RunHooks::default()
             },
         );
         assert_eq!(report.jobs.len(), 1, "no new job after the cancel");
@@ -1065,7 +980,6 @@ mod tests {
             RunHooks {
                 cancel: Some(&token),
                 on_job: None,
-                ..RunHooks::default()
             },
         );
         assert!(report.jobs.is_empty());
@@ -1086,7 +1000,6 @@ mod tests {
             RunHooks {
                 cancel: None,
                 on_job: Some(&on_job),
-                ..RunHooks::default()
             },
         );
         let mut ids = streamed.into_inner().expect("not poisoned");

@@ -368,8 +368,6 @@ mod tests {
             bdd_vars: 8,
             ite_hits: 80,
             ite_misses: 20,
-            store_hits: 0,
-            store_misses: 0,
             wall_ms: 9,
             error: error.map(str::to_owned),
         }

@@ -468,8 +468,6 @@ mod tests {
             bdd_vars: 4,
             ite_hits: 7,
             ite_misses: 3,
-            store_hits: 0,
-            store_misses: 0,
             wall_ms: 5,
             error: None,
         }

@@ -25,7 +25,6 @@ use ssr_ste::{Assertion, CheckReport, Formula, Partitioning, Ste, SteError};
 pub struct CoreHarness {
     config: CoreConfig,
     order: OrderPolicy,
-    netlist: Arc<Netlist>,
     model: CompiledModel,
 }
 
@@ -46,37 +45,10 @@ impl CoreHarness {
     /// Returns a [`NetlistError`] if generation fails (a generator bug).
     pub fn with_order(config: CoreConfig, order: OrderPolicy) -> Result<Self, NetlistError> {
         let netlist = Arc::new(build_core(&config)?);
-        let model =
-            CompiledModel::from_arc(Arc::clone(&netlist)).expect("generated cores always compile");
+        let model = CompiledModel::from_arc(netlist).expect("generated cores always compile");
         Ok(CoreHarness {
             config,
             order,
-            netlist,
-            model,
-        })
-    }
-
-    /// Builds a harness around an *already materialised* netlist — the
-    /// store-backed warm-start path, which skips core generation entirely.
-    ///
-    /// Unlike [`CoreHarness::with_order`], compilation failures are
-    /// propagated rather than treated as generator bugs: a netlist that
-    /// came off disk may be stale or doctored, and the caller (the engine's
-    /// model store) must be able to fall back to a cold build.
-    ///
-    /// # Errors
-    /// Returns a [`NetlistError`] if the netlist fails validation or
-    /// model compilation.
-    pub fn from_netlist(
-        config: CoreConfig,
-        order: OrderPolicy,
-        netlist: Arc<Netlist>,
-    ) -> Result<Self, NetlistError> {
-        let model = CompiledModel::from_arc(Arc::clone(&netlist))?;
-        Ok(CoreHarness {
-            config,
-            order,
-            netlist,
             model,
         })
     }
@@ -93,12 +65,7 @@ impl CoreHarness {
 
     /// The generated netlist.
     pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    /// The shared handle to the generated netlist.
-    pub fn netlist_arc(&self) -> &Arc<Netlist> {
-        &self.netlist
+        self.model.netlist()
     }
 
     /// The compiled model (built once at construction).

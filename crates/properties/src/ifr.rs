@@ -166,18 +166,22 @@ mod tests {
 
     #[test]
     fn ifr_raw_property_holds_in_both_antecedent_styles() {
-        let harness = CoreHarness::new(CoreConfig::small_test()).expect("core");
-        for style in [AntecedentStyle::Direct, AntecedentStyle::Indexed] {
-            let mut m = BddManager::new();
-            let a = assertion(&harness, &mut m, style);
-            let report = harness.check(&mut m, &a).expect("checks");
-            assert!(
-                report.holds,
-                "{:?} style should hold: {:?}",
-                style,
-                report.counterexample.as_ref().map(|c| &c.failures)
-            );
-            assert!(report.antecedent_conflict.is_false());
+        // The small core's 8-word instruction memory, and a 64-word one.
+        for imem_depth in [8, 64] {
+            let mut config = CoreConfig::small_test();
+            config.imem_depth = imem_depth;
+            let harness = CoreHarness::new(config).expect("core");
+            for style in [AntecedentStyle::Direct, AntecedentStyle::Indexed] {
+                let mut m = BddManager::new();
+                let a = assertion(&harness, &mut m, style);
+                let report = harness.check(&mut m, &a).expect("checks");
+                assert!(
+                    report.holds,
+                    "{style:?} style at depth {imem_depth} should hold: {:?}",
+                    report.counterexample.as_ref().map(|c| &c.failures)
+                );
+                assert!(report.antecedent_conflict.is_false());
+            }
         }
     }
 

@@ -20,8 +20,7 @@
 //!   enumerate, filter and shard the individual proof obligations.
 //!
 //! The suites are used three ways: as tests (this crate's own test modules),
-//! as the workload of the Criterion benches in `ssr-bench`, and from the
-//! runnable examples.
+//! as the jobs of `ssr-engine` campaigns, and from the runnable examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

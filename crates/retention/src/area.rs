@@ -176,6 +176,10 @@ mod tests {
                 let premium = r.full_retention_area / r.no_retention_area - 1.0;
                 assert!((premium - overhead).abs() < 1e-9);
             }
+            // At either bound, deeper pipelines still save more.
+            assert!(rows
+                .windows(2)
+                .all(|w| w[0].area_saving_fraction < w[1].area_saving_fraction));
         }
     }
 

@@ -56,11 +56,6 @@ impl CompiledModel {
         &self.netlist
     }
 
-    /// The shared handle to the underlying netlist.
-    pub fn netlist_arc(&self) -> &Arc<Netlist> {
-        &self.netlist
-    }
-
     /// Combinational cells in evaluation order.
     pub fn comb_order(&self) -> &[CellId] {
         &self.order.comb_cells

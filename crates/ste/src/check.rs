@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use ssr_bdd::{Assignment, Bdd, BddManager, MaintainSettings};
-use ssr_netlist::NetId;
+use ssr_netlist::{NetId, Netlist};
 use ssr_sim::{CompiledModel, SymSimulator, SymState};
 use ssr_ternary::{SymTernary, Ternary};
 
@@ -19,11 +19,10 @@ use crate::formula::{Assertion, Formula};
 /// conditions as an ordered partition list — implicitly conjoined relation
 /// frames — and streams the trajectory one state at a time, so the kernel
 /// can collect each state as soon as its successor is computed; the
-/// partitions are only combined at the end, cheapest support first, through
-/// the fused [`BddManager::and_exists`] relational product with a greedy
-/// early-quantification schedule.  Verdicts and counterexamples are
-/// identical either way (BDDs are canonical, and a `true` condition is the
-/// conjunction identity); only peak memory and wall-clock differ.
+/// partitions are only conjoined at the end, smallest first.  Verdicts and
+/// counterexamples are identical either way (BDDs are canonical, and a
+/// `true` condition is the conjunction identity); only peak memory and
+/// wall-clock differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Partitioning {
     /// Eagerly conjoin conditions and retain the full trajectory.
@@ -57,13 +56,23 @@ impl Partitioning {
     pub fn parse(text: &str) -> Option<Partitioning> {
         Partitioning::ALL.into_iter().find(|p| p.name() == text)
     }
+
+    /// `true` when an assertion whose consequent has `constraints`
+    /// point-wise constraints is checked by the streaming conjunctive path.
+    fn streams(self, constraints: usize) -> bool {
+        match self {
+            Partitioning::Monolithic => false,
+            Partitioning::Conjunctive => true,
+            Partitioning::Auto => constraints >= AUTO_PARTITION_THRESHOLD,
+        }
+    }
 }
 
 /// Consequent-constraint count at which [`Partitioning::Auto`] switches an
 /// assertion to the conjunctive strategy.  Below this the partition list is
-/// too short for early quantification to pay for its bookkeeping; at or
-/// above it (word-level datapath and memory assertions) the streamed
-/// trajectory dominates peak live nodes.
+/// too short for streaming to pay for its bookkeeping; at or above it
+/// (word-level datapath and memory assertions) the streamed trajectory
+/// dominates peak live nodes.
 pub const AUTO_PARTITION_THRESHOLD: usize = 8;
 
 /// One violated consequent constraint in a counterexample.
@@ -220,14 +229,7 @@ impl<'m> Ste<'m> {
         let a_seq = assertion.antecedent.defining_sequence(m, netlist, depth)?;
         let c_seq = assertion.consequent.defining_sequence(m, netlist, depth)?;
 
-        let conjunctive = match partitioning {
-            Partitioning::Monolithic => false,
-            Partitioning::Conjunctive => true,
-            Partitioning::Auto => {
-                c_seq.iter().map(Vec::len).sum::<usize>() >= AUTO_PARTITION_THRESHOLD
-            }
-        };
-        if conjunctive {
+        if partitioning.streams(c_seq.iter().map(Vec::len).sum()) {
             self.check_conjunctive(m, assertion, &a_seq, &c_seq, start)
         } else {
             self.check_monolithic(m, assertion, &a_seq, &c_seq, start)
@@ -313,47 +315,21 @@ impl<'m> Ste<'m> {
         // The verification condition: ∀ t, n. [C] t n ⊑ [[A]] t n.
         let mut ok = Bdd::TRUE;
         let mut constraints_checked = 0usize;
-        let mut violated: Vec<(usize, NetId, SymTernary)> = Vec::new();
+        let mut violated: Vec<Violation> = Vec::new();
         for (t, constraints) in c_seq.iter().enumerate() {
             for &(net, required) in constraints {
                 let actual = trajectory[t].node(net);
                 let cond = required.leq(m, &actual);
                 constraints_checked += 1;
                 if !cond.is_true() {
-                    violated.push((t, net, required));
+                    violated.push((t, net, required, actual));
                 }
                 ok = m.and(ok, cond);
             }
         }
 
         let holds = ok.is_true();
-        let counterexample = if holds {
-            None
-        } else {
-            let not_ok = m.not(ok);
-            m.one_sat(not_ok).map(|assignment| {
-                let mut failures = Vec::new();
-                for &(t, net, required) in &violated {
-                    let expected = required.eval(m, &assignment).unwrap_or(Ternary::X);
-                    let actual = trajectory[t]
-                        .node(net)
-                        .eval(m, &assignment)
-                        .unwrap_or(Ternary::X);
-                    if !expected.leq(actual) {
-                        failures.push(FailedNode {
-                            time: t,
-                            node: netlist.net(net).name.clone(),
-                            expected,
-                            actual,
-                        });
-                    }
-                }
-                Counterexample {
-                    assignment,
-                    failures,
-                }
-            })
-        };
+        let counterexample = counterexample(m, netlist, ok, &violated);
 
         if maintaining {
             m.pop_root_frame();
@@ -373,9 +349,8 @@ impl<'m> Ste<'m> {
 
     /// The streaming strategy: keep only the newest trajectory state
     /// protected, collect its predecessor each step, and gather the
-    /// point-wise conditions as an ordered partition list combined at the
-    /// end through [`BddManager::exists_conjunction`] (cheapest support
-    /// first, with per-partition peak-live-node telemetry).
+    /// point-wise conditions as a partition list conjoined at the end,
+    /// smallest first.
     fn check_conjunctive(
         &self,
         m: &mut BddManager,
@@ -419,9 +394,7 @@ impl<'m> Ste<'m> {
         let mut conflict = Bdd::FALSE;
         let mut parts: Vec<Bdd> = Vec::new();
         let mut constraints_checked = 0usize;
-        // Unlike the monolithic path the trajectory is gone by verdict
-        // time, so each violation records the actual value it saw.
-        let mut violated: Vec<(usize, NetId, SymTernary, SymTernary)> = Vec::new();
+        let mut violated: Vec<Violation> = Vec::new();
         let mut prev: Option<SymState> = None;
         for (t, drive) in a_seq.iter().enumerate() {
             m.check_deadline();
@@ -462,37 +435,14 @@ impl<'m> Ste<'m> {
             release_state(m, &p, state_bits);
         }
 
-        // Combine the partition frames.  The quantification set is empty —
-        // every symbolic variable must survive into `ok` for `one_sat` —
-        // so this degenerates to the cheapest-support-first conjunction
-        // schedule, still recording per-partition peaks.
-        let ok = m.exists_conjunction(&parts, &[]);
+        // Conjoin the partition frames smallest first (ties by handle, so
+        // the order is deterministic), stopping at the first FALSE.
+        let mut order: Vec<(usize, Bdd)> = parts.iter().map(|&p| (m.size(p), p)).collect();
+        order.sort_unstable();
+        let ok = m.and_all(order.into_iter().map(|(_, p)| p));
 
         let holds = ok.is_true();
-        let counterexample = if holds {
-            None
-        } else {
-            let not_ok = m.not(ok);
-            m.one_sat(not_ok).map(|assignment| {
-                let mut failures = Vec::new();
-                for &(t, net, required, actual) in &violated {
-                    let expected = required.eval(m, &assignment).unwrap_or(Ternary::X);
-                    let actual = actual.eval(m, &assignment).unwrap_or(Ternary::X);
-                    if !expected.leq(actual) {
-                        failures.push(FailedNode {
-                            time: t,
-                            node: netlist.net(net).name.clone(),
-                            expected,
-                            actual,
-                        });
-                    }
-                }
-                Counterexample {
-                    assignment,
-                    failures,
-                }
-            })
-        };
+        let counterexample = counterexample(m, netlist, ok, &violated);
 
         for &(_, _, _, actual) in &violated {
             m.release(actual.hi());
@@ -572,6 +522,48 @@ impl<'m> Ste<'m> {
     }
 }
 
+/// A consequent constraint that is not trivially met: its time, node,
+/// required value and the value the trajectory carries there.
+type Violation = (usize, NetId, SymTernary, SymTernary);
+
+/// The counterexample of a failed check (`None` when `ok` is `TRUE`): one
+/// assignment falsifying `ok`, and every violated constraint it exposes.
+fn counterexample(
+    m: &BddManager,
+    netlist: &Netlist,
+    ok: Bdd,
+    violated: &[Violation],
+) -> Option<Counterexample> {
+    let mut assignment = m.one_sat(ok.negate())?;
+    // `one_sat` leaves the variables off its path free, and a rail that
+    // reads a free variable evaluates to X, which `⊑` forgives.  Every
+    // completion still falsifies `ok`, so fix them to 0: then some
+    // violated constraint must fail concretely.
+    for var in 0..m.var_count() as u32 {
+        if assignment.get(var).is_none() {
+            assignment.set(var, false);
+        }
+    }
+    let decided = "a complete assignment decides every rail";
+    let failures = violated
+        .iter()
+        .filter_map(|&(time, net, required, actual)| {
+            let expected = required.eval(m, &assignment).expect(decided);
+            let actual = actual.eval(m, &assignment).expect(decided);
+            (!expected.leq(actual)).then(|| FailedNode {
+                time,
+                node: netlist.net(net).name.clone(),
+                expected,
+                actual,
+            })
+        })
+        .collect();
+    Some(Counterexample {
+        assignment,
+        failures,
+    })
+}
+
 /// Protects a trajectory state's node and shadow-clock rails for the
 /// streaming checker (refcounts, so nesting with root frames is safe).
 fn protect_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
@@ -602,9 +594,10 @@ fn release_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stimulus::{waveform, Segment};
     use ssr_bdd::BddVec;
     use ssr_netlist::builder::NetlistBuilder;
-    use ssr_netlist::{Netlist, RegKind};
+    use ssr_netlist::RegKind;
 
     fn and_gate() -> Netlist {
         let mut b = NetlistBuilder::new("and");
@@ -732,6 +725,48 @@ mod tests {
             .check(&mut m, &Assertion::new(clock2.and(data2), early))
             .expect("checks");
         assert!(!report2.holds);
+
+        // Figure 1: capture v, then sleep (NRET low over [3, 6)) while NRST
+        // pulses low at 4.  A retention cell keeps v throughout; an
+        // async-reset cell loses it to the reset.
+        for (kind, keeps) in [
+            (RegKind::Retention { reset_value: false }, true),
+            (RegKind::AsyncReset { reset_value: false }, false),
+        ] {
+            let retained = matches!(kind, RegKind::Retention { .. });
+            let mut b = NetlistBuilder::new("cell");
+            let clk = b.input("clock");
+            let nrst = b.input("NRST");
+            let nret = retained.then(|| b.input("NRET"));
+            let d = b.input("d");
+            let q = b.reg("q", kind, d, clk, Some(nrst), nret);
+            b.mark_output(q);
+            let n = b.finish().expect("valid");
+            let model = CompiledModel::new(&n).expect("compiles");
+            let mut m = BddManager::new();
+            let v = m.new_var("v");
+            let seg = Segment::new;
+            let mut a = waveform(
+                "clock",
+                &[seg(false, 0, 1), seg(true, 1, 2), seg(false, 2, 8)],
+            )
+            .and(waveform(
+                "NRST",
+                &[seg(true, 0, 4), seg(false, 4, 5), seg(true, 5, 8)],
+            ))
+            .and(Formula::is_bdd(&mut m, "d", v).from_to(0, 2));
+            if retained {
+                a = a.and(waveform(
+                    "NRET",
+                    &[seg(true, 0, 3), seg(false, 3, 6), seg(true, 6, 8)],
+                ));
+            }
+            let c = Formula::is_bdd(&mut m, "q", v).from_to(2, 8);
+            let report = Ste::new(&model)
+                .check(&mut m, &Assertion::new(a, c))
+                .expect("checks");
+            assert_eq!(report.holds, keeps, "{kind:?}");
+        }
     }
 
     #[test]
@@ -898,10 +933,16 @@ mod tests {
     #[test]
     fn auto_partitioning_switches_at_the_constraint_threshold() {
         // The 4-bit adder consequent carries exactly
-        // AUTO_PARTITION_THRESHOLD point-wise constraints, so `auto` takes
-        // the conjunctive path there — observable through the kernel's
-        // partition telemetry once a failing check leaves partitions
-        // behind — while a 1-constraint assertion stays monolithic.
+        // AUTO_PARTITION_THRESHOLD point-wise constraints, so `auto` routes
+        // it to the conjunctive path, while a 1-constraint assertion stays
+        // monolithic.  Either way the verdict and counterexample match.
+        let constraints = |m: &mut BddManager, netlist: &Netlist, assertion: &Assertion| {
+            let c_seq = assertion
+                .consequent
+                .defining_sequence(m, netlist, assertion.depth())
+                .expect("elaborates");
+            c_seq.iter().map(Vec::len).sum::<usize>()
+        };
         let mut b = NetlistBuilder::new("adder");
         let a_in = b.word_input("a", 4);
         let b_in = b.word_input("b", 4);
@@ -923,37 +964,74 @@ mod tests {
         let wrong = va.xor(&mut m, &vb).expect("widths");
         let c = Formula::word_is(&mut m, "sum", &wrong);
         let assertion = Assertion::named("adder_wrong", a_f.and(b_f), c);
+        let count = constraints(&mut m, &n, &assertion);
+        assert_eq!(count, AUTO_PARTITION_THRESHOLD);
+        assert!(Partitioning::Auto.streams(count), "auto streams the adder");
+        assert!(!Partitioning::Auto.streams(count - 1));
+        assert!(!Partitioning::Monolithic.streams(count));
+        assert!(Partitioning::Conjunctive.streams(1));
         let auto = ste
             .check_with(&mut m, &assertion, Partitioning::Auto)
             .expect("checks");
         assert!(!auto.holds);
-        let consumed = m.stats().partitions_consumed;
-        assert!(consumed > 0, "auto took the conjunctive path");
         let mono = ste
             .check_with(&mut m, &assertion, Partitioning::Monolithic)
             .expect("checks");
         assert_eq!(mono.ok, auto.ok);
         assert_eq!(mono.counterexample, auto.counterexample);
-        assert_eq!(
-            m.stats().partitions_consumed,
-            consumed,
-            "monolithic consumed no partitions"
-        );
 
-        // A single-constraint assertion under `auto` is monolithic too.
+        // A single-constraint assertion under `auto` is monolithic.
         let gate = and_gate();
         let gate_model = CompiledModel::new(&gate).expect("compiles");
         let gate_ste = Ste::new(&gate_model);
         let mut gm = BddManager::new();
+        let single = Assertion::new(Formula::is0("a"), Formula::is0("out"));
+        assert!(!Partitioning::Auto.streams(constraints(&mut gm, &gate, &single)));
         let report = gate_ste
-            .check_with(
-                &mut gm,
-                &Assertion::new(Formula::is0("a"), Formula::is0("out")),
-                Partitioning::Auto,
-            )
+            .check_with(&mut gm, &single, Partitioning::Auto)
             .expect("checks");
         assert!(report.holds);
-        assert_eq!(gm.stats().partitions_consumed, 0);
+    }
+
+    #[test]
+    fn counterexamples_name_a_failing_node_when_one_sat_leaves_variables_free() {
+        // out = a xor b, but the consequent claims out = a.  The failure
+        // condition is exactly `vb`, so `one_sat` assigns vb alone and
+        // leaves va free, while both the required value (va) and the
+        // trajectory's (va xor vb) read va.  Both paths must still report
+        // the violated node under a complete assignment.
+        let mut b = NetlistBuilder::new("xor");
+        let a_in = b.input("a");
+        let b_in = b.input("b");
+        let x = b.xor("out", a_in, b_in);
+        b.mark_output(x);
+        let n = b.finish().expect("valid");
+        let model = CompiledModel::new(&n).expect("compiles");
+        let ste = Ste::new(&model);
+        for mode in [Partitioning::Monolithic, Partitioning::Conjunctive] {
+            let mut m = BddManager::new();
+            let va = m.new_var("va");
+            let vb = m.new_var("vb");
+            let a = Formula::is_bdd(&mut m, "a", va).and(Formula::is_bdd(&mut m, "b", vb));
+            let c = Formula::is_bdd(&mut m, "out", va);
+            let report = ste
+                .check_with(&mut m, &Assertion::new(a, c), mode)
+                .expect("checks");
+            assert!(!report.holds);
+            let cex = report.counterexample.expect("has counterexample");
+            assert_eq!(cex.assignment.len(), m.var_count(), "{mode:?}");
+            assert_eq!(cex.assignment.get(1), Some(true));
+            assert_eq!(
+                cex.failures,
+                vec![FailedNode {
+                    time: 0,
+                    node: "out".into(),
+                    expected: Ternary::Zero,
+                    actual: Ternary::One,
+                }],
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

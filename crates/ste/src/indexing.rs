@@ -134,7 +134,82 @@ pub fn raw_expected_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssr_bdd::Assignment;
+    use crate::{Assertion, Ste};
+    use ssr_bdd::{Assignment, Bdd};
+    use ssr_netlist::builder::{MemoryConfig, NetlistBuilder, ReadPort, WritePort};
+    use ssr_netlist::RegKind;
+    use ssr_sim::CompiledModel;
+
+    /// STE read-after-write on a standalone retained `depth × 16` SRAM:
+    /// one write cycle, then a combinational read of any address returns
+    /// the written data on an address match and the original word
+    /// otherwise.  `indexed` picks the antecedent style for the original
+    /// contents.
+    fn sram_raw_holds(depth: usize, indexed: bool) -> bool {
+        const WIDTH: usize = 16;
+        let addr_bits = depth.trailing_zeros() as usize;
+        let mut b = NetlistBuilder::new("sram");
+        let clk = b.input("clock");
+        let nrst = b.input("NRST");
+        let nret = b.input("NRET");
+        let write = WritePort {
+            addr: b.word_input("WriteAdd", addr_bits),
+            data: b.word_input("WriteData", WIDTH),
+            enable: b.input("MemWrite"),
+        };
+        let read = ReadPort {
+            addr: b.word_input("ReadAdd", addr_bits),
+            enable: Some(b.input("MemRead")),
+        };
+        let kind = RegKind::Retention { reset_value: false };
+        let config = MemoryConfig {
+            depth,
+            width: WIDTH,
+            kind,
+        };
+        let rdata = b.memory(
+            "Mem",
+            config,
+            clk,
+            Some(nrst),
+            Some(nret),
+            Some(&write),
+            &[read],
+        );
+        b.mark_word_output(&rdata[0]);
+        let netlist = b.finish().expect("valid");
+        let model = CompiledModel::new(&netlist).expect("compiles");
+
+        let mut m = BddManager::new();
+        let ra = BddVec::new_input(&mut m, "ra", addr_bits);
+        let wa = BddVec::new_input(&mut m, "wa", addr_bits);
+        let wd = BddVec::new_input(&mut m, "wd", WIDTH);
+        let (init, expected) = if indexed {
+            let data = BddVec::new_input(&mut m, "d", WIDTH);
+            let init = indexed_memory_antecedent(&mut m, "Mem", depth, &ra, &data, 0, 1);
+            let hit = wa.equals(&mut m, &ra).expect("width");
+            (init, wd.mux(&mut m, hit, &data).expect("width"))
+        } else {
+            let (init, words) = direct_memory_antecedent(&mut m, "Mem", depth, WIDTH, 0, 1);
+            (init, raw_expected(&mut m, &ra, &wa, Bdd::TRUE, &wd, &words))
+        };
+        let a = Formula::node_is_from_to("clock", false, 0, 1)
+            .and(Formula::node_is_from_to("clock", true, 1, 2))
+            .and(Formula::node_is_from_to("clock", false, 2, 3))
+            .and(Formula::node_is_from_to("NRST", true, 0, 3))
+            .and(Formula::node_is_from_to("NRET", true, 0, 3))
+            .and(Formula::node_is_from_to("MemRead", true, 0, 3))
+            .and(Formula::node_is_from_to("MemWrite", true, 0, 2))
+            .and(Formula::word_is(&mut m, "ReadAdd", &ra).from_to(0, 3))
+            .and(Formula::word_is(&mut m, "WriteAdd", &wa).from_to(0, 2))
+            .and(Formula::word_is(&mut m, "WriteData", &wd).from_to(0, 2))
+            .and(init);
+        let c = Formula::word_is(&mut m, "Mem_rdata0", &expected).delay(2);
+        Ste::new(&model)
+            .check(&mut m, &Assertion::new(a, c))
+            .expect("checks")
+            .holds
+    }
 
     #[test]
     fn raw_selects_written_or_original_data() {
@@ -167,6 +242,11 @@ mod tests {
         asg.set(4, true);
         asg.set(wa_vars[0], true); // WA = 3
         assert_eq!(raw.decode(&m, &asg), Some(0x12));
+
+        // The same expectation holds of real SRAM netlists under STE.
+        for depth in [8, 32, 128] {
+            assert!(sram_raw_holds(depth, false), "direct, depth {depth}");
+        }
     }
 
     #[test]
@@ -209,6 +289,11 @@ mod tests {
             let under_no_write = m.and(we_false, b);
             let data_bit = m.and(we_false, data.bit(bit));
             assert_eq!(under_no_write, data_bit);
+        }
+
+        // Read-after-write on real SRAM netlists under STE, indexed style.
+        for depth in [8, 32, 128] {
+            assert!(sram_raw_holds(depth, true), "indexed, depth {depth}");
         }
     }
 }

@@ -89,8 +89,8 @@ impl SymTernary {
         }
     }
 
-    /// Declares (or, on a warm-started arena, reuses) the symbolic Boolean
-    /// variable `name` and returns the node value that is `1` when the
+    /// Declares (or, when the arena already has it, reuses) the symbolic
+    /// Boolean variable `name` and returns the node value that is `1` when the
     /// variable is true and `0` otherwise.
     pub fn symbol(m: &mut BddManager, name: impl Into<String>) -> SymTernary {
         let v = m.declare(name);

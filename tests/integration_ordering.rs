@@ -1,13 +1,14 @@
 //! End-to-end ordering-layer tests: every variable-order preset — and a
 //! campaign with dynamic reordering enabled — must produce verdict-identical
-//! reports on the example configurations, old (pre-ordering) journals must
-//! still resume cleanly, and `--reorder` must actually shrink the peak live
-//! node count on an order-stressed workload.
+//! reports on the example configurations, artifacts from older writers
+//! must still resume cleanly, and `--reorder` must actually shrink the peak
+//! live node count on an order-stressed workload.
 
-use ssr_engine::persist::load_partial;
+use ssr_engine::json::Json;
+use ssr_engine::persist::{load_partial, JOURNAL_SCHEMA};
 use ssr_engine::{
-    plan_resume, policy_by_name, CampaignSpec, Granularity, MaintainSettings, NamedConfig,
-    OrderPolicy, Suite,
+    plan_resume, policy_by_name, CampaignReport, CampaignSpec, Granularity, MaintainSettings,
+    NamedConfig, OrderPolicy, ReportDiff, Suite,
 };
 
 /// A small two-policy Property II campaign under the given ordering
@@ -147,10 +148,14 @@ fn order_is_part_of_the_resume_identity() {
 
 #[test]
 fn pre_ordering_journals_resume_against_the_default_order() {
-    // A journal written before the ordering layer carries no `order` field.
-    // Strip it from a real journal line to simulate one: the lenient parser
-    // must default to `interleaved` and the resume planner must accept it
-    // against a default-order enumeration.
+    // Artifacts from older writers, simulated from a real run:
+    // * a report written before the ordering layer carries no `order`
+    //   field — the lenient parser must default to `interleaved`;
+    // * a report and a journal written while the warm-start store existed
+    //   carry nonzero `store_hits`/`store_misses` counters, which the
+    //   parser must ignore.
+    // Each must load, resume against a default-order enumeration to the
+    // fresh run's canonical report, and diff clean against it.
     let campaign = spec(OrderPolicy::Interleaved, None);
     let report = campaign.run();
     let json = report.to_json();
@@ -159,11 +164,63 @@ fn pre_ordering_journals_resume_against_the_default_order() {
         !legacy.contains("\"order\""),
         "the simulated legacy report must not mention order"
     );
-    let partial = load_partial(&legacy).expect("legacy report loads");
-    assert!(partial.jobs.iter().all(|j| j.order == "interleaved"));
-    let plan = plan_resume(&campaign.jobs(), &partial.jobs);
-    assert!(plan.complete(), "every legacy verdict is reusable");
-    assert_eq!(plan.stale, 0);
+    let (store_report, store_journal) = with_store_counters(&report);
+    for (what, text) in [
+        ("pre-ordering report", legacy),
+        ("store-era report", store_report),
+        ("store-era journal", store_journal),
+    ] {
+        let partial = load_partial(&text).unwrap_or_else(|e| panic!("{what} loads: {e}"));
+        assert!(partial.jobs.iter().all(|j| j.order == "interleaved"));
+        let plan = plan_resume(&campaign.jobs(), &partial.jobs);
+        assert!(plan.complete(), "{what}: every legacy verdict is reusable");
+        assert_eq!(plan.stale, 0, "{what}");
+        let resumed = campaign.run_with(&partial.jobs, None, None);
+        assert_eq!(resumed.canonical_json(), report.canonical_json(), "{what}");
+        let diff = ReportDiff::between(&partial.into_report(), &report);
+        assert!(!diff.has_regressions(), "{what}");
+        assert_eq!(diff.matched, report.jobs.len(), "{what}");
+    }
+}
+
+/// The report and the journal of `report` as the store-era writer emitted
+/// them: it added `store_hits` or `store_misses` to a job only when
+/// nonzero, so every job here carries exactly one of the two.
+fn with_store_counters(report: &CampaignReport) -> (String, String) {
+    let jobs: Vec<Json> = report
+        .jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let mut line = job.to_json();
+            if let Json::Obj(fields) = &mut line {
+                let key = if i % 2 == 0 {
+                    "store_hits"
+                } else {
+                    "store_misses"
+                };
+                fields.insert(key.to_owned(), Json::Num(1.0));
+            }
+            line
+        })
+        .collect();
+    let mut doc = report.json_value();
+    if let Json::Obj(fields) = &mut doc {
+        fields.insert("jobs".to_owned(), Json::Arr(jobs.clone()));
+    }
+    let header = Json::obj([
+        ("schema", Json::Str(JOURNAL_SCHEMA.into())),
+        ("granularity", Json::Str(report.granularity.clone())),
+        ("total_jobs", Json::Num(report.jobs.len() as f64)),
+        ("reorder", Json::Bool(false)),
+    ]);
+    let journal: String = std::iter::once(&header)
+        .chain(&jobs)
+        .map(|line| line.render() + "\n")
+        .collect();
+    let doc = doc.render_pretty();
+    assert!(doc.contains("\"store_hits\"") && journal.contains("\"store_misses\""));
+    (doc, journal)
 }
 
 /// Removes every `"order": "...",` field the way a pre-ordering writer

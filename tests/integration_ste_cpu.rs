@@ -99,6 +99,7 @@ fn inference_rules_compose_core_properties() {
     let (a_vec, b_vec) = BddVec::new_interleaved_pair(&mut m, "ia", "ib", 32);
     let shared_antecedent = CoreHarness::nominal_controls(1)
         .and(Formula::is0("ALUSrc"))
+        .and(Formula::is0("MemtoReg"))
         .and(Formula::word_is_const("ALUControl", 0b010, 3))
         .and(Formula::word_is(&mut m, "ReadData1", &a_vec))
         .and(Formula::word_is(&mut m, "ReadData2", &b_vec));
@@ -111,14 +112,36 @@ fn inference_rules_compose_core_properties() {
     let zero_expected = sum.is_zero(&mut m);
     let zero_prop = Assertion::named(
         "alu_zero",
-        shared_antecedent,
+        shared_antecedent.clone(),
         Formula::is_bdd(&mut m, "Zero", zero_expected),
+    );
+    let wb_prop = Assertion::named(
+        "alu_writeback",
+        shared_antecedent.clone(),
+        Formula::word_is(&mut m, "WriteBackData", &sum),
     );
     assert!(harness.check(&mut m, &alu_prop).expect("checks").holds);
     assert!(harness.check(&mut m, &zero_prop).expect("checks").holds);
+    assert!(harness.check(&mut m, &wb_prop).expect("checks").holds);
 
     let combined = infer::conjoin(&alu_prop, &zero_prop).expect("same antecedent");
     assert!(harness.check(&mut m, &combined).expect("checks").holds);
+
+    // The execute → write-back path: the per-unit properties composed by
+    // the conjunction rule, and the same path as one monolithic property
+    // over the concatenated cone, both verify.
+    let path = infer::conjoin(&alu_prop, &wb_prop).expect("same antecedent");
+    assert!(harness.check(&mut m, &path).expect("checks").holds);
+    let monolithic = Assertion::named(
+        "alu_to_writeback",
+        shared_antecedent,
+        Formula::word_is(&mut m, "ALUResult", &sum).and(Formula::word_is(
+            &mut m,
+            "WriteBackData",
+            &sum,
+        )),
+    );
+    assert!(harness.check(&mut m, &monolithic).expect("checks").holds);
 
     let shifted = infer::time_shift(&combined, 2);
     assert!(harness.check(&mut m, &shifted).expect("checks").holds);
