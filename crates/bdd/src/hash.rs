@@ -1,13 +1,18 @@
-//! A hand-rolled FxHash-style hasher for the kernel's hot tables.
+//! A hand-rolled FxHash-style hasher for the kernel's small maps.
 //!
-//! Every table on the BDD hot path — the unique table, the ITE computed
-//! table, the quantification cache and the per-operation scratch caches —
-//! is keyed by one to three word-sized node handles.  The standard
-//! library's default SipHash pays for DoS resistance the kernel does not
-//! need (keys are internal arena indices, never attacker-controlled), and
+//! The per-call scratch memos of `restrict`/`compose`/`rename` and
+//! quantification, the root registry and the name index are `HashMap`s
+//! with small keys, mostly single node handles.  The standard library's
+//! default SipHash pays for DoS resistance the kernel does not need (keys
+//! are internal arena indices and names, never attacker-controlled), and
 //! on these tiny keys the setup cost dominates the probe.  This module
 //! provides the classic multiply-rotate "Fx" construction used by rustc:
 //! one rotate, one xor and one multiply per word.
+//!
+//! The two hot tables — the unique table and the ITE computed table — are
+//! not `HashMap`s: they are flat arrays owned by the manager.  They pick
+//! their slot with `mix2`, the same construction applied once to a
+//! three-handle key packed into two words.
 //!
 //! The workspace builds offline with zero external dependencies, so this
 //! is written from scratch rather than pulled from `rustc-hash`.
@@ -82,7 +87,7 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` using the Fx hasher.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// One-shot mix of two words, used by the direct-mapped operation caches to
+/// One-shot mix of two words, used by the unique and computed tables to
 /// pick a slot without going through the `Hasher` machinery.
 #[inline]
 pub(crate) fn mix2(a: u64, b: u64) -> u64 {

@@ -7,7 +7,7 @@
 //! operations from scratch:
 //!
 //! * hash-consed unique table (structural sharing, canonical ROBDDs),
-//! * `ite` (if-then-else) with a computed-table cache, from which all binary
+//! * `ite` (if-then-else) with a computed table, from which all binary
 //!   Boolean connectives are derived,
 //! * cofactor/restrict, existential and universal quantification,
 //!   functional composition and variable substitution,
@@ -43,20 +43,26 @@
 //!   children and complementing the returned handle.  By default nodes are never
 //!   freed during a run; callers that opt in can register external roots
 //!   ([`BddManager::protect`] / scoped [`BddManager::push_root_frame`]
-//!   sets) and run mark-and-sweep [`BddManager::gc`], which rebuilds the
-//!   unique table, invalidates the operation caches and recycles slots
-//!   deterministically.  [`BddManager::reset`] still recycles the whole
-//!   manager — capacity kept, contents cleared — for arena reuse across
-//!   batch jobs.
-//! * The hot tables (unique table, ITE computed table, quantification and
-//!   scratch caches) use the hand-rolled [`hash::FxHasher`]; ITE triples are
-//!   normalised into a standard form before the cache probe (including the
-//!   complement-edge standard-triple rules: condition-polarity flip and
-//!   `ite(f,g,h) = ¬ite(f,¬g,¬h)` canonical output polarity, so
-//!   complementary triples share one cache line), and the
-//!   quantification cache is direct-mapped and bounded.  [`BddStats`]
-//!   surfaces hit/miss/normalisation counters for all of them, plus the
-//!   live/peak node counts and GC/reorder counters.
+//!   sets) and run mark-and-sweep [`BddManager::gc`], which unlinks the
+//!   dead from the unique table, drops the computed-table entries that
+//!   name them and recycles slots deterministically.
+//!   [`BddManager::reset`] still recycles the whole manager — capacity
+//!   kept, contents cleared, tables back to their construction-time size —
+//!   for arena reuse across batch jobs.
+//! * Two compact hot tables, CUDD-style, about 36 bytes per arena slot in
+//!   all.  The unique table is a power-of-two array of chain heads
+//!   (4 bytes a bucket) with the chains threaded through a `next` index
+//!   in each 16-byte node; it doubles in place at load factor one.  The
+//!   ITE computed table is direct-mapped and lossy (the last writer wins):
+//!   one 16-byte `{f, g, h, r}` slot per bucket, growing with the buckets.
+//!   ITE triples are normalised into a standard form before the probe
+//!   (including the complement-edge standard-triple rules:
+//!   condition-polarity flip and `ite(f,g,h) = ¬ite(f,¬g,¬h)` canonical
+//!   output polarity, so complementary triples share one slot).
+//!   `restrict`, `compose`, `rename` and quantification memoise per call
+//!   in a reusable scratch map.  [`BddStats`] surfaces the ITE
+//!   hit/miss/normalisation counters, the live/peak node counts and the
+//!   GC/reorder counters.
 //! * Variable order: declaration order by default, with the static presets
 //!   in [`order::OrderPolicy`] (interleaved | sequential | reverse |
 //!   explicit) naming how word-level operands are declared.  The order is
@@ -66,7 +72,8 @@
 //!   top of it (DESIGN.md experiment E10, now in-kernel).  Automatic
 //!   GC+sift maintenance at caller-declared safe points is configured with
 //!   [`BddManager::set_maintenance`] and driven by
-//!   [`BddManager::maintain`].
+//!   [`BddManager::maintain`]; GC fires once the live count has doubled
+//!   since the last pass (capped under an installed node budget).
 //! * Resource governance: [`BddManager::set_budget`] installs a live-node
 //!   ceiling, an ITE-step ceiling and a wall-clock deadline
 //!   ([`BudgetSettings`]).  Exhaustion unwinds out of the hot paths with a

@@ -118,8 +118,6 @@ pub struct BddStats {
     pub level_swaps: u64,
     /// Number of declared variables.
     pub variables: usize,
-    /// Entries currently held in the ITE computed table.
-    pub ite_cache_entries: usize,
     /// Hits recorded on the ITE computed table.
     pub ite_cache_hits: u64,
     /// Misses recorded on the ITE computed table.
@@ -129,10 +127,6 @@ pub struct BddStats {
     /// rewrites that short-circuit to a terminal result without probing
     /// the cache.  Commutatively-equivalent calls thereby share one slot.
     pub ite_normalised: u64,
-    /// Hits recorded on the bounded quantification cache.
-    pub quant_cache_hits: u64,
-    /// Misses recorded on the bounded quantification cache.
-    pub quant_cache_misses: u64,
     /// Times this manager was recycled via [`BddManager::reset`].
     pub resets: u64,
 }
@@ -196,52 +190,55 @@ fn exhausted(kind: BudgetKind, limit: u64) -> ! {
     std::panic::panic_any(BddError::BudgetExceeded { kind, limit })
 }
 
-/// One slot of the direct-mapped quantification cache: the operand, a tag
-/// packing `(epoch, variable-set id, existential)`, and the result.  Tag
-/// `0` marks an empty slot (epochs start at 1, so a real tag is never 0).
+/// One slot of the direct-mapped ITE computed table: a normalised triple
+/// and its result.  `f == TRUE` marks an empty slot — a normalised
+/// condition is never a terminal.
 #[derive(Debug, Clone, Copy)]
-struct QuantSlot {
+struct CacheSlot {
     f: Bdd,
-    tag: u64,
-    result: Bdd,
+    g: Bdd,
+    h: Bdd,
+    r: Bdd,
 }
 
-impl QuantSlot {
-    const EMPTY: QuantSlot = QuantSlot {
-        f: Bdd::FALSE,
-        tag: 0,
-        result: Bdd::FALSE,
+// One slot per unique-table bucket: keep it at 16 bytes.
+const _: () = assert!(std::mem::size_of::<CacheSlot>() == 16);
+
+impl CacheSlot {
+    const EMPTY: CacheSlot = CacheSlot {
+        f: Bdd::TRUE,
+        g: Bdd::TRUE,
+        h: Bdd::TRUE,
+        r: Bdd::TRUE,
     };
 }
 
-/// Number of slots in the direct-mapped quantification cache.  Collisions
-/// are lossy (last writer wins), which bounds the cache at ~256 KiB per
-/// manager no matter how many generations of `exists`/`forall` run.
-const QUANT_CACHE_SLOTS: usize = 1 << 14;
+/// Hash of a three-word key — a node `(var, lo, hi)` or an ITE triple —
+/// for the power-of-two tables.  The tables index by the low bits, so
+/// doubling a table splits slot `b` into `b` and `b + n`.
+#[inline]
+fn table_hash(a: u32, b: u32, c: u32) -> usize {
+    let x = mix2((u64::from(a) << 32) | u64::from(b), u64::from(c));
+    // The multiply leaves the low bits weak; fold the strong high half in.
+    (x ^ (x >> 32)) as usize
+}
 
 /// The BDD manager: owns the node arena, the unique table and all caches.
 ///
 /// See the crate-level documentation for an overview and an example.
 pub struct BddManager {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: FxHashMap<Node, Bdd>,
+    /// The unique table: one chain head per bucket (`0` = empty), the
+    /// chains threaded through [`Node::next`].  Power-of-two length, grown
+    /// in place by doubling so its load factor stays at most one.
+    buckets: Vec<u32>,
     /// Arena slots reclaimed by GC/reordering, reused LIFO by `mk_node`.
     pub(crate) free: Vec<u32>,
-    pub(crate) ite_cache: FxHashMap<(Bdd, Bdd, Bdd), Bdd>,
-    /// Direct-mapped, tag-checked quantification cache (bounded; see
-    /// [`QUANT_CACHE_SLOTS`]).  Allocated lazily on the first `exists` /
-    /// `forall` call so tiny managers stay cheap.
-    quant_cache: Vec<QuantSlot>,
-    /// Interned quantification variable sets: sorted, deduplicated variable
-    /// list → stable set id.  The id is half of a quantification cache tag,
-    /// so results for *different* variable sets can never alias — and
-    /// repeated calls over the *same* set share warm entries.
-    quant_sets: FxHashMap<Vec<u32>, u32>,
-    /// Epoch half of a quantification cache tag, bumped whenever arena
-    /// slots can be reclaimed and reused ([`BddManager::gc`]): a recycled
-    /// slot holds a different function, so every pre-collection entry must
-    /// stop matching.  Starts at 1 (tag 0 marks an empty slot).
-    quant_epoch: u64,
+    /// The ITE computed table: direct-mapped and lossy (the last writer
+    /// wins), one slot per unique-table bucket, grown with the buckets.
+    computed: Vec<CacheSlot>,
+    /// Bucket count at construction, which [`BddManager::reset`] restores.
+    initial_buckets: usize,
     var_names: Vec<String>,
     /// Name → variable index, maintained by `new_var` (first declaration
     /// wins for duplicate names, matching the old linear-scan semantics).
@@ -270,21 +267,19 @@ pub struct BddManager {
     /// Automatic GC/reorder policy for [`BddManager::maintain`]; `None`
     /// (the default) keeps the kernel on the historical never-free path.
     pub(crate) maintenance: Option<MaintainSettings>,
-    /// Live-node level at which the next automatic GC fires (backs off
-    /// after each pass so maintenance amortises).
-    pub(crate) next_gc_at: usize,
+    /// Live nodes left by the last automatic GC pass (`0` before the
+    /// first); the next pass fires once that many again have accumulated.
+    pub(crate) gc_survivors: usize,
     /// Live-node level at which the next automatic sift fires.
     pub(crate) next_sift_at: usize,
-    /// Reusable per-call memo table for `restrict`/`compose`/`rename`.  The
-    /// recursions take it out of the manager (`mem::take`), clear it (which
-    /// keeps capacity) and put it back, so repeated calls stop paying a
-    /// fresh allocation each time.
+    /// Reusable per-call memo table for `restrict`/`compose`/`rename` and
+    /// quantification.  The recursions take it out of the manager
+    /// (`mem::take`), clear it (which keeps capacity) and put it back, so
+    /// repeated calls stop paying a fresh allocation each time.
     scratch: FxHashMap<Bdd, Bdd>,
     ite_hits: u64,
     ite_misses: u64,
     ite_normalised: u64,
-    quant_hits: u64,
-    quant_misses: u64,
     resets: u64,
     /// The installed budget, kept for [`BddManager::budget`] and for
     /// error reporting.
@@ -320,19 +315,20 @@ impl BddManager {
         Self::with_capacity(1 << 12)
     }
 
-    /// Creates a manager pre-sizing the node arena for `capacity` nodes.
+    /// Creates a manager pre-sizing the node arena for `capacity` nodes and
+    /// the unique and computed tables for as many (rounded up to a power
+    /// of two).
     pub fn with_capacity(capacity: usize) -> Self {
         let mut nodes = Vec::with_capacity(capacity.max(1));
         // Index 0: the single TRUE terminal; FALSE is its complement edge.
         nodes.push(Node::terminal());
+        let buckets = capacity.max(2).next_power_of_two();
         BddManager {
             nodes,
-            unique: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            buckets: vec![0; buckets],
             free: Vec::new(),
-            ite_cache: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            quant_cache: Vec::new(),
-            quant_sets: FxHashMap::default(),
-            quant_epoch: 1,
+            computed: vec![CacheSlot::EMPTY; buckets],
+            initial_buckets: buckets,
             var_names: Vec::new(),
             name_to_var: FxHashMap::default(),
             var_to_level: Vec::new(),
@@ -347,14 +343,12 @@ impl BddManager {
             level_swaps: 0,
             sift_nanos: 0,
             maintenance: None,
-            next_gc_at: 0,
+            gc_survivors: 0,
             next_sift_at: 0,
             scratch: FxHashMap::default(),
             ite_hits: 0,
             ite_misses: 0,
             ite_normalised: 0,
-            quant_hits: 0,
-            quant_misses: 0,
             resets: 0,
             budget: BudgetSettings::default(),
             node_ceiling: usize::MAX,
@@ -365,23 +359,25 @@ impl BddManager {
 
     /// Clears the manager back to its freshly-constructed state — no
     /// variables, only the terminal node — while keeping every
-    /// allocation (arena, unique table, computed tables, scratch caches) at
+    /// allocation (arena, unique table, computed table, scratch cache) at
     /// its current capacity.
     ///
     /// A reset manager is observationally identical to a new one: the same
     /// sequence of operations produces the same handles, node counts and
     /// statistics (except the [`BddStats::resets`] telemetry counter, which
-    /// survives).  This is what lets a campaign engine pool managers across
-    /// jobs without paying cold-allocation cost per job and without
-    /// perturbing deterministic reports.
+    /// survives).  The tables shrink back to their construction-time size
+    /// for this — a lossy computed table's hit counts depend on its size —
+    /// and regrow in place within the kept capacity.  This is what lets a
+    /// campaign engine pool managers across jobs without paying
+    /// cold-allocation cost per job and without perturbing deterministic
+    /// reports.
     pub fn reset(&mut self) {
         self.nodes.truncate(1);
-        self.unique.clear();
+        self.buckets.clear();
+        self.buckets.resize(self.initial_buckets, 0);
         self.free.clear();
-        self.ite_cache.clear();
-        self.quant_cache.clear(); // keeps capacity; re-filled lazily
-        self.quant_sets.clear();
-        self.quant_epoch = 1;
+        self.computed.clear();
+        self.computed.resize(self.initial_buckets, CacheSlot::EMPTY);
         self.var_names.clear();
         self.name_to_var.clear();
         self.var_to_level.clear();
@@ -396,14 +392,12 @@ impl BddManager {
         self.level_swaps = 0;
         self.sift_nanos = 0;
         self.maintenance = None;
-        self.next_gc_at = 0;
+        self.gc_survivors = 0;
         self.next_sift_at = 0;
         self.scratch.clear();
         self.ite_hits = 0;
         self.ite_misses = 0;
         self.ite_normalised = 0;
-        self.quant_hits = 0;
-        self.quant_misses = 0;
         self.resets += 1;
         // Budgets never survive a reset: a recycled pool manager must not
         // inherit the previous job's ceilings (or its step count).
@@ -596,38 +590,129 @@ impl BddManager {
         // complement the returned handle instead — every function keeps
         // exactly one representation, and `f`/`¬f` share one node.
         let complement = lo.is_complement();
-        let node = if complement {
-            Node {
-                var,
-                lo: lo.negate(),
-                hi: hi.negate(),
-            }
+        let (lo, hi) = if complement {
+            (lo.negate(), hi.negate())
         } else {
-            Node { var, lo, hi }
+            (lo, hi)
         };
-        if let Some(&existing) = self.unique.get(&node) {
-            return Bdd(existing.0 | complement as u32);
-        }
-        let id = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot as usize] = node;
-                Bdd::from_parts(slot as usize, false)
-            }
-            None => {
-                let id = Bdd::from_parts(self.nodes.len(), false);
-                self.nodes.push(node);
-                id
-            }
-        };
+        let (slot, created) = self.find_or_insert(var, lo, hi);
         // `live` is monotone between reclamations, so the peak is sampled
         // where it can drop (GC, swap dereferencing, `stats`) instead of
         // being tracked here on the allocation hot path.
-        self.live += 1;
-        if self.live > self.node_ceiling {
+        if created && self.live > self.node_ceiling {
             exhausted(BudgetKind::Nodes, self.node_ceiling as u64);
         }
-        self.unique.insert(node, id);
-        Bdd(id.0 | complement as u32)
+        Bdd::from_parts(slot as usize, complement)
+    }
+
+    /// The unique-table bucket of the node key `(var, lo, hi)`.
+    #[inline]
+    fn bucket(&self, var: u32, lo: Bdd, hi: Bdd) -> usize {
+        table_hash(var, lo.0, hi.0) & (self.buckets.len() - 1)
+    }
+
+    /// The arena slot holding the node `(var, lo, hi)`, and whether it was
+    /// just created: found on its unique-table chain, or else stored in a
+    /// free (or fresh) slot, linked at the head of the chain and counted
+    /// live.  The tables double once the load factor would pass one.
+    #[inline]
+    pub(crate) fn find_or_insert(&mut self, var: u32, lo: Bdd, hi: Bdd) -> (u32, bool) {
+        let bucket = self.bucket(var, lo, hi);
+        let mut slot = self.buckets[bucket];
+        while slot != 0 {
+            let node = &self.nodes[slot as usize];
+            if node.var == var && node.lo == lo && node.hi == hi {
+                return (slot, false);
+            }
+            slot = node.next;
+        }
+        let node = Node {
+            var,
+            lo,
+            hi,
+            next: self.buckets[bucket],
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot as usize] = node;
+                slot
+            }
+            None => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.buckets[bucket] = slot;
+        self.live += 1;
+        if self.live > self.buckets.len() {
+            self.grow_tables();
+        }
+        (slot, true)
+    }
+
+    /// Links the node in `slot` at the head of its unique-table chain.
+    pub(crate) fn link(&mut self, slot: u32) {
+        let node = self.nodes[slot as usize];
+        let bucket = self.bucket(node.var, node.lo, node.hi);
+        self.nodes[slot as usize].next = self.buckets[bucket];
+        self.buckets[bucket] = slot;
+    }
+
+    /// Removes the node in `slot` from its unique-table chain.
+    pub(crate) fn unlink(&mut self, slot: u32) {
+        let node = self.nodes[slot as usize];
+        let bucket = self.bucket(node.var, node.lo, node.hi);
+        if self.buckets[bucket] == slot {
+            self.buckets[bucket] = node.next;
+            return;
+        }
+        let mut prev = self.buckets[bucket];
+        loop {
+            assert_ne!(prev, 0, "slot {slot} is not on its unique-table chain");
+            let next = self.nodes[prev as usize].next;
+            if next == slot {
+                self.nodes[prev as usize].next = node.next;
+                return;
+            }
+            prev = next;
+        }
+    }
+
+    /// Doubles the unique and computed tables in place: bucket `b` splits
+    /// into `b` and `b + n` by the next hash bit, and each computed-table
+    /// entry moves to the slot its hash now selects.  Growing within the
+    /// capacity [`BddManager::reset`] kept allocates nothing, and no entry
+    /// is lost.
+    #[cold]
+    #[inline(never)]
+    fn grow_tables(&mut self) {
+        let n = self.buckets.len();
+        self.buckets.resize(2 * n, 0);
+        for bucket in 0..n {
+            let (mut low, mut high) = (0u32, 0u32);
+            let mut slot = self.buckets[bucket];
+            while slot != 0 {
+                let node = self.nodes[slot as usize];
+                let head = if table_hash(node.var, node.lo.0, node.hi.0) & n == 0 {
+                    &mut low
+                } else {
+                    &mut high
+                };
+                self.nodes[slot as usize].next = *head;
+                *head = slot;
+                slot = node.next;
+            }
+            self.buckets[bucket] = low;
+            self.buckets[bucket + n] = high;
+        }
+        self.computed.resize(2 * n, CacheSlot::EMPTY);
+        for index in 0..n {
+            let entry = self.computed[index];
+            if table_hash(entry.f.0, entry.g.0, entry.h.0) & n != 0 {
+                self.computed[index + n] = entry;
+                self.computed[index] = CacheSlot::EMPTY;
+            }
+        }
     }
 
     /// Folds the current live count into the peak watermark.  Called at
@@ -681,8 +766,7 @@ impl BddManager {
     /// Drops the operation caches (unique table is kept — it is required for
     /// canonicity).  Useful between benchmark iterations.
     pub fn clear_caches(&mut self) {
-        self.ite_cache.clear();
-        self.quant_cache.clear();
+        self.computed.fill(CacheSlot::EMPTY);
         self.scratch.clear();
     }
 
@@ -746,11 +830,11 @@ impl BddManager {
     }
 
     /// Mark-and-sweep garbage collection: every node unreachable from the
-    /// registered roots (persistent and scoped) is reclaimed, the unique
-    /// table is rebuilt from the survivors, and the operation caches are
-    /// invalidated (reclaimed slots are reused, so stale cache entries
-    /// would otherwise alias new nodes).  Returns the number of nodes
-    /// reclaimed.
+    /// registered roots (persistent and scoped) is reclaimed and unlinked
+    /// from its unique-table chain, and computed-table entries naming a
+    /// reclaimed node are dropped (reclaimed slots are reused, so stale
+    /// entries would otherwise alias new nodes).  Returns the number of
+    /// nodes reclaimed.
     ///
     /// Handles not reachable from a root are dangling afterwards; callers
     /// must [`BddManager::protect`]/[`BddManager::root`] everything they
@@ -782,13 +866,25 @@ impl BddManager {
             }
         }
 
-        self.unique.clear();
+        // Survivors stay where they are; only the dead leave their chains.
+        for bucket in 0..self.buckets.len() {
+            let mut prev = 0u32;
+            let mut slot = self.buckets[bucket];
+            while slot != 0 {
+                let next = self.nodes[slot as usize].next;
+                if marked[slot as usize] {
+                    prev = slot;
+                } else if prev == 0 {
+                    self.buckets[bucket] = next;
+                } else {
+                    self.nodes[prev as usize].next = next;
+                }
+                slot = next;
+            }
+        }
         self.free.clear();
         for (index, &live) in marked.iter().enumerate().skip(1) {
-            if live {
-                self.unique
-                    .insert(self.nodes[index], Bdd::from_parts(index, false));
-            } else {
+            if !live {
                 self.free.push(index as u32);
             }
         }
@@ -796,23 +892,30 @@ impl BddManager {
         self.live = self.nodes.len() - self.free.len();
         let reclaimed = live_before - self.live;
         // Reclaimed slots will be reused: any cache entry naming them would
-        // silently alias a future node.  The quantification cache is
-        // invalidated wholesale by bumping the tag epoch (its slots are
-        // direct-mapped, so filtering them individually buys nothing) and
-        // the scratch memo is cleared per call anyway; the ITE computed
-        // table keeps exactly the entries whose operands and result all
-        // survived — throwing the warm cache away wholesale makes the steps
-        // after a collection recompute (and re-allocate) everything it was
-        // suppressing, which costs more peak memory than the collection
-        // just saved.
-        self.quant_epoch += 1;
-        self.ite_cache.retain(|&(f, g, h), r| {
-            marked[f.index()] && marked[g.index()] && marked[h.index()] && marked[r.index()]
-        });
+        // silently alias a future node.  The scratch memo is cleared per
+        // call anyway; the computed table keeps exactly the entries whose
+        // operands and result all survived — throwing the warm cache away
+        // wholesale makes the steps after a collection recompute (and
+        // re-allocate) everything it was suppressing.
+        self.drop_computed_entries(|slot| !marked[slot]);
         self.scratch.clear();
         self.gc_passes += 1;
         self.gc_reclaimed += reclaimed as u64;
         reclaimed
+    }
+
+    /// Empties every computed-table entry whose operands or result sit in
+    /// an arena slot for which `freed` holds.
+    pub(crate) fn drop_computed_entries(&mut self, freed: impl Fn(usize) -> bool) {
+        for entry in &mut self.computed {
+            if freed(entry.f.index())
+                || freed(entry.g.index())
+                || freed(entry.h.index())
+                || freed(entry.r.index())
+            {
+                *entry = CacheSlot::EMPTY;
+            }
+        }
     }
 
     /// Installs (or removes) the automatic GC/reordering policy consulted
@@ -820,7 +923,7 @@ impl BddManager {
     /// recycled manager starts, like a fresh one, on the never-free path.
     pub fn set_maintenance(&mut self, settings: Option<MaintainSettings>) {
         self.maintenance = settings;
-        self.next_gc_at = 0;
+        self.gc_survivors = 0;
         self.next_sift_at = 0;
     }
 
@@ -838,21 +941,40 @@ impl BddManager {
     }
 
     /// `true` when a [`BddManager::maintain`] call would actually run a
-    /// pass right now.  Two integer compares — cheap enough for inner
-    /// loops (e.g. the symbolic simulator checks per gate), so the cost of
+    /// pass right now.  A handful of integer operations — cheap enough for
+    /// inner loops (e.g. the symbolic simulator checks per gate), so the cost of
     /// building a root set is only paid when a collection is imminent.
     pub fn maintenance_due(&self) -> bool {
         match self.maintenance {
-            Some(settings) => self.live >= self.next_gc_at.max(settings.gc_threshold),
+            Some(settings) => self.live >= self.gc_trigger(&settings),
             None => false,
         }
     }
 
-    /// Runs the installed maintenance policy, if any: a GC pass once enough
-    /// nodes have accumulated, followed by a sifting pass when the *live*
-    /// set itself has outgrown its threshold.  Both back off (the next
-    /// trigger is twice the post-pass live count) so maintenance cost stays
-    /// amortised.
+    /// The live-node count at which the next automatic GC fires: once the
+    /// last pass's survivors have doubled, and at least `gc_threshold`
+    /// nodes after them.  A mark-and-sweep is O(live + arena), so doubling
+    /// amortises it to a constant per allocation.  Under a node budget the
+    /// trigger is capped at 7/8 of the ceiling, so the collection runs
+    /// before the budget trips — or halfway to the ceiling once the
+    /// survivors alone pass 3/4 of it, so a near-full arena still gets
+    /// room to work between passes instead of collecting at every safe
+    /// point.
+    fn gc_trigger(&self, settings: &MaintainSettings) -> usize {
+        let survivors = self.gc_survivors;
+        let doubled = survivors
+            .saturating_mul(2)
+            .max(survivors.saturating_add(settings.gc_threshold));
+        let ceiling = self.node_ceiling;
+        let headroom = ceiling.saturating_sub(survivors);
+        doubled.min((ceiling - ceiling / 8).max(survivors + headroom / 2))
+    }
+
+    /// Runs the installed maintenance policy, if any: a GC pass once the
+    /// live count reaches the trigger (see `gc_trigger`: twice the last
+    /// pass's survivors), followed by a sifting pass when the *live* set
+    /// itself has outgrown its threshold.  Both back off so maintenance
+    /// cost stays amortised.
     ///
     /// Callers must only invoke this at a safe point: every handle that
     /// will be used again must be reachable from the root registry.
@@ -860,7 +982,7 @@ impl BddManager {
         let Some(settings) = self.maintenance else {
             return;
         };
-        if self.live < self.next_gc_at.max(settings.gc_threshold) {
+        if self.live < self.gc_trigger(&settings) {
             return;
         }
         self.gc();
@@ -879,14 +1001,7 @@ impl BddManager {
             };
             self.next_sift_at = self.live * factor;
         }
-        // Collect again once an eighth of the (post-GC) live set's worth of
-        // new nodes has accumulated: a mark-and-sweep is O(live + arena),
-        // so this amortises to a constant factor while keeping the peak
-        // within ~1.125× of the true working set — the whole point of the
-        // peak-memory work.  (The ITE computed table survives collection
-        // filtered to live entries, so frequent passes cost sweep time,
-        // not recomputation.)
-        self.next_gc_at = self.live + (self.live / 8).max(settings.gc_threshold);
+        self.gc_survivors = self.live;
     }
 
     /// Wall-clock nanoseconds spent inside sifting passes since the last
@@ -909,12 +1024,9 @@ impl BddManager {
             reorder_passes: self.reorder_passes,
             level_swaps: self.level_swaps,
             variables: self.var_names.len(),
-            ite_cache_entries: self.ite_cache.len(),
             ite_cache_hits: self.ite_hits,
             ite_cache_misses: self.ite_misses,
             ite_normalised: self.ite_normalised,
-            quant_cache_hits: self.quant_hits,
-            quant_cache_misses: self.quant_misses,
             resets: self.resets,
         }
     }
@@ -926,8 +1038,17 @@ impl BddManager {
     /// dead-but-unswept nodes are included exactly as in
     /// [`BddStats::live_nodes`] accounting between GC passes.
     pub fn complement_edge_census(&self) -> (usize, usize) {
-        let complemented = self.unique.keys().filter(|n| n.hi.is_complement()).count();
-        (complemented, self.unique.len())
+        let (mut complemented, mut total) = (0, 0);
+        for &head in &self.buckets {
+            let mut slot = head;
+            while slot != 0 {
+                let node = &self.nodes[slot as usize];
+                complemented += usize::from(node.hi.is_complement());
+                total += 1;
+                slot = node.next;
+            }
+        }
+        (complemented, total)
     }
 
     /// Fraction of live internal nodes whose high edge is complemented, in
@@ -1045,10 +1166,11 @@ impl BddManager {
             break;
         }
 
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
+        let hash = table_hash(f.0, g.0, h.0);
+        let entry = self.computed[hash & (self.computed.len() - 1)];
+        if entry.f == f && entry.g == g && entry.h == h {
             self.ite_hits += 1;
-            return if flip { r.negate() } else { r };
+            return if flip { entry.r.negate() } else { entry.r };
         }
         self.ite_misses += 1;
         // Budget bookkeeping rides the miss path: hits are free, misses
@@ -1079,7 +1201,9 @@ impl BddManager {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let result = self.mk_node(top_var, lo, hi);
-        self.ite_cache.insert(key, result);
+        // The recursion may have grown the table: re-mask.
+        let index = hash & (self.computed.len() - 1);
+        self.computed[index] = CacheSlot { f, g, h, r: result };
         if flip {
             result.negate()
         } else {
@@ -1298,71 +1422,42 @@ impl BddManager {
 
     /// Existentially quantifies all variables in `vars` out of `f`.
     pub fn exists(&mut self, f: Bdd, vars: &[u32]) -> Bdd {
-        let tag = self.quant_tag(vars, true);
-        let var_set: FxHashSet<u32> = vars.iter().copied().collect();
-        self.quantify_rec(f, &var_set, true, tag)
+        self.quantify(f, vars, true)
     }
 
     /// Universally quantifies all variables in `vars` out of `f`.
     pub fn forall(&mut self, f: Bdd, vars: &[u32]) -> Bdd {
-        let tag = self.quant_tag(vars, false);
+        self.quantify(f, vars, false)
+    }
+
+    /// Shared body of [`BddManager::exists`] and [`BddManager::forall`],
+    /// memoised per call in the scratch table (so results for different
+    /// variable sets or quantifiers never alias).
+    fn quantify(&mut self, f: Bdd, vars: &[u32], existential: bool) -> Bdd {
         let var_set: FxHashSet<u32> = vars.iter().copied().collect();
-        self.quantify_rec(f, &var_set, false, tag)
+        let mut cache = self.take_scratch();
+        let r = self.quantify_rec(f, &var_set, existential, &mut cache);
+        self.scratch = cache;
+        r
     }
 
-    /// Returns the cache tag for a quantification over `vars`, ensuring the
-    /// direct-mapped cache is allocated.
-    ///
-    /// The tag packs the current epoch (high bits), the *interned identity*
-    /// of the variable set, and the quantifier polarity:
-    /// `(epoch << 32) | (set_id << 1) | existential`.  Interning makes the
-    /// mapping set → id injective, so results computed for different
-    /// variable sets (or different polarities) can never alias — while
-    /// repeated quantifications over the same set share warm entries
-    /// instead of invalidating them, as the old one-generation-per-call
-    /// scheme did.  [`BddManager::gc`] bumps the epoch, which orphans every
-    /// pre-collection entry at once (reclaimed slots may be reused).
-    fn quant_tag(&mut self, vars: &[u32], existential: bool) -> u64 {
-        if self.quant_cache.len() != QUANT_CACHE_SLOTS {
-            // `resize` on a cleared Vec reuses its buffer after `reset()`.
-            self.quant_cache.clear();
-            self.quant_cache.resize(QUANT_CACHE_SLOTS, QuantSlot::EMPTY);
-        }
-        (self.quant_epoch << 32) | (u64::from(self.quant_set_id(vars)) << 1) | existential as u64
-    }
-
-    /// Interns the (sorted, deduplicated) variable set and returns its
-    /// stable id.
-    fn quant_set_id(&mut self, vars: &[u32]) -> u32 {
-        let mut sorted: Vec<u32> = vars.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let next = self.quant_sets.len() as u32;
-        *self.quant_sets.entry(sorted).or_insert(next)
-    }
-
-    #[inline]
-    fn quant_slot(f: Bdd, tag: u64) -> usize {
-        mix2(f.0 as u64, tag) as usize & (QUANT_CACHE_SLOTS - 1)
-    }
-
-    fn quantify_rec(&mut self, f: Bdd, vars: &FxHashSet<u32>, existential: bool, tag: u64) -> Bdd {
+    fn quantify_rec(
+        &mut self,
+        f: Bdd,
+        vars: &FxHashSet<u32>,
+        existential: bool,
+        cache: &mut FxHashMap<Bdd, Bdd>,
+    ) -> Bdd {
         if f.is_terminal() {
             return f;
         }
-        let slot = Self::quant_slot(f, tag);
-        {
-            let entry = &self.quant_cache[slot];
-            if entry.tag == tag && entry.f == f {
-                self.quant_hits += 1;
-                return entry.result;
-            }
+        if let Some(&r) = cache.get(&f) {
+            return r;
         }
-        self.quant_misses += 1;
         let n = self.nodes[f.index()];
         let c = f.0 & 1;
-        let lo = self.quantify_rec(Bdd(n.lo.0 ^ c), vars, existential, tag);
-        let hi = self.quantify_rec(Bdd(n.hi.0 ^ c), vars, existential, tag);
+        let lo = self.quantify_rec(Bdd(n.lo.0 ^ c), vars, existential, cache);
+        let hi = self.quantify_rec(Bdd(n.hi.0 ^ c), vars, existential, cache);
         let result = if vars.contains(&n.var) {
             if existential {
                 self.or(lo, hi)
@@ -1372,7 +1467,7 @@ impl BddManager {
         } else {
             self.mk_node(n.var, lo, hi)
         };
-        self.quant_cache[slot] = QuantSlot { f, tag, result };
+        cache.insert(f, result);
         result
     }
 
@@ -1829,8 +1924,18 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.variables, 3);
         assert!(s.nodes_allocated >= 5);
+        let _ = m.and(a, b);
+        assert_eq!(
+            m.stats().ite_cache_misses,
+            s.ite_cache_misses,
+            "a repeat hits"
+        );
         m.clear_caches();
-        assert_eq!(m.stats().ite_cache_entries, 0);
+        let _ = m.and(a, b);
+        assert!(
+            m.stats().ite_cache_misses > s.ite_cache_misses,
+            "cleared caches recompute"
+        );
     }
 
     /// Deterministic xorshift64* generator (the workspace builds offline,
@@ -2016,8 +2121,23 @@ mod tests {
         assert!(last_rate > 0.0);
     }
 
+    /// The equality of two `bits`-wide words declared one after the other
+    /// (the worst order for it): about `2^(bits + 1)` nodes.
+    fn sequential_equality(m: &mut BddManager, prefix: &str, bits: usize) -> Bdd {
+        let a = m.new_vars(&format!("{prefix}a"), bits);
+        let b = m.new_vars(&format!("{prefix}b"), bits);
+        let mut f = Bdd::TRUE;
+        for (&x, &y) in a.iter().zip(&b) {
+            let eq = m.xnor(x, y);
+            f = m.and(f, eq);
+        }
+        f
+    }
+
     /// `reset()` must make the manager observationally identical to a fresh
-    /// one: same handles, same node counts, same stats (modulo `resets`).
+    /// one: same handles, same node counts, same stats (modulo `resets`) —
+    /// even after its tables grew, since the lossy computed table's hit
+    /// counts depend on its size.
     #[test]
     fn reset_reproduces_a_fresh_manager() {
         let mut rng = XorShift64::new(0xBEEF);
@@ -2029,17 +2149,27 @@ mod tests {
             let composed = m.compose(f, 3, ex);
             let renamed = m.rename(composed, &[(4, 5)]).expect("rename");
             let g = m.and(renamed, fa);
+            // Enough work to grow the tables of a fresh manager.
+            let eq = sequential_equality(m, "e", 11);
+            let g = m.xor(g, eq);
             (g, m.stats())
         };
         let mut fresh = BddManager::new();
+        let initial = fresh.buckets.len();
         let mut rng_a = XorShift64::new(0xBEEF);
         let (f_fresh, s_fresh) = build(&mut fresh, &mut rng_a);
+        assert!(fresh.buckets.len() > initial, "the build grows the tables");
 
         let mut pooled = BddManager::new();
         // Dirty the manager with unrelated work — including the lifetime
-        // and ordering machinery: protected roots, a GC pass and a sifting
-        // pass all leave counters, free slots and maintenance state that
-        // `reset` must clear back to the fresh-manager baseline.
+        // and ordering machinery: grown tables, protected roots, a GC pass
+        // and a sifting pass all leave sizes, counters, free slots and
+        // maintenance state that `reset` must clear back to the
+        // fresh-manager baseline.
+        let _ = sequential_equality(&mut pooled, "grow", 14);
+        assert!(pooled.buckets.len() >= 4 * initial);
+        assert_eq!(pooled.computed.len(), pooled.buckets.len());
+        let grown = pooled.buckets.len();
         let d0 = pooled.new_var("dirty0");
         let d1 = pooled.new_var("dirty1");
         let dirty = pooled.xor(d0, d1);
@@ -2058,6 +2188,12 @@ mod tests {
         assert!(
             !pooled.maintenance_enabled(),
             "reset clears the maintenance policy"
+        );
+        assert_eq!(pooled.buckets.len(), initial, "reset restores the size…");
+        assert_eq!(pooled.computed.len(), initial);
+        assert!(
+            pooled.buckets.capacity() >= grown && pooled.computed.capacity() >= grown,
+            "…and keeps the capacity"
         );
         let (f_pooled, s_pooled) = build(&mut pooled, &mut rng);
 
@@ -2087,32 +2223,10 @@ mod tests {
         assert_eq!(pooled.var_by_name("dirty0"), None);
     }
 
-    /// The bounded quantification cache records hits on shared subgraphs
-    /// and stays bounded across generations.
-    #[test]
-    fn quantification_cache_is_bounded_and_hits() {
-        let mut m = BddManager::new();
-        let vars: Vec<Bdd> = (0..10).map(|i| m.new_var(format!("q{i}"))).collect();
-        let mut f = Bdd::TRUE;
-        for w in vars.chunks(2) {
-            let x = m.xor(w[0], w[1]);
-            f = m.and(f, x);
-        }
-        for _ in 0..50 {
-            let _ = m.exists(f, &[0, 2, 4]);
-            let _ = m.forall(f, &[1, 3]);
-        }
-        let s = m.stats();
-        assert!(s.quant_cache_hits > 0, "shared subgraphs hit the cache");
-        // The cache is a fixed-size array; nothing to assert about growth
-        // beyond the type, but the counters must be consistent.
-        assert!(s.quant_cache_misses > 0);
-    }
-
-    /// Regression test for quantification-cache tagging: results for
-    /// different (overlapping) variable sets on the *same* node must never
-    /// alias each other, in either order, with the quantifier polarity
-    /// distinguished too.
+    /// Results for different (overlapping) variable sets on the *same*
+    /// node must never alias each other, in either order, with the
+    /// quantifier polarity distinguished too — and a GC pass that recycles
+    /// slots must not leak stale results into a later quantification.
     #[test]
     fn overlapping_quantifications_on_one_node_never_alias() {
         let (mut m, a, b, _) = setup();
@@ -2128,39 +2242,73 @@ mod tests {
         assert_eq!(m.exists(f, &[0]), b);
         // Duplicates and order do not change a set's identity.
         assert_eq!(m.exists(f, &[1, 0, 1]), Bdd::TRUE);
-    }
 
-    /// The interned-set tags make repeated quantifications over the same
-    /// set cache *hits* across calls (the old one-generation-per-call
-    /// scheme invalidated everything between calls), and a GC pass bumps
-    /// the epoch so pre-collection entries can never match recycled slots.
-    #[test]
-    fn quantification_cache_is_shared_across_calls_and_invalidated_by_gc() {
-        let mut m = BddManager::new();
+        // Collect (recycling slots) and requantify a wider function:
+        // correctness must not depend on any pre-GC result.
         let vars: Vec<Bdd> = (0..8).map(|i| m.new_var(format!("q{i}"))).collect();
-        let mut f = Bdd::TRUE;
+        let mut g = Bdd::TRUE;
         for w in vars.chunks(2) {
             let x = m.xor(w[0], w[1]);
-            f = m.and(f, x);
+            g = m.and(g, x);
         }
-        let first = m.exists(f, &[0, 2]);
-        let after_first = m.stats();
-        let second = m.exists(f, &[0, 2]);
-        let after_second = m.stats();
-        assert_eq!(first, second);
-        assert!(
-            after_second.quant_cache_hits > after_first.quant_cache_hits,
-            "the repeat call replays warm entries"
-        );
-        assert_eq!(
-            after_second.quant_cache_misses, after_first.quant_cache_misses,
-            "the repeat call recomputes nothing"
-        );
-        // Collect (recycling slots) and requantify: correctness must not
-        // depend on any pre-GC entry.
-        m.protect(f);
+        let first = m.exists(g, &[3, 5]);
+        m.protect(g);
+        m.protect(first);
         m.gc();
-        assert_eq!(m.exists(f, &[0, 2]), first);
+        for v in 0..4 {
+            // Garbage that reuses the reclaimed slots.
+            let x = m.literal(v);
+            let y = m.literal(v + 4);
+            let _ = m.xor(x, y);
+        }
+        assert_eq!(m.exists(g, &[3, 5]), first);
+    }
+
+    /// With a node budget installed, automatic GC fires before the
+    /// ceiling trips even when the ceiling sits below `gc_threshold`: a
+    /// small rooted working set plus garbage between safe points never
+    /// exhausts the budget.
+    #[test]
+    fn automatic_gc_collects_before_a_node_budget_trips() {
+        const CEILING: u64 = 1 << 14;
+        let mut m = BddManager::new();
+        let vars = m.new_vars("w", 24);
+        let kept = m.and(vars[0], vars[1]);
+        m.protect(kept);
+        let settings = crate::reorder::MaintainSettings {
+            sift: false,
+            ..crate::reorder::MaintainSettings::default()
+        };
+        assert!(CEILING < settings.gc_threshold as u64);
+        m.set_maintenance(Some(settings));
+        m.set_budget(BudgetSettings {
+            max_live_nodes: Some(CEILING),
+            ..BudgetSettings::default()
+        });
+        let mut rng = XorShift64::new(0xC0FFEE);
+        let outcome = budget_error(|| {
+            for _ in 0..100 {
+                // ~50 random 24-literal cubes: over a thousand nodes of
+                // garbage per safe point, well under an eighth of the
+                // ceiling.
+                for _ in 0..50 {
+                    let bits = rng.next();
+                    let cube: Assignment = (0..24).map(|v| (v, bits >> v & 1 == 1)).collect();
+                    let _ = m.cube(&cube);
+                }
+                m.maintain();
+            }
+        });
+        assert_eq!(outcome, None, "the budget tripped before a collection");
+        assert!(m.stats().gc_passes > 0);
+        // Survivors past the 7/8 cap still leave room to work between
+        // passes, instead of collecting at every safe point.
+        m.gc_survivors = CEILING as usize * 15 / 16;
+        let trigger = m.gc_trigger(&settings);
+        assert!(m.gc_survivors < trigger && trigger < CEILING as usize);
+        let a = m.literal(0);
+        let b = m.literal(1);
+        assert_eq!(m.and(a, b), kept, "the rooted function survived");
     }
 
     /// The `unset`-based frame unwinding must leave `all_sat` results

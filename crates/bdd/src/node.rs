@@ -89,12 +89,13 @@ impl From<bool> for Bdd {
     }
 }
 
-/// Internal node: decision variable plus low/high cofactor edges.
+/// Internal node: decision variable plus low/high cofactor edges, and the
+/// link that threads it into its unique-table chain.
 ///
 /// Canonical-form invariant: the low edge is never complemented.  `mk_node`
 /// restores this by flipping both children's polarity and complementing the
 /// returned handle, so every function keeps exactly one representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Node {
     /// Decision variable index (not level; levels are looked up through the
     /// manager's order tables).  The terminal uses `u32::MAX`.
@@ -103,7 +104,13 @@ pub(crate) struct Node {
     pub lo: Bdd,
     /// Cofactor with `var = 1`; may carry the complement attribute.
     pub hi: Bdd,
+    /// Arena index of the next node in the same unique-table bucket; `0`
+    /// (the terminal, which is never chained) ends the chain.
+    pub next: u32,
 }
+
+// The arena is the kernel's dominant allocation: keep a node at 16 bytes.
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
 
 impl Node {
     pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
@@ -113,6 +120,7 @@ impl Node {
             var: Node::TERMINAL_VAR,
             lo: Bdd::TRUE,
             hi: Bdd::TRUE,
+            next: 0,
         }
     }
 }

@@ -189,12 +189,7 @@ impl BddManager {
         // purge.)  Entries over surviving handles stay valid: an in-place
         // swap preserves every live handle's function.
         if let Some(ctx) = held {
-            self.ite_cache.retain(|&(f, g, h), r| {
-                !ctx.freed_ever[f.index()]
-                    && !ctx.freed_ever[g.index()]
-                    && !ctx.freed_ever[h.index()]
-                    && !ctx.freed_ever[r.index()]
-            });
+            self.drop_computed_entries(|slot| ctx.freed_ever[slot]);
         }
         self.reorder_passes += 1;
         self.sift_nanos += started.elapsed().as_nanos() as u64;
@@ -335,8 +330,8 @@ impl BddManager {
             }
         }
 
-        // Phase 1: pull every interacting node out of the unique table so
-        // the rewrites cannot collide with their own old keys.
+        // Phase 1: unlink every interacting node from its unique-table
+        // chain so the rewrites cannot collide with their own old keys.
         let mut keep = Vec::with_capacity(xs.len());
         let mut interacting = Vec::new();
         for &i in &xs {
@@ -344,7 +339,7 @@ impl BddManager {
             let lo_is_y = !node.lo.is_terminal() && self.nodes[node.lo.index()].var == y;
             let hi_is_y = !node.hi.is_terminal() && self.nodes[node.hi.index()].var == y;
             if lo_is_y || hi_is_y {
-                self.unique.remove(&node);
+                self.unlink(i);
                 interacting.push(i);
             } else {
                 keep.push(i);
@@ -372,14 +367,13 @@ impl BddManager {
             // to change the slot's polarity, and every outstanding handle
             // (of either polarity) keeps denoting the same function.
             debug_assert!(!new_lo.is_complement(), "low-edge-regular invariant");
-            let rewritten = Node {
+            self.nodes[i as usize] = Node {
                 var: y,
                 lo: new_lo,
                 hi: new_hi,
+                next: 0,
             };
-            self.nodes[i as usize] = rewritten;
-            self.unique
-                .insert(rewritten, Bdd::from_parts(i as usize, false));
+            self.link(i);
             ctx.var_nodes[y as usize].push(i);
         }
 
@@ -398,52 +392,39 @@ impl BddManager {
             return lo;
         }
         let complement = lo.is_complement();
-        let node = if complement {
-            Node {
-                var,
-                lo: lo.negate(),
-                hi: hi.negate(),
+        let (lo, hi) = if complement {
+            (lo.negate(), hi.negate())
+        } else {
+            (lo, hi)
+        };
+        let (slot, created) = self.find_or_insert(var, lo, hi);
+        let index = slot as usize;
+        if !created {
+            return Bdd::from_parts(index, complement);
+        }
+        if index < ctx.dead.len() {
+            // A recycled slot.
+            ctx.dead[index] = false;
+            if ctx.reclaim {
+                ctx.refs[index] = 0;
             }
         } else {
-            Node { var, lo, hi }
-        };
-        if let Some(&existing) = self.unique.get(&node) {
-            return Bdd(existing.0 | complement as u32);
-        }
-        let id = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot as usize] = node;
-                ctx.dead[slot as usize] = false;
-                if ctx.reclaim {
-                    ctx.refs[slot as usize] = 0;
-                }
-                Bdd::from_parts(slot as usize, false)
+            ctx.dead.push(false);
+            ctx.stamp.push(0);
+            ctx.freed_ever.push(false);
+            if ctx.reclaim {
+                ctx.refs.push(0);
             }
-            None => {
-                let id = Bdd::from_parts(self.nodes.len(), false);
-                self.nodes.push(node);
-                ctx.dead.push(false);
-                ctx.stamp.push(0);
-                ctx.freed_ever.push(false);
-                if ctx.reclaim {
-                    ctx.refs.push(0);
-                }
-                id
-            }
-        };
-        if ctx.reclaim {
-            // Reference counts are per-slot, so the children's polarity is
-            // irrelevant here.
-            ctx.ref_inc(node.lo);
-            ctx.ref_inc(node.hi);
         }
-        self.live += 1;
+        // Reference counts are per-slot, so the children's polarity is
+        // irrelevant here.
+        ctx.ref_inc(lo);
+        ctx.ref_inc(hi);
         if self.live > self.peak_live {
             self.peak_live = self.live;
         }
-        self.unique.insert(node, id);
-        ctx.var_nodes[var as usize].push(id.index() as u32);
-        Bdd(id.0 | complement as u32)
+        ctx.var_nodes[var as usize].push(slot);
+        Bdd::from_parts(index, complement)
     }
 
     /// Drops one reference to `f`; in reclaim mode, frees the node (and
@@ -457,7 +438,7 @@ impl BddManager {
         ctx.refs[index] -= 1;
         if ctx.refs[index] == 0 {
             let node = self.nodes[index];
-            self.unique.remove(&node);
+            self.unlink(index as u32);
             self.free.push(index as u32);
             ctx.dead[index] = true;
             ctx.freed_ever[index] = true;

@@ -668,12 +668,6 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
     }
     m.pop_root_frame();
     let s = m.stats();
-    let quant_probes = s.quant_cache_hits + s.quant_cache_misses;
-    let quant_rate = if quant_probes == 0 {
-        0.0
-    } else {
-        s.quant_cache_hits as f64 / quant_probes as f64
-    };
     let (complemented, unique_nodes) = m.complement_edge_census();
     println!(
         "  kernel (order={}, {} assertions compiled): {} live / {} peak nodes (arena {}), \
@@ -686,11 +680,10 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
         100.0 * m.complement_edge_share(),
     );
     println!(
-        "    ITE {:.1}% hit ({} rewrites), quant {:.1}% hit, gc {} pass(es) ({} reclaimed), \
+        "    ITE {:.1}% hit ({} rewrites), gc {} pass(es) ({} reclaimed), \
          sift {} pass(es) ({} swaps, {} ms)",
         100.0 * s.ite_hit_rate(),
         s.ite_normalised,
-        100.0 * quant_rate,
         s.gc_passes,
         s.gc_reclaimed,
         s.reorder_passes,

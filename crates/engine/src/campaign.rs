@@ -505,9 +505,9 @@ fn attempt(
 
 /// Runs `spec` under the campaign's budget with one-shot graceful
 /// degradation: a budget-exhausted attempt is retried exactly once with
-/// every ceiling doubled and GC+sifting maintenance forced on (thresholds
-/// clamped under the node ceiling so collection actually fires before the
-/// budget does).  A second exhaustion is recorded as a structured
+/// every ceiling doubled and GC+sifting maintenance forced on (the kernel
+/// caps the GC trigger under the node ceiling, so collection fires before
+/// the budget does).  A second exhaustion is recorded as a structured
 /// `budget_*` error — the campaign always completes.
 ///
 /// Returns the result plus whether any attempt exhausted its budget (the
@@ -536,11 +536,11 @@ fn run_governed(
 }
 
 /// The maintenance policy of the degradation retry: the campaign's own
-/// settings (or the defaults) with sifting forced on and the GC/sift
-/// thresholds clamped to an eighth of the node ceiling — a ceiling below
-/// the default thresholds would otherwise exhaust again before the first
-/// collection ever ran, and collecting early keeps the garbage that
-/// accumulates between the checker's safe points well under the ceiling.
+/// settings (or the defaults) with sifting forced on and the sift
+/// threshold clamped to an eighth of the node ceiling — a ceiling below
+/// the default threshold would otherwise exhaust before the first sift
+/// ever ran.  GC needs no clamp: the kernel caps its trigger under an
+/// installed node budget.
 fn degraded_maintenance(
     base: Option<MaintainSettings>,
     node_budget: Option<u64>,
@@ -549,7 +549,6 @@ fn degraded_maintenance(
     settings.sift = true;
     if let Some(nodes) = node_budget {
         let cap = usize::try_from(nodes / 8).unwrap_or(usize::MAX).max(256);
-        settings.gc_threshold = settings.gc_threshold.min(cap);
         settings.sift_threshold = settings.sift_threshold.min(cap);
     }
     settings

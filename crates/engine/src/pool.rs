@@ -2,7 +2,7 @@
 //!
 //! Per-assertion-granularity campaigns schedule many short jobs, and every
 //! job needs its own single-threaded BDD manager.  Allocating the arena,
-//! unique table and computed tables from cold for each job is pure
+//! unique table and computed table from cold for each job is pure
 //! overhead: [`BddManager::reset`] restores a manager to the
 //! freshly-constructed state while keeping every allocation at capacity.
 //! The pool keeps a small free list of reset managers so workers — and
@@ -72,10 +72,12 @@ impl ManagerPool {
     pub const DEFAULT_MAX_IDLE: usize = 8;
 
     /// Arena-capacity high-water mark (in node slots) above which a
-    /// released manager is dropped rather than cached.  4 Mi slots is an
-    /// order of magnitude beyond what the paper-scale campaigns peak at, so
-    /// ordinary workloads always recycle, while a pathological run cannot
-    /// pin hundreds of megabytes in an idle daemon.
+    /// released manager is dropped rather than cached.  4 Mi slots is what
+    /// the largest paper-scale job fills — the conjunctive paper-config IFR
+    /// check peaks at ~3.3M live nodes, a 2^22-slot arena — so every
+    /// campaign workload recycles.  A bigger run is dropped, so an idle
+    /// daemon pins at most ~150 MB per cached manager: the arena plus its
+    /// unique and computed tables, ~36 bytes a slot.
     pub const DEFAULT_MAX_ARENA_CAPACITY: usize = 1 << 22;
 
     /// Creates a pool that keeps at most `max_idle` managers on the free
