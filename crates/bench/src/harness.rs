@@ -22,9 +22,7 @@ use std::time::Instant;
 
 use ssr_bdd::{Bdd, BddManager, BddVec, MaintainSettings, OrderPolicy};
 use ssr_engine::json::Json;
-use ssr_engine::{
-    named_policies, CampaignSpec, Granularity, JobBudget, NamedConfig, Partitioning, Suite,
-};
+use ssr_engine::{named_policies, CampaignSpec, Granularity, JobBudget, NamedConfig, Suite};
 
 /// Schema identifier written into every bench report.
 pub const SCHEMA: &str = "ssr-bench-report/v1";
@@ -40,10 +38,6 @@ pub struct BenchOptions {
     pub order: OrderPolicy,
     /// Kernel GC/sifting policy for the campaign (and serve) workloads.
     pub reorder: Option<MaintainSettings>,
-    /// STE partitioning strategy for the campaign (and serve) workloads.
-    /// The `campaign/ifr-paper-{monolithic,conjunctive}` ablation pair
-    /// ignores this and pins its own strategy per workload.
-    pub partitioning: Partitioning,
     /// Serve closed loop: concurrent clients.
     pub serve_clients: usize,
     /// Serve closed loop: campaigns each client submits back-to-back.
@@ -55,7 +49,6 @@ impl Default for BenchOptions {
         BenchOptions {
             order: OrderPolicy::default(),
             reorder: None,
-            partitioning: Partitioning::default(),
             serve_clients: 4,
             serve_requests: 2,
         }
@@ -366,7 +359,6 @@ fn campaign_spec(granularity: Granularity, options: &BenchOptions) -> CampaignSp
         suites: Suite::ALL.to_vec(),
         granularity,
         order: options.order.clone(),
-        partitioning: options.partitioning,
         reorder: options.reorder,
         threads: 1,
         budget: JobBudget::default(),
@@ -384,7 +376,6 @@ fn acceptance_spec(options: &BenchOptions) -> CampaignSpec {
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Assertion,
         order: options.order.clone(),
-        partitioning: options.partitioning,
         reorder: options.reorder,
         threads: 1,
         budget: JobBudget::default(),
@@ -392,19 +383,15 @@ fn acceptance_spec(options: &BenchOptions) -> CampaignSpec {
     }
 }
 
-/// The partition-ablation workloads: the paper-sized core's IFR suite —
-/// the biggest-memory job in the workload registry — pinned to one
-/// partitioning strategy per workload, so a committed report carries the
-/// peak-live-node and wall-clock deltas between the monolithic and
-/// conjunctive (streaming) checkers.
-fn ifr_paper_spec(partitioning: Partitioning, options: &BenchOptions) -> CampaignSpec {
+/// The paper-sized core's IFR suite — the biggest-memory job in the
+/// workload registry, and the headline check.
+fn ifr_paper_spec(options: &BenchOptions) -> CampaignSpec {
     CampaignSpec {
         configs: vec![NamedConfig::paper()],
         policies: vec![ssr_engine::policy_by_name("architectural").expect("named policy")],
         suites: vec![Suite::Ifr],
         granularity: Granularity::Suite,
         order: options.order.clone(),
-        partitioning,
         reorder: options.reorder,
         threads: 1,
         budget: JobBudget::default(),
@@ -634,40 +621,12 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
         },
     });
 
-    out.push(Workload {
-        name: "campaign/ifr-paper-monolithic",
-        kind: WorkloadKind::Campaign,
-        run: {
-            let spec = ifr_paper_spec(Partitioning::Monolithic, options);
-            Box::new(move || {
-                let report = spec.run();
-                assert!(report.all_hold(), "the paper IFR suite must pass");
-                campaign_metrics(&report)
-            })
-        },
-    });
-
-    out.push(Workload {
-        name: "campaign/ifr-paper-conjunctive",
-        kind: WorkloadKind::Campaign,
-        run: {
-            let spec = ifr_paper_spec(Partitioning::Conjunctive, options);
-            Box::new(move || {
-                let report = spec.run();
-                assert!(report.all_hold(), "the paper IFR suite must pass");
-                campaign_metrics(&report)
-            })
-        },
-    });
-
-    // The same paper-sized IFR job under the bench's own partitioning
-    // option (the default `auto` unless `--partitioning` says otherwise):
-    // the headline check as `ssr check --config paper --suite ifr` runs it.
+    // The headline check, as `ssr check --config paper --suite ifr` runs it.
     out.push(Workload {
         name: "campaign/ifr-paper-cold",
         kind: WorkloadKind::Campaign,
         run: {
-            let spec = ifr_paper_spec(options.partitioning, options);
+            let spec = ifr_paper_spec(options);
             Box::new(move || {
                 let report = spec.run();
                 assert!(report.all_hold(), "the paper IFR suite must pass");
@@ -690,7 +649,6 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
                 suites: Suite::ALL.to_vec(),
                 granularity: Granularity::Suite,
                 order: options.order.clone(),
-                partitioning: options.partitioning,
                 reorder: options.reorder,
                 threads: 1,
                 budget: JobBudget::default(),

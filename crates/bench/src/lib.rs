@@ -17,9 +17,7 @@
 //! | `campaign/default-assertion` | `ssr campaign --suite all --granularity assertion` on the small core |
 //! | `campaign/all-policies-suite` | every named policy × every suite, suite granularity |
 //! | `campaign/all-policies-assertion` | the same product at assertion granularity |
-//! | `campaign/ifr-paper-monolithic` | the paper core's IFR suite, monolithic checker |
-//! | `campaign/ifr-paper-conjunctive` | the paper core's IFR suite, conjunctive checker |
-//! | `campaign/ifr-paper-cold` | the paper core's IFR suite at the bench's `--partitioning` |
+//! | `campaign/ifr-paper-cold` | the paper core's IFR suite (`ssr check --config paper --suite ifr`) |
 //! | `serve/closed-loop` | a client fleet against an in-process `ssr-serve` daemon |
 //!
 //! The repository benchmark — paper IFR, the paper policy sweep and served

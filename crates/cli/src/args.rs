@@ -3,8 +3,7 @@
 
 use ssr_cpu::ControlPath;
 use ssr_engine::{
-    named_policies, policy_by_name, Granularity, NamedConfig, NamedPolicy, OrderPolicy,
-    Partitioning, Suite,
+    named_policies, policy_by_name, Granularity, NamedConfig, NamedPolicy, OrderPolicy, Suite,
 };
 
 /// The usage text shown on `ssr help` and on parse errors.
@@ -70,22 +69,11 @@ OPTIONS:
                                   ablation baseline and is exponential for
                                   32-bit operand suites (one/two); use it
                                   with --suite ifr.
-    --reorder                     Enable kernel garbage collection plus
-                                  Rudell sifting at the checker's safe
-                                  points.  Changes node counts and peak
-                                  memory, never verdicts.
-    --partitioning <monolithic|conjunctive|auto>
-                                  STE relation-frame strategy: monolithic
-                                  conjoins every consequent constraint into
-                                  one verdict BDD up front; conjunctive
-                                  keeps them as a partition list, streams
-                                  the trajectory and conjoins them
-                                  smallest first (lower peak memory on
-                                  memory-heavy suites); auto picks
-                                  conjunctive for jobs with enough
-                                  constraints.  Part of the job identity;
-                                  changes telemetry, never verdicts.
-                                                              [default: auto]
+    --reorder                     Add Rudell sifting at the checker's
+                                  safe points, on top of the garbage
+                                  collection every job already runs.
+                                  Changes node counts and peak memory,
+                                  never verdicts.
     --max-growth <X>              Sifting growth cap (default 1.2): abort a
                                   variable's exploration once the live node
                                   count exceeds X times its starting size
@@ -184,7 +172,7 @@ SUBMIT OPTIONS (ssr submit):
                                   of submitting
     --shutdown                    Stop the daemon instead of submitting
     Campaign shape flags (--config/--policy/--suite/--granularity/--order/
-    --partitioning/--reorder/--max-growth) choose what to submit;
+    --reorder/--max-growth) choose what to submit;
     --json/--quiet control output like `ssr campaign`.
 
 EXIT CODE:
@@ -250,10 +238,8 @@ pub struct Command {
     pub granularity: Option<Granularity>,
     /// Variable-order preset (`--order`).
     pub order: OrderPolicy,
-    /// Enable automatic GC + sifting (`--reorder`).
+    /// Add sifting to the default GC policy (`--reorder`).
     pub reorder: bool,
-    /// STE partitioning strategy (`--partitioning`).
-    pub partitioning: Partitioning,
     /// Sifting growth cap (`--max-growth`).
     pub max_growth: f64,
     /// Where to write the JSON report (`-` = stdout).
@@ -397,7 +383,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut granularity: Option<Granularity> = None;
     let mut order = OrderPolicy::Interleaved;
     let mut reorder = false;
-    let mut partitioning = Partitioning::default();
     let mut max_growth = 1.2f64;
     let mut control_path = ControlPath::RefreshingIfr;
     let mut json = None;
@@ -463,12 +448,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 })?;
             }
             "--reorder" => reorder = true,
-            "--partitioning" => {
-                let v = value("--partitioning")?;
-                partitioning = Partitioning::parse(&v).ok_or_else(|| {
-                    format!("unknown partitioning `{v}` (try monolithic, conjunctive or auto)")
-                })?;
-            }
             "--max-growth" => {
                 let v = value("--max-growth")?;
                 max_growth = v
@@ -660,7 +639,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         granularity,
         order,
         reorder,
-        partitioning,
         max_growth,
         json,
         quiet,
@@ -824,25 +802,6 @@ mod tests {
         assert!(parse(&argv(&["diff", "old.json"])).is_err());
         assert!(parse(&argv(&["diff", "a.json", "b.json", "c.json"])).is_err());
         assert!(parse(&argv(&["diff", "--frobnicate", "a", "b"])).is_err());
-    }
-
-    #[test]
-    fn partitioning_flag_parses_with_auto_default() {
-        let cmd = parse(&argv(&["campaign"])).expect("parses");
-        assert_eq!(cmd.partitioning, Partitioning::Auto);
-        let cmd = parse(&argv(&["campaign", "--partitioning", "conjunctive"])).expect("parses");
-        assert_eq!(cmd.partitioning, Partitioning::Conjunctive);
-        let cmd = parse(&argv(&[
-            "check",
-            "--suite",
-            "ifr",
-            "--partitioning",
-            "monolithic",
-        ]))
-        .expect("parses");
-        assert_eq!(cmd.partitioning, Partitioning::Monolithic);
-        assert!(parse(&argv(&["campaign", "--partitioning", "sideways"])).is_err());
-        assert!(parse(&argv(&["campaign", "--partitioning"])).is_err());
     }
 
     #[test]

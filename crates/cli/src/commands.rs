@@ -16,7 +16,8 @@ use ssr_retention::selection::classify;
 use crate::args::{Action, Command, USAGE};
 
 /// The kernel maintenance policy a command's `--reorder`/`--max-growth`
-/// flags select (`None` without `--reorder`).
+/// flags select: GC plus sifting with `--reorder`, else `None`, which
+/// leaves every job on the engine's GC-only default.
 fn maintenance(cmd: &Command) -> Option<MaintainSettings> {
     cmd.reorder.then(|| MaintainSettings {
         sift: true,
@@ -57,7 +58,6 @@ fn spec_from_flags(cmd: &Command) -> CampaignSpec {
         suites,
         granularity: cmd.granularity.unwrap_or(Granularity::Suite),
         order: cmd.order.clone(),
-        partitioning: cmd.partitioning,
         reorder: maintenance(cmd),
         threads: cmd.jobs,
         budget: JobBudget {
@@ -330,7 +330,6 @@ fn bench(cmd: &Command) -> ExitCode {
         let options = BenchOptions {
             order: cmd.order.clone(),
             reorder: maintenance(cmd),
-            partitioning: cmd.partitioning,
             serve_clients: cmd.clients,
             serve_requests: cmd.requests,
         };

@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ssr_bdd::{BddError, BddManager, MaintainSettings, OrderPolicy};
-use ssr_properties::{CoreHarness, Partitioning, Suite};
+use ssr_properties::{CoreHarness, Suite};
 use ssr_ste::CheckReport;
 
 use crate::job::{
@@ -210,16 +210,11 @@ pub struct CampaignSpec {
     /// the job identity, so `--resume`/`ssr diff` never mix verdicts
     /// across orders.
     pub order: OrderPolicy,
-    /// Relation-partitioning strategy for the checker (monolithic eager
-    /// conjunction vs streamed conjunctive partitions; `auto` picks per
-    /// assertion).  Part of the job
-    /// identity like `order`: verdicts are identical across strategies,
-    /// but resource telemetry is not, so resumed runs never mix records.
-    pub partitioning: Partitioning,
-    /// Automatic GC + dynamic-reordering policy for the workers' managers
-    /// (`None` keeps the historical never-free kernel behaviour).  An
-    /// execution parameter like `threads`: it changes node counts and peak
-    /// memory, never verdicts, and is not part of job identity.
+    /// Maintenance policy for the workers' managers: GC plus, with `sift`
+    /// set, dynamic reordering.  `None` means the GC-only default that
+    /// [`run_job_with`] installs for every job.  An execution parameter
+    /// like `threads`: it changes node counts and peak memory, never
+    /// verdicts, and is not part of job identity.
     pub reorder: Option<MaintainSettings>,
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
@@ -243,7 +238,6 @@ impl CampaignSpec {
             suites: Suite::ALL.to_vec(),
             granularity: Granularity::Suite,
             order: OrderPolicy::Interleaved,
-            partitioning: Partitioning::default(),
             reorder: None,
             threads: 0,
             budget: JobBudget::default(),
@@ -259,7 +253,6 @@ impl CampaignSpec {
             &self.suites,
             self.granularity,
             &self.order,
-            self.partitioning,
         )
     }
 
@@ -599,8 +592,7 @@ fn panicked_job(spec: &JobSpec, payload: &(dyn std::any::Any + Send)) -> JobResu
 
 /// A result skeleton for `spec` with no assertions checked yet.
 fn empty_result(spec: &JobSpec) -> JobResult {
-    let (config_name, policy_name, suite, part, order, partitioning) =
-        crate::report::job_identity(spec);
+    let (config_name, policy_name, suite, part, order) = crate::report::job_identity(spec);
     JobResult {
         job_id: spec.id as u64,
         config_name,
@@ -608,7 +600,6 @@ fn empty_result(spec: &JobSpec) -> JobResult {
         suite,
         part,
         order,
-        partitioning,
         assertions: Vec::new(),
         holds: false,
         bdd_nodes: 0,
@@ -638,6 +629,11 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
 /// already-failed) shared harness, using the caller's manager.  The manager
 /// must be fresh or [`ssr_bdd::BddManager::reset`]; results are identical
 /// either way.
+///
+/// This is where every engine path picks its maintenance policy: a
+/// manager without one gets the GC-only [`MaintainSettings::default`], so
+/// the streaming checker's released states are collected; a policy the
+/// caller installed (a campaign's `reorder`, the degraded retry) is kept.
 pub fn run_job_with(
     spec: &JobSpec,
     harness: Result<&CoreHarness, &HarnessError>,
@@ -655,12 +651,15 @@ pub fn run_job_with(
         }
     };
 
+    if !m.maintenance_enabled() {
+        m.set_maintenance(Some(MaintainSettings::default()));
+    }
     let assertions = match spec.part {
         JobPart::WholeSuite => spec.suite.assertions(harness, m),
         JobPart::Assertion(index) => vec![spec.suite.assertion(harness, m, index)],
     };
 
-    match harness.check_all_with(m, &assertions, spec.partitioning) {
+    match harness.check_all(m, &assertions) {
         Ok(reports) => {
             result.assertions = reports.iter().map(summarise_check).collect();
             result.holds = reports.iter().all(|r| r.holds);
@@ -723,7 +722,6 @@ mod tests {
             suites: vec![Suite::PropertyTwo],
             granularity,
             order: OrderPolicy::Interleaved,
-            partitioning: Partitioning::default(),
             reorder: None,
             threads,
             budget: JobBudget::default(),
@@ -793,7 +791,6 @@ mod tests {
             suites: vec![Suite::PropertyTwo],
             granularity: Granularity::Suite,
             order: OrderPolicy::Interleaved,
-            partitioning: Partitioning::default(),
             reorder: None,
             threads: 2,
             budget: JobBudget::default(),
@@ -1051,32 +1048,36 @@ mod tests {
         assert!(!report.all_hold());
     }
 
-    /// The one-shot degradation retry: a budget the raw run exhausts but
-    /// GC+sifting fits inside recovers the true verdict on the retry.
+    /// The one-shot degradation retry: a node budget the GC-only first
+    /// attempt exhausts, but the doubled and sifting retry fits inside,
+    /// recovers the true verdict.
     #[test]
     fn the_degradation_retry_recovers_jobs_the_raw_run_exhausts() {
-        // Establish the job's ungoverned appetite first, then budget well
-        // below it (the small PropertyTwo suite allocates ~100k nodes
-        // without GC but stays tiny when collected).  Pinned monolithic:
-        // the conjunctive path already forces GC, so the raw run would
-        // never over-allocate and the retry would have nothing to recover.
-        let mut unlimited_spec = tiny_spec(1, Granularity::Suite);
-        unlimited_spec.partitioning = Partitioning::Monolithic;
-        let unlimited = unlimited_spec.run();
-        let appetite = unlimited.jobs[0].bdd_nodes;
-        let mut spec = tiny_spec(1, Granularity::Suite);
-        spec.partitioning = Partitioning::Monolithic;
-        spec.budget.node_budget = Some(appetite / 4);
-        let governed = spec.run();
-        let job = &governed.jobs[0];
+        let job = tiny_spec(1, Granularity::Suite).jobs().remove(0);
+        let unlimited = run_job(&job);
+        assert!(unlimited.error.is_none());
+        let budget = JobBudget {
+            node_budget: Some(unlimited.peak_live_nodes / 4),
+            ..JobBudget::default()
+        };
+        let harness = SharedHarness::build(job.config, job.order.clone());
+        let mut manager = BddManager::new();
+        let (result, exhausted) = run_governed(&job, harness.get(), &mut manager, budget, None);
+        assert!(exhausted, "the first attempt must exhaust the budget");
         assert!(
-            job.error.is_none(),
+            result.error.is_none(),
             "the retry should recover this job, got {:?}",
-            job.error
+            result.error
         );
-        // The verdict matches the ungoverned run; only telemetry differs.
-        assert_eq!(job.holds, unlimited.jobs[0].holds);
-        assert!(job.gc_passes > 0, "recovery came from forced maintenance");
+        // The verdict matches the unbudgeted run; only telemetry differs.
+        let verdicts = |r: &JobResult| -> Vec<(String, bool)> {
+            r.assertions
+                .iter()
+                .map(|a| (a.name.clone(), a.holds))
+                .collect()
+        };
+        assert_eq!(result.holds, unlimited.holds);
+        assert_eq!(verdicts(&result), verdicts(&unlimited));
     }
 
     /// Budget-exhausted verdicts are deterministic: node/step governance
@@ -1134,26 +1135,5 @@ mod tests {
         };
         let governed = spec.run();
         assert_eq!(free.canonical_json(), governed.canonical_json());
-    }
-
-    /// The partition-ablation gate: the same campaign under every
-    /// partitioning strategy yields byte-identical canonical reports —
-    /// verdicts, counterexample summaries and constraint counts agree;
-    /// the canonical artifact blanks the strategy field and zeroes the
-    /// kernel telemetry that legitimately differs.
-    #[test]
-    fn partitioning_modes_are_canonically_byte_identical() {
-        for granularity in [Granularity::Suite, Granularity::Assertion] {
-            let mut reference: Option<String> = None;
-            for mode in Partitioning::ALL {
-                let mut spec = tiny_spec(1, granularity);
-                spec.partitioning = mode;
-                let report = spec.run();
-                assert!(report.jobs.iter().any(|j| !j.holds), "none policy fails");
-                let canonical = report.canonical_json();
-                let reference = reference.get_or_insert_with(|| canonical.clone());
-                assert_eq!(*reference, canonical, "{} diverged", mode.name());
-            }
-        }
     }
 }

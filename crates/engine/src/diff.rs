@@ -17,12 +17,11 @@ use crate::report::{CampaignReport, JobResult};
 
 /// The identity a job is matched on across reports.
 ///
-/// Deliberately *excludes* the variable-order preset and the partitioning
-/// strategy: diffing a campaign against the same campaign at another order
-/// (or with `--reorder`, or under `--partitioning conjunctive`) is exactly
-/// the ordering- and partition-ablation gate — verdicts must agree across
-/// orders and partitioning modes, so matching them makes the gate stricter,
-/// never looser.  Resume is the opposite trade and does validate both (see
+/// Deliberately *excludes* the variable-order preset: diffing a campaign
+/// against the same campaign at another order (or with `--reorder`) is
+/// exactly the ordering-ablation gate — verdicts must agree across orders,
+/// so matching them makes the gate stricter, never looser.  Resume is the
+/// opposite trade and does validate the order (see
 /// [`crate::report::job_identity`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct JobKey {
@@ -350,7 +349,6 @@ mod tests {
             suite: "property-two".into(),
             part: "suite".into(),
             order: "interleaved".into(),
-            partitioning: "auto".into(),
             assertions: vec![AssertionOutcome {
                 name: "survive_pc".into(),
                 holds,

@@ -10,7 +10,7 @@
 
 use ssr_bdd::{BudgetSettings, OrderPolicy};
 use ssr_cpu::{CoreConfig, RetentionPolicy};
-use ssr_properties::{Partitioning, Suite};
+use ssr_properties::Suite;
 
 /// How finely the campaign is cut into jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,11 +263,6 @@ pub struct JobSpec {
     /// Part of the job identity (`order=` in reports), so resumed runs can
     /// never reuse a verdict computed under a different order.
     pub order: OrderPolicy,
-    /// The relation-partitioning strategy the checker runs under.  Part of
-    /// the job identity like `order` (verdicts are provably identical
-    /// across strategies, but resource telemetry is not, so resumed runs
-    /// never mix results from different strategies).
-    pub partitioning: Partitioning,
 }
 
 impl JobSpec {
@@ -304,19 +299,17 @@ pub fn enumerate_jobs(
         suites,
         granularity,
         &OrderPolicy::Interleaved,
-        Partitioning::default(),
     )
 }
 
-/// [`enumerate_jobs`] with an explicit variable-order preset and
-/// relation-partitioning strategy stamped onto every job.
+/// [`enumerate_jobs`] with an explicit variable-order preset stamped onto
+/// every job.
 pub fn enumerate_jobs_with(
     configs: &[NamedConfig],
     policies: &[NamedPolicy],
     suites: &[Suite],
     granularity: Granularity,
     order: &OrderPolicy,
-    partitioning: Partitioning,
 ) -> Vec<JobSpec> {
     let mut out = Vec::new();
     for named_config in configs {
@@ -342,7 +335,6 @@ pub fn enumerate_jobs_with(
                         suite,
                         part,
                         order: order.clone(),
-                        partitioning,
                     });
                 }
             }

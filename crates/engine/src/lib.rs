@@ -15,7 +15,9 @@
 //!   [`Arc`](std::sync::Arc)-compiled model ([`SharedHarness`]), each worker
 //!   leases a recycled arena from the process-wide [`ManagerPool`] and
 //!   `reset()`s it between jobs, so BDD arenas never cross threads and
-//!   results are bit-identical to a sequential run;
+//!   results are bit-identical to a sequential run.  Every job runs under
+//!   at least a GC-only maintenance policy ([`run_job_with`] installs
+//!   one), so the streaming STE checker's released states are collected;
 //! * [`report`] — per-job results (verdicts, counterexample summaries, BDD
 //!   node counts, wall times) aggregate into a [`CampaignReport`] that
 //!   serialises to JSON (schema `ssr-campaign-report/v1`) and renders as a
@@ -47,7 +49,6 @@
 //!     suites: vec![Suite::PropertyTwo],
 //!     granularity: Granularity::Suite,
 //!     order: ssr_engine::OrderPolicy::Interleaved,
-//!     partitioning: ssr_engine::Partitioning::Auto,
 //!     reorder: None,
 //!     threads: 2,
 //!     budget: ssr_engine::JobBudget::default(),
@@ -88,4 +89,4 @@ pub use spec::{spec_from_json, spec_to_json};
 // resource budgets without depending on `ssr-properties`/`ssr-bdd`
 // directly.
 pub use ssr_bdd::{BudgetKind, BudgetSettings, MaintainSettings, OrderPolicy};
-pub use ssr_properties::{Partitioning, Suite};
+pub use ssr_properties::Suite;

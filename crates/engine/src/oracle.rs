@@ -11,7 +11,7 @@ use std::cell::RefCell;
 
 use ssr_bdd::{MaintainSettings, OrderPolicy};
 use ssr_cpu::RetentionPolicy;
-use ssr_properties::{Partitioning, Suite};
+use ssr_properties::Suite;
 use ssr_retention::selection::{minimise, SelectionStep};
 
 use crate::campaign::CampaignSpec;
@@ -64,7 +64,6 @@ impl EngineOracle {
             suites: self.suites.clone(),
             granularity: self.granularity,
             order: self.order.clone(),
-            partitioning: Partitioning::default(),
             reorder: self.reorder,
             threads: self.threads,
             budget: JobBudget::default(),

@@ -14,11 +14,10 @@
 //! `ssr-campaign-report/v1` document or a (possibly truncated) journal —
 //! and [`plan_resume`] matches the recorded results against a fresh
 //! deterministic job enumeration.  Matching validates the full job
-//! *identity* (config, policy, suite, part, order, partitioning at the
-//! recorded id), not just
-//! the index, so a resume file from a different campaign shape can never
-//! silently stand in for work that was not done: mismatches are counted as
-//! stale and re-run.
+//! *identity* (config, policy, suite, part and order at the recorded id),
+//! not just the index, so a resume file from a different campaign shape can
+//! never silently stand in for work that was not done: mismatches are
+//! counted as stale and re-run.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -407,9 +406,9 @@ impl ResumePlan {
 /// Matches `prior` results against the deterministic enumeration `jobs`.
 ///
 /// A recorded result is reused only when the job at its recorded id exists
-/// *and* carries the same (config, policy, suite, part, order, partitioning)
-/// identity — resuming validates what the work was, not merely where it sat
-/// in the list.
+/// *and* carries the same (config, policy, suite, part, order) identity —
+/// resuming validates what the work was, not merely where it sat in the
+/// list.
 pub fn plan_resume(jobs: &[JobSpec], prior: &[JobResult]) -> ResumePlan {
     let mut reused: std::collections::BTreeMap<usize, JobResult> =
         std::collections::BTreeMap::new();
@@ -424,7 +423,6 @@ pub fn plan_resume(jobs: &[JobSpec], prior: &[JobResult]) -> ResumePlan {
                     result.suite.clone(),
                     result.part.clone(),
                     result.order.clone(),
-                    result.partitioning.clone(),
                 )
         });
         if matches {
@@ -457,7 +455,6 @@ mod tests {
             suite: "property-two".into(),
             part: part.into(),
             order: "interleaved".into(),
-            partitioning: "auto".into(),
             assertions: vec![],
             holds: true,
             bdd_nodes: 10,

@@ -73,8 +73,8 @@ impl ManagerPool {
 
     /// Arena-capacity high-water mark (in node slots) above which a
     /// released manager is dropped rather than cached.  4 Mi slots is what
-    /// the largest paper-scale job fills — the conjunctive paper-config IFR
-    /// check peaks at ~3.3M live nodes, a 2^22-slot arena — so every
+    /// the largest paper-scale job fills — the paper-config IFR check
+    /// peaks at ~3.3M live nodes, a 2^22-slot arena — so every
     /// campaign workload recycles.  A bigger run is dropped, so an idle
     /// daemon pins at most ~150 MB per cached manager: the arena plus its
     /// unique and computed tables, ~36 bytes a slot.

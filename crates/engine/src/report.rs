@@ -39,17 +39,14 @@ pub struct JobResult {
     /// Variable-order preset the job compiled under (part of the job
     /// identity; pre-ordering reports parse as `"interleaved"`).
     pub order: String,
-    /// Relation-partitioning strategy the checker ran under (part of the
-    /// job identity; pre-partitioning reports parse as `"auto"`).
-    pub partitioning: String,
     /// Per-assertion outcomes, in suite order.
     pub assertions: Vec<AssertionOutcome>,
     /// `true` if every assertion held.
     pub holds: bool,
     /// BDD nodes allocated by the job's manager when the job finished.
     pub bdd_nodes: u64,
-    /// Peak live BDD nodes over the job — with GC/reordering enabled this
-    /// is the real working-set peak, otherwise it equals `bdd_nodes`.
+    /// Peak live BDD nodes over the job: the working-set peak, since every
+    /// job runs under at least a GC-only maintenance policy.
     pub peak_live_nodes: u64,
     /// Garbage-collection passes the job's manager ran.
     pub gc_passes: u64,
@@ -96,7 +93,6 @@ impl JobResult {
             ("suite", Json::Str(self.suite.clone())),
             ("part", Json::Str(self.part.clone())),
             ("order", Json::Str(self.order.clone())),
-            ("partitioning", Json::Str(self.partitioning.clone())),
             (
                 "assertions",
                 Json::Arr(
@@ -210,13 +206,8 @@ impl JobResult {
                 .and_then(Json::as_str)
                 .unwrap_or("interleaved")
                 .to_owned(),
-            // Same leniency for the partitioning strategy (absent before
-            // the conjunctive-partitioning layer; `auto` is the default).
-            partitioning: v
-                .get("partitioning")
-                .and_then(Json::as_str)
-                .unwrap_or("auto")
-                .to_owned(),
+            // A `partitioning` key (written while the checker had
+            // selectable strategies) is ignored, whatever its value.
             assertions,
             holds: v
                 .get("holds")
@@ -302,14 +293,13 @@ impl CampaignReport {
     }
 
     /// A copy of the report with every wall-clock field, the worker count
-    /// and the kernel-arena telemetry zeroed, and the partitioning
-    /// strategy blanked: the scheduling-, timing- and strategy-independent
-    /// content.  Two runs of the same campaign — at any thread count, with
-    /// or without manager-pool reuse, fresh or resumed from a checkpoint,
-    /// under any [`Partitioning`](ssr_properties::Partitioning) strategy —
-    /// must serialise this to byte-identical JSON.  (Node counts and cache
-    /// telemetry are deterministic per strategy but legitimately differ
-    /// across strategies, exactly like timing across thread counts.)
+    /// and the kernel-arena telemetry zeroed: the scheduling-, timing- and
+    /// maintenance-independent content.  Two runs of the same campaign — at
+    /// any thread count, with or without manager-pool reuse, fresh or
+    /// resumed from a checkpoint, with or without `--reorder` — must
+    /// serialise this to byte-identical JSON.  (Node counts and cache
+    /// telemetry are deterministic per maintenance policy but legitimately
+    /// differ across policies, exactly like timing across thread counts.)
     pub fn canonical(&self) -> CampaignReport {
         let mut report = self.clone();
         report.total_wall_ms = 0;
@@ -317,7 +307,6 @@ impl CampaignReport {
         for job in &mut report.jobs {
             job.wall_ms = 0;
             job.sift_ms = 0;
-            job.partitioning = String::new();
             job.bdd_nodes = 0;
             job.peak_live_nodes = 0;
             job.gc_passes = 0;
@@ -562,19 +551,18 @@ impl CampaignReport {
 }
 
 /// Builds the table/JSON identity of a job from its spec (shared by the
-/// executor, the resume planner and the tests).  The order preset and the
-/// partitioning strategy are part of the identity: a record computed under
-/// one variable order or partitioning strategy must never stand in for a
-/// job scheduled under another (verdicts would match across strategies,
-/// but the telemetry would silently mix).
-pub fn job_identity(spec: &JobSpec) -> (String, String, String, String, String, String) {
+/// executor, the resume planner and the tests): (config, policy, suite,
+/// part, order).  The order preset is part of the identity: a record
+/// computed under one variable order must never stand in for a job
+/// scheduled under another (verdicts would match across orders, but the
+/// telemetry would silently mix).
+pub fn job_identity(spec: &JobSpec) -> (String, String, String, String, String) {
     (
         spec.config_name.clone(),
         spec.policy_name.clone(),
         spec.suite.name().to_owned(),
         spec.part.render(),
         spec.order.name(),
-        spec.partitioning.name().to_owned(),
     )
 }
 
@@ -600,7 +588,6 @@ mod tests {
                     suite: "property-two".into(),
                     part: "suite".into(),
                     order: "interleaved".into(),
-                    partitioning: "auto".into(),
                     assertions: vec![
                         AssertionOutcome {
                             name: "survive_pc".into(),
@@ -638,7 +625,6 @@ mod tests {
                     suite: "ifr".into(),
                     part: "#1".into(),
                     order: "sequential".into(),
-                    partitioning: "conjunctive".into(),
                     assertions: vec![],
                     holds: false,
                     bdd_nodes: 0,
@@ -664,33 +650,55 @@ mod tests {
         assert_eq!(parsed, report);
     }
 
+    /// The sample report with a `partitioning` key on every job, as
+    /// reports were written while the checker had selectable strategies.
+    fn with_partitioning_keys(text: &str, strategies: [&str; 2]) -> String {
+        let [first, second] = strategies;
+        text.replacen(
+            "\"order\": \"interleaved\",",
+            &format!("\"order\": \"interleaved\", \"partitioning\": \"{first}\","),
+            1,
+        )
+        .replacen(
+            "\"order\": \"sequential\",",
+            &format!("\"order\": \"sequential\", \"partitioning\": \"{second}\","),
+            1,
+        )
+    }
+
     #[test]
     fn pre_partitioning_reports_parse_with_the_default_strategy() {
-        // Drop the `partitioning` key as a pre-PR artifact would lack it:
-        // the parser must default to `auto` (mirroring `order`'s leniency).
-        let mut text = sample_report().to_json();
-        text = text
-            .lines()
-            .filter(|l| !l.contains("\"partitioning\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = CampaignReport::from_json(&text).expect("parses");
-        assert!(parsed.jobs.iter().all(|j| j.partitioning == "auto"));
+        // Reports from before and during the partitioning layer both load
+        // to the same strategy-less report: the key is ignored whatever
+        // its value, and writing the report back drops it.
+        let report = sample_report();
+        let text = report.to_json();
+        assert!(!text.contains("partitioning"));
+        assert_eq!(CampaignReport::from_json(&text).expect("parses"), report);
+        for strategies in [["monolithic", "conjunctive"], ["auto", "sideways"]] {
+            let old = with_partitioning_keys(&text, strategies);
+            assert_eq!(old.matches("\"partitioning\"").count(), 2);
+            let parsed = CampaignReport::from_json(&old).expect("old report parses");
+            assert_eq!(parsed, report);
+            assert_eq!(parsed.to_json(), text);
+        }
     }
 
     #[test]
     fn canonical_blanks_strategy_and_kernel_telemetry() {
         let mut a = sample_report();
         let mut b = sample_report();
-        // Two runs that differ only in partitioning strategy and the
-        // telemetry it perturbs must be canonically byte-identical.
-        a.jobs[0].partitioning = "monolithic".into();
+        // Two runs that differ only in the kernel telemetry a maintenance
+        // policy perturbs must be canonically byte-identical.
         a.jobs[0].peak_live_nodes = 9999;
         a.jobs[0].bdd_nodes = 12345;
-        b.jobs[0].partitioning = "conjunctive".into();
         b.jobs[0].gc_passes = 7;
         b.jobs[0].ite_hits = 1;
         assert_eq!(a.canonical_json(), b.canonical_json());
+        // So is a report written under a partitioning strategy.
+        let old = with_partitioning_keys(&a.to_json(), ["monolithic", "conjunctive"]);
+        let old = CampaignReport::from_json(&old).expect("old report parses");
+        assert_eq!(old.canonical_json(), b.canonical_json());
         // Verdict content still distinguishes real changes.
         b.jobs[0].holds = true;
         assert_ne!(a.canonical_json(), b.canonical_json());

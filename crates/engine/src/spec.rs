@@ -11,7 +11,7 @@
 //! parser here only validates shape.
 
 use ssr_bdd::{MaintainSettings, OrderPolicy};
-use ssr_properties::{Partitioning, Suite};
+use ssr_properties::Suite;
 
 use crate::campaign::CampaignSpec;
 use crate::job::{policy_by_name, Granularity, JobBudget, NamedConfig};
@@ -59,12 +59,6 @@ pub fn spec_to_json(spec: &CampaignSpec) -> Json {
         if let Some(v) = value {
             fields.push((key, Json::Num(v as f64)));
         }
-    }
-    // Emitted only when non-default, like the budget keys: a default
-    // (`auto`) spec's wire object stays byte-identical to pre-partitioning
-    // `ssr-serve/v1`.
-    if spec.partitioning != Partitioning::default() {
-        fields.push(("partitioning", Json::Str(spec.partitioning.name().into())));
     }
     Json::obj(fields)
 }
@@ -116,12 +110,8 @@ pub fn spec_from_json(v: &Json) -> Result<CampaignSpec, String> {
         Some(text) => OrderPolicy::parse(text).ok_or_else(|| format!("unknown order `{text}`"))?,
         None => OrderPolicy::Interleaved,
     };
-    let partitioning = match v.get("partitioning").and_then(Json::as_str) {
-        Some(text) => {
-            Partitioning::parse(text).ok_or_else(|| format!("unknown partitioning `{text}`"))?
-        }
-        None => Partitioning::default(),
-    };
+    // A `partitioning` key (sent while the checker had selectable
+    // strategies) is ignored, whatever its value.
     let reorder = match v.get("reorder").and_then(Json::as_bool) {
         Some(true) => {
             let max_growth = v
@@ -154,7 +144,6 @@ pub fn spec_from_json(v: &Json) -> Result<CampaignSpec, String> {
         suites,
         granularity,
         order,
-        partitioning,
         reorder,
         threads,
         budget,
@@ -174,7 +163,6 @@ mod tests {
             suites: Suite::ALL.to_vec(),
             granularity: Granularity::Assertion,
             order: OrderPolicy::Reverse,
-            partitioning: Partitioning::Conjunctive,
             reorder: Some(MaintainSettings {
                 sift: true,
                 max_growth: 1.5,
@@ -200,7 +188,6 @@ mod tests {
         assert_eq!(parsed.suites, spec.suites);
         assert_eq!(parsed.granularity, spec.granularity);
         assert_eq!(parsed.order, spec.order);
-        assert_eq!(parsed.partitioning, spec.partitioning);
         assert_eq!(parsed.threads, spec.threads);
         let growth = parsed.reorder.expect("reorder carried").max_growth;
         assert!((growth - 1.5).abs() < 1e-9);
@@ -250,11 +237,13 @@ mod tests {
                 Json::Arr(vec![Json::Str("architectural".into())]),
             ),
             ("suites", Json::Arr(vec![Json::Str("two".into())])),
+            // Ignored, whatever its value (compatibility input).
+            ("partitioning", Json::Str("sideways".into())),
         ]);
         let spec = spec_from_json(&minimal).expect("parses");
+        assert!(spec_to_json(&spec).get("partitioning").is_none());
         assert_eq!(spec.granularity, Granularity::Suite);
         assert_eq!(spec.order, OrderPolicy::Interleaved);
-        assert_eq!(spec.partitioning, Partitioning::Auto);
         assert!(spec.reorder.is_none());
         assert_eq!(spec.threads, 0);
         assert!(
@@ -271,32 +260,5 @@ mod tests {
         assert!(wire.get("node_budget").is_none());
         assert!(wire.get("step_budget").is_none());
         assert!(wire.get("deadline_ms").is_none());
-    }
-
-    #[test]
-    fn default_partitioning_emits_no_wire_key() {
-        let mut spec = sample();
-        spec.partitioning = Partitioning::default();
-        let wire = spec_to_json(&spec);
-        assert!(
-            wire.get("partitioning").is_none(),
-            "pre-partitioning wire shape preserved for auto"
-        );
-        assert_eq!(
-            spec_from_json(&wire).expect("parses").partitioning,
-            Partitioning::Auto
-        );
-        // Non-default strategies travel and reject unknown names.
-        let wire = spec_to_json(&sample());
-        assert_eq!(
-            wire.get("partitioning").and_then(Json::as_str),
-            Some("conjunctive")
-        );
-        let mut bad = spec_to_json(&sample());
-        if let Json::Obj(map) = &mut bad {
-            map.insert("partitioning".into(), Json::Str("sideways".into()));
-        }
-        let err = spec_from_json(&bad).expect_err("unknown partitioning");
-        assert!(err.contains("sideways"), "{err}");
     }
 }

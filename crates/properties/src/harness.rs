@@ -7,7 +7,7 @@ use ssr_bdd::{BddManager, BddVec, OrderPolicy};
 use ssr_cpu::{build_core, CoreConfig};
 use ssr_netlist::{Netlist, NetlistError};
 use ssr_sim::CompiledModel;
-use ssr_ste::{Assertion, CheckReport, Formula, Partitioning, Ste, SteError};
+use ssr_ste::{Assertion, CheckReport, Formula, Ste, SteError};
 
 /// A generated core together with everything needed to check STE assertions
 /// against it.
@@ -95,20 +95,6 @@ impl CoreHarness {
         assertions: &[Assertion],
     ) -> Result<Vec<CheckReport>, SteError> {
         Ste::new(&self.model).check_all(m, assertions)
-    }
-
-    /// Checks a whole suite under an explicit relation-[`Partitioning`]
-    /// strategy (see [`Ste::check_all_with`]).
-    ///
-    /// # Errors
-    /// Propagates elaboration errors from the STE engine.
-    pub fn check_all_with(
-        &self,
-        m: &mut BddManager,
-        assertions: &[Assertion],
-        partitioning: Partitioning,
-    ) -> Result<Vec<CheckReport>, SteError> {
-        Ste::new(&self.model).check_all_with(m, assertions, partitioning)
     }
 
     // ------------------------------------------------------------------

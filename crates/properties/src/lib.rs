@@ -32,5 +32,4 @@ pub mod property_two;
 pub mod suite;
 
 pub use harness::CoreHarness;
-pub use ssr_ste::Partitioning;
 pub use suite::Suite;

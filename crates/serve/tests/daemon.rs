@@ -6,8 +6,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ssr_engine::{
-    policy_by_name, CampaignSpec, Granularity, JobBudget, NamedConfig, OrderPolicy, Partitioning,
-    Suite,
+    policy_by_name, CampaignSpec, Granularity, JobBudget, NamedConfig, OrderPolicy, Suite,
 };
 use ssr_serve::{Client, Server, ServerConfig};
 
@@ -42,7 +41,6 @@ fn quick_spec() -> CampaignSpec {
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Suite,
         order: OrderPolicy::Interleaved,
-        partitioning: Partitioning::default(),
         reorder: None,
         threads: 1,
         budget: JobBudget::default(),

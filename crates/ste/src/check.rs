@@ -2,78 +2,13 @@
 
 use std::time::{Duration, Instant};
 
-use ssr_bdd::{Assignment, Bdd, BddManager, MaintainSettings};
+use ssr_bdd::{Assignment, Bdd, BddManager};
 use ssr_netlist::{NetId, Netlist};
 use ssr_sim::{CompiledModel, SymSimulator, SymState};
 use ssr_ternary::{SymTernary, Ternary};
 
 use crate::error::SteError;
 use crate::formula::{Assertion, Formula};
-
-/// How the checker represents the verification condition while it is being
-/// built.
-///
-/// The monolithic strategy conjoins every point-wise `⊑` condition into one
-/// `ok` BDD as the trajectory unfolds, keeping the whole trajectory alive
-/// until the end of the check.  The conjunctive strategy instead keeps the
-/// conditions as an ordered partition list — implicitly conjoined relation
-/// frames — and streams the trajectory one state at a time, so the kernel
-/// can collect each state as soon as its successor is computed; the
-/// partitions are only conjoined at the end, smallest first.  Verdicts and
-/// counterexamples are identical either way (BDDs are canonical, and a
-/// `true` condition is the conjunction identity); only peak memory and
-/// wall-clock differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Partitioning {
-    /// Eagerly conjoin conditions and retain the full trajectory.
-    Monolithic,
-    /// Stream the trajectory and keep conditions as partition frames.
-    Conjunctive,
-    /// Per assertion: conjunctive when the consequent has at least
-    /// [`AUTO_PARTITION_THRESHOLD`] point-wise constraints, else monolithic.
-    #[default]
-    Auto,
-}
-
-impl Partitioning {
-    /// Every mode, in presentation order.
-    pub const ALL: [Partitioning; 3] = [
-        Partitioning::Monolithic,
-        Partitioning::Conjunctive,
-        Partitioning::Auto,
-    ];
-
-    /// Stable lower-case identifier (CLI flag value and report field).
-    pub fn name(self) -> &'static str {
-        match self {
-            Partitioning::Monolithic => "monolithic",
-            Partitioning::Conjunctive => "conjunctive",
-            Partitioning::Auto => "auto",
-        }
-    }
-
-    /// Parses [`Partitioning::name`] output.
-    pub fn parse(text: &str) -> Option<Partitioning> {
-        Partitioning::ALL.into_iter().find(|p| p.name() == text)
-    }
-
-    /// `true` when an assertion whose consequent has `constraints`
-    /// point-wise constraints is checked by the streaming conjunctive path.
-    fn streams(self, constraints: usize) -> bool {
-        match self {
-            Partitioning::Monolithic => false,
-            Partitioning::Conjunctive => true,
-            Partitioning::Auto => constraints >= AUTO_PARTITION_THRESHOLD,
-        }
-    }
-}
-
-/// Consequent-constraint count at which [`Partitioning::Auto`] switches an
-/// assertion to the conjunctive strategy.  Below this the partition list is
-/// too short for streaming to pay for its bookkeeping; at or above it
-/// (word-level datapath and memory assertions) the streamed trajectory
-/// dominates peak live nodes.
-pub const AUTO_PARTITION_THRESHOLD: usize = 8;
 
 /// One violated consequent constraint in a counterexample.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,16 +115,23 @@ impl<'m> Ste<'m> {
 
     /// Checks the assertion `A ⇒ C` against the model.
     ///
-    /// When the manager has an automatic maintenance policy installed
-    /// ([`BddManager::set_maintenance`]), the checker declares safe
-    /// points: the assertion's guards, the antecedent/consequent
-    /// constraints and every trajectory state computed so far are
-    /// registered in a scoped root set, and the simulator may
-    /// garbage-collect and resift between gates and steps.  The verdict
-    /// is unchanged either way; only node counts and peak memory differ.
-    /// Note that after such a check the raw BDDs in the returned
-    /// [`CheckReport`] (`ok`, `antecedent_conflict`) are only guaranteed
-    /// valid until the next collection.
+    /// The trajectory is streamed: only the newest state stays protected
+    /// (its predecessor is released once the successor is computed), and
+    /// the point-wise `⊑` conditions that are not trivially true are kept
+    /// as a partition list, conjoined at the end smallest first.  The
+    /// assertion's guards and its antecedent/consequent constraints stay
+    /// rooted throughout.
+    ///
+    /// The checker never installs a maintenance policy; it honours the one
+    /// the manager has ([`BddManager::set_maintenance`]).  With a policy,
+    /// the simulator and the checker's per-step safe points may
+    /// garbage-collect (and resift) the released states, so peak memory
+    /// stays bounded by the working set rather than the trajectory.  With
+    /// none, nothing is freed and every handle the caller holds stays
+    /// valid.  The verdict is the same either way.  After a check under a
+    /// policy, the raw BDDs in the returned [`CheckReport`] (`ok`,
+    /// `antecedent_conflict`) are only guaranteed valid until the next
+    /// collection.
     ///
     /// # Errors
     /// Returns [`SteError::UnknownNode`] if either formula mentions a node
@@ -199,29 +141,10 @@ impl<'m> Ste<'m> {
         m: &mut BddManager,
         assertion: &Assertion,
     ) -> Result<CheckReport, SteError> {
-        self.check_with(m, assertion, Partitioning::Monolithic)
-    }
-
-    /// Checks the assertion under an explicit [`Partitioning`] strategy.
-    ///
-    /// See [`Ste::check`] for the rooting and lifetime contract; the
-    /// conjunctive strategy additionally installs a GC-only maintenance
-    /// policy for its own duration when the caller has none, since the
-    /// streamed trajectory only saves memory if dead states are actually
-    /// collected.
-    ///
-    /// # Errors
-    /// Returns [`SteError::UnknownNode`] if either formula mentions a node
-    /// that does not exist in the model.
-    pub fn check_with(
-        &self,
-        m: &mut BddManager,
-        assertion: &Assertion,
-        partitioning: Partitioning,
-    ) -> Result<CheckReport, SteError> {
         let start = Instant::now();
         let netlist = self.model.netlist();
         let depth = assertion.depth();
+        let state_bits = self.model.state_bits();
 
         // A job whose deadline already lapsed (e.g. on a later assertion
         // of a long suite) gives up before elaborating anything new.
@@ -229,160 +152,16 @@ impl<'m> Ste<'m> {
         let a_seq = assertion.antecedent.defining_sequence(m, netlist, depth)?;
         let c_seq = assertion.consequent.defining_sequence(m, netlist, depth)?;
 
-        if partitioning.streams(c_seq.iter().map(Vec::len).sum()) {
-            self.check_conjunctive(m, assertion, &a_seq, &c_seq, start)
-        } else {
-            self.check_monolithic(m, assertion, &a_seq, &c_seq, start)
-        }
-    }
-
-    /// The eager strategy: simulate the full trajectory, then conjoin every
-    /// condition into one `ok` BDD.
-    fn check_monolithic(
-        &self,
-        m: &mut BddManager,
-        assertion: &Assertion,
-        a_seq: &[Vec<(NetId, SymTernary)>],
-        c_seq: &[Vec<(NetId, SymTernary)>],
-        start: Instant,
-    ) -> Result<CheckReport, SteError> {
-        let netlist = self.model.netlist();
-        let depth = assertion.depth();
-
-        let maintaining = m.maintenance_enabled();
-        if maintaining {
-            m.push_root_frame();
-            // The assertion's own guard BDDs are rooted too, so the caller
-            // can re-check the same assertion after a collection.
-            let mut guards = Vec::new();
-            assertion.collect_bdds(&mut guards);
-            for guard in guards {
-                m.root(guard);
-            }
-            for seq in [a_seq, c_seq] {
-                for constraints in seq.iter() {
-                    for &(_, value) in constraints {
-                        m.root(value.hi());
-                        m.root(value.lo());
-                    }
-                }
-            }
-        }
-
-        let sim = SymSimulator::new(self.model);
-        let trajectory = if !maintaining {
-            sim.run(m, a_seq)
-        } else {
-            // Step manually so every completed state can be rooted before
-            // the kernel collects the step's dead intermediates (and
-            // resifts if the live set grew).
-            let mut trajectory: Vec<SymState> = Vec::with_capacity(depth);
-            for (t, drive) in a_seq.iter().enumerate() {
-                // Per-step deadline probe: tighter than the kernel's
-                // periodic in-recursion check, and at a point where the
-                // root frame makes unwinding safe.
-                m.check_deadline();
-                let state = if t == 0 {
-                    sim.initial_state(m, drive)
-                } else {
-                    sim.step(m, &trajectory[t - 1], drive)
-                };
-                for value in state.nodes() {
-                    m.root(value.hi());
-                    m.root(value.lo());
-                }
-                for index in 0..self.model.state_bits() {
-                    let shadow = state.shadow_clk(index);
-                    m.root(shadow.hi());
-                    m.root(shadow.lo());
-                }
-                m.maintain();
-                trajectory.push(state);
-            }
-            trajectory
-        };
-
-        // Antecedent consistency: a ⊤ on any antecedent-driven node means the
-        // stimulus contradicts the circuit (or itself) for those assignments.
-        let mut conflict = Bdd::FALSE;
-        for (t, constraints) in a_seq.iter().enumerate() {
-            for &(net, _) in constraints {
-                let top_here = trajectory[t].node(net).is_top(m);
-                conflict = m.or(conflict, top_here);
-            }
-        }
-
-        // The verification condition: ∀ t, n. [C] t n ⊑ [[A]] t n.
-        let mut ok = Bdd::TRUE;
-        let mut constraints_checked = 0usize;
-        let mut violated: Vec<Violation> = Vec::new();
-        for (t, constraints) in c_seq.iter().enumerate() {
-            for &(net, required) in constraints {
-                let actual = trajectory[t].node(net);
-                let cond = required.leq(m, &actual);
-                constraints_checked += 1;
-                if !cond.is_true() {
-                    violated.push((t, net, required, actual));
-                }
-                ok = m.and(ok, cond);
-            }
-        }
-
-        let holds = ok.is_true();
-        let counterexample = counterexample(m, netlist, ok, &violated);
-
-        if maintaining {
-            m.pop_root_frame();
-        }
-
-        Ok(CheckReport {
-            name: assertion.name.clone(),
-            holds,
-            ok,
-            antecedent_conflict: conflict,
-            counterexample,
-            depth,
-            constraints_checked,
-            duration: start.elapsed(),
-        })
-    }
-
-    /// The streaming strategy: keep only the newest trajectory state
-    /// protected, collect its predecessor each step, and gather the
-    /// point-wise conditions as a partition list conjoined at the end,
-    /// smallest first.
-    fn check_conjunctive(
-        &self,
-        m: &mut BddManager,
-        assertion: &Assertion,
-        a_seq: &[Vec<(NetId, SymTernary)>],
-        c_seq: &[Vec<(NetId, SymTernary)>],
-        start: Instant,
-    ) -> Result<CheckReport, SteError> {
-        let netlist = self.model.netlist();
-        let depth = assertion.depth();
-        let state_bits = self.model.state_bits();
-
-        // Streaming only saves memory if dead states are actually
-        // collected, so force a GC-only policy when the caller installed
-        // none (sifting stays opt-in: it changes the variable order).
-        let saved = m.maintenance();
-        let forced = saved.is_none();
-        if forced {
-            m.set_maintenance(Some(MaintainSettings {
-                sift: false,
-                ..MaintainSettings::default()
-            }));
-        }
-
         m.push_root_frame();
+        // The assertion's own guard BDDs are rooted too, so the caller can
+        // re-check the same assertion after a collection.
         let mut guards = Vec::new();
         assertion.collect_bdds(&mut guards);
         for guard in guards {
             m.root(guard);
         }
-        for seq in [a_seq, c_seq] {
-            for constraints in seq.iter() {
+        for seq in [&a_seq, &c_seq] {
+            for constraints in seq {
                 for &(_, value) in constraints {
                     m.root(value.hi());
                     m.root(value.lo());
@@ -397,6 +176,9 @@ impl<'m> Ste<'m> {
         let mut violated: Vec<Violation> = Vec::new();
         let mut prev: Option<SymState> = None;
         for (t, drive) in a_seq.iter().enumerate() {
+            // Per-step deadline probe: tighter than the kernel's periodic
+            // in-recursion check, and at a point where the root frame
+            // makes unwinding safe.
             m.check_deadline();
             let state = match &prev {
                 None => sim.initial_state(m, drive),
@@ -406,6 +188,9 @@ impl<'m> Ste<'m> {
             if let Some(p) = prev.take() {
                 release_state(m, &p, state_bits);
             }
+            // Antecedent consistency: a ⊤ on any antecedent-driven node
+            // means the stimulus contradicts the circuit (or itself) for
+            // those assignments.
             for &(net, _) in drive {
                 let top_here = state.node(net).is_top(m);
                 let next = m.or(conflict, top_here);
@@ -413,13 +198,14 @@ impl<'m> Ste<'m> {
                 m.release(conflict);
                 conflict = next;
             }
+            // The verification condition: ∀ t, n. [C] t n ⊑ [[A]] t n.
             for &(net, required) in &c_seq[t] {
                 let actual = state.node(net);
                 let cond = required.leq(m, &actual);
                 constraints_checked += 1;
-                // A true condition is the conjunction identity — dropping
-                // it keeps `ok` (and therefore the verdict and the
-                // counterexample) identical to the monolithic fold.
+                // A true condition is the conjunction identity: dropping
+                // it leaves `ok`, the verdict and the counterexample as
+                // they are.
                 if !cond.is_true() {
                     m.protect(cond);
                     m.protect(actual.hi());
@@ -453,9 +239,6 @@ impl<'m> Ste<'m> {
         }
         m.release(conflict);
         m.pop_root_frame();
-        if forced {
-            m.set_maintenance(saved);
-        }
 
         Ok(CheckReport {
             name: assertion.name.clone(),
@@ -472,10 +255,9 @@ impl<'m> Ste<'m> {
     /// Checks a whole suite of assertions, returning one report per
     /// assertion in order.
     ///
-    /// With a maintenance policy installed, the guard BDDs of *every*
-    /// assertion are rooted for the duration of the run, so a collection
-    /// triggered inside one check cannot reclaim the formulas of the
-    /// checks still to come.
+    /// The guard BDDs of *every* assertion are rooted for the duration of
+    /// the run, so a collection triggered inside one check cannot reclaim
+    /// the formulas of the checks still to come.
     ///
     /// # Errors
     /// Fails fast on the first elaboration error.
@@ -484,40 +266,16 @@ impl<'m> Ste<'m> {
         m: &mut BddManager,
         assertions: &[Assertion],
     ) -> Result<Vec<CheckReport>, SteError> {
-        self.check_all_with(m, assertions, Partitioning::Monolithic)
-    }
-
-    /// [`Ste::check_all`] under an explicit [`Partitioning`] strategy.
-    ///
-    /// # Errors
-    /// Fails fast on the first elaboration error.
-    pub fn check_all_with(
-        &self,
-        m: &mut BddManager,
-        assertions: &[Assertion],
-        partitioning: Partitioning,
-    ) -> Result<Vec<CheckReport>, SteError> {
-        // Any non-monolithic mode may collect mid-suite (the conjunctive
-        // path forces a GC policy of its own), so the later assertions'
-        // guards need rooting even when the caller installed no policy.
-        let rooting = m.maintenance_enabled() || partitioning != Partitioning::Monolithic;
-        if rooting {
-            let mut guards = Vec::new();
-            for assertion in assertions {
-                assertion.collect_bdds(&mut guards);
-            }
-            m.push_root_frame();
-            for guard in guards {
-                m.root(guard);
-            }
+        let mut guards = Vec::new();
+        for assertion in assertions {
+            assertion.collect_bdds(&mut guards);
         }
-        let reports = assertions
-            .iter()
-            .map(|a| self.check_with(m, a, partitioning))
-            .collect();
-        if rooting {
-            m.pop_root_frame();
+        m.push_root_frame();
+        for guard in guards {
+            m.root(guard);
         }
+        let reports = assertions.iter().map(|a| self.check(m, a)).collect();
+        m.pop_root_frame();
         reports
     }
 }
@@ -564,8 +322,8 @@ fn counterexample(
     })
 }
 
-/// Protects a trajectory state's node and shadow-clock rails for the
-/// streaming checker (refcounts, so nesting with root frames is safe).
+/// Protects a trajectory state's node and shadow-clock rails (refcounts,
+/// so nesting with root frames is safe).
 fn protect_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
     for value in state.nodes() {
         m.protect(value.hi());
@@ -595,7 +353,7 @@ fn release_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
 mod tests {
     use super::*;
     use crate::stimulus::{waveform, Segment};
-    use ssr_bdd::BddVec;
+    use ssr_bdd::{BddVec, MaintainSettings};
     use ssr_netlist::builder::NetlistBuilder;
     use ssr_netlist::RegKind;
 
@@ -615,6 +373,62 @@ mod tests {
         let q = b.reg("q", RegKind::Simple, d, clk, None, None);
         b.mark_output(q);
         b.finish().expect("valid")
+    }
+
+    /// The dff capture property: `d` holds `v` over [0, 2) across a rising
+    /// clock edge at 1, and `q` is claimed to show `v` at time `at`.  The
+    /// model's timing makes it hold for `at == 2` and fail for `at == 1`.
+    fn dff_capture(m: &mut BddManager, v: Bdd, at: usize) -> Assertion {
+        let clock = Formula::is0("clock")
+            .and(Formula::is1("clock").delay(1))
+            .and(Formula::is0("clock").delay(2));
+        let data = Formula::is_bdd(m, "d", v).from_to(0, 2);
+        let c = Formula::is_bdd(m, "q", v).delay(at);
+        Assertion::named("dff_capture", clock.and(data), c)
+    }
+
+    /// A `width`-bit register `q` that increments on every rising clock
+    /// edge.
+    fn counter(width: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("counter");
+        let clk = b.input("clock");
+        let zero = b.constant(false);
+        let q = b.word_reg("q", RegKind::Simple, &vec![zero; width], clk, None, None);
+        let one = b.word_constant(1, width);
+        let (next, _carry) = b.word_add(&q, &one, None).expect("widths");
+        for (&bit, &d) in q.iter().zip(&next) {
+            b.patch_reg_data(bit, d);
+        }
+        b.mark_word_output(&q);
+        b.finish().expect("valid")
+    }
+
+    /// Checks the counter from a symbolic start value over `depth` time
+    /// units of a free-running clock (a rising edge every second unit),
+    /// with a consequent on one node: bit 0 at the last unit.
+    fn check_counter(m: &mut BddManager, model: &CompiledModel, depth: usize) -> CheckReport {
+        let width = model.state_bits();
+        let start = BddVec::new_input(m, "v", width);
+        let mut clock = Formula::is0("clock");
+        for t in 1..depth {
+            let level = if t % 2 == 1 {
+                Formula::is1("clock")
+            } else {
+                Formula::is0("clock")
+            };
+            clock = clock.and(level.delay(t));
+        }
+        let a = clock.and(Formula::word_is(m, "q", &start));
+        let increments = (depth - 1) / 2;
+        let bit0 = if increments % 2 == 1 {
+            start.bit(0).negate()
+        } else {
+            start.bit(0)
+        };
+        let c = Formula::is_bdd(m, "q[0]", bit0).delay(depth - 1);
+        Ste::new(model)
+            .check(m, &Assertion::named("count", a, c))
+            .expect("checks")
     }
 
     #[test]
@@ -702,29 +516,21 @@ mod tests {
         let ste = Ste::new(&model);
         let mut m = BddManager::new();
         let v = m.new_var("v");
-        let clock = Formula::is0("clock")
-            .and(Formula::is1("clock").delay(1))
-            .and(Formula::is0("clock").delay(2));
-        let data = Formula::is_bdd(&mut m, "d", v).from_to(0, 2);
-        let a = clock.and(data);
-        let c = Formula::is_bdd(&mut m, "q", v).delay(2);
-        let report = ste
-            .check(&mut m, &Assertion::named("dff_capture", a, c))
-            .expect("checks");
+        let good = dff_capture(&mut m, v, 2);
+        let report = ste.check(&mut m, &good).expect("checks");
         assert!(report.holds, "flop captures the symbolic value");
         assert_eq!(report.depth, 3);
 
         // Negative control: claiming the value appears one step too early
-        // must fail.
-        let clock2 = Formula::is0("clock")
-            .and(Formula::is1("clock").delay(1))
-            .and(Formula::is0("clock").delay(2));
-        let data2 = Formula::is_bdd(&mut m, "d", v).from_to(0, 2);
-        let early = Formula::is_bdd(&mut m, "q", v).delay(1);
-        let report2 = ste
-            .check(&mut m, &Assertion::new(clock2.and(data2), early))
-            .expect("checks");
+        // must fail, naming `q` at time 1.
+        let early = dff_capture(&mut m, v, 1);
+        let report2 = ste.check(&mut m, &early).expect("checks");
         assert!(!report2.holds);
+        let cex = report2.counterexample.expect("has counterexample");
+        assert_eq!(
+            (cex.failures[0].time, cex.failures[0].node.as_str()),
+            (1, "q")
+        );
 
         // Figure 1: capture v, then sleep (NRET low over [3, 6)) while NRST
         // pulses low at 4.  A retention cell keeps v throughout; an
@@ -770,6 +576,41 @@ mod tests {
     }
 
     #[test]
+    fn conjunctive_mode_streams_sequential_trajectories() {
+        // The checker streams the trajectory conjunct by conjunct, releasing
+        // each state once its successor is computed.  Collecting every
+        // released state as soon as the live set doubles must leave the
+        // dff capture verdicts and the counterexample unchanged.
+        let n = dff();
+        let model = CompiledModel::new(&n).expect("compiles");
+        let ste = Ste::new(&model);
+        let verdicts = |m: &mut BddManager| {
+            let v = m.new_var("v");
+            let good = dff_capture(m, v, 2);
+            let early = dff_capture(m, v, 1);
+            let good = ste.check(m, &good).expect("checks");
+            let early = ste.check(m, &early).expect("checks");
+            (good.holds, good.depth, early.holds, early.counterexample)
+        };
+        let mut m = BddManager::new();
+        let kept = verdicts(&mut m);
+        assert_eq!(m.stats().gc_passes, 0);
+        assert!(kept.0, "flop captures the symbolic value");
+        assert_eq!(kept.1, 3);
+        assert!(!kept.2);
+        assert!(kept.3.is_some(), "early claim has a counterexample");
+
+        let mut eager = BddManager::new();
+        eager.set_maintenance(Some(MaintainSettings {
+            gc_threshold: 1,
+            ..MaintainSettings::default()
+        }));
+        let collected = verdicts(&mut eager);
+        assert!(eager.stats().gc_passes > 0, "states were collected");
+        assert_eq!(collected, kept);
+    }
+
+    #[test]
     fn antecedent_conflict_is_reported() {
         let n = and_gate();
         let model = CompiledModel::new(&n).expect("compiles");
@@ -812,96 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn conjunctive_mode_matches_monolithic_verdicts() {
-        // A failing combinational spec: both strategies must produce the
-        // same `ok` BDD, verdict, conflict and counterexample (the `true`
-        // conditions the conjunctive path drops are conjunction
-        // identities).
-        let n = and_gate();
-        let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
-        let mut m = BddManager::new();
-        let va = m.new_var("va");
-        let vb = m.new_var("vb");
-        let a = Formula::is_bdd(&mut m, "a", va).and(Formula::is_bdd(&mut m, "b", vb));
-        let wrong = m.or(va, vb);
-        let c = Formula::is_bdd(&mut m, "out", wrong);
-        let assertion = Assertion::new(a, c);
-        let mono = ste
-            .check_with(&mut m, &assertion, Partitioning::Monolithic)
-            .expect("checks");
-        let conj = ste
-            .check_with(&mut m, &assertion, Partitioning::Conjunctive)
-            .expect("checks");
-        assert!(!conj.holds);
-        assert_eq!(mono.holds, conj.holds);
-        assert_eq!(mono.ok, conj.ok);
-        assert_eq!(mono.antecedent_conflict, conj.antecedent_conflict);
-        assert_eq!(mono.constraints_checked, conj.constraints_checked);
-        assert_eq!(mono.counterexample, conj.counterexample);
-    }
-
-    #[test]
-    fn conjunctive_mode_streams_sequential_trajectories() {
-        // The dff capture property exercises the streaming path across
-        // steps: the predecessor state is released each step and the
-        // verdict must match the monolithic reference.
-        let n = dff();
-        let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
-        let mut m = BddManager::new();
-        let v = m.new_var("v");
-        let clock = Formula::is0("clock")
-            .and(Formula::is1("clock").delay(1))
-            .and(Formula::is0("clock").delay(2));
-        let data = Formula::is_bdd(&mut m, "d", v).from_to(0, 2);
-        let a = clock.and(data);
-        let c = Formula::is_bdd(&mut m, "q", v).delay(2);
-        let assertion = Assertion::named("dff_capture", a, c);
-        let report = ste
-            .check_with(&mut m, &assertion, Partitioning::Conjunctive)
-            .expect("checks");
-        assert!(report.holds);
-        assert_eq!(report.depth, 3);
-
-        // Early claim fails identically under both strategies.
-        let clock2 = Formula::is0("clock")
-            .and(Formula::is1("clock").delay(1))
-            .and(Formula::is0("clock").delay(2));
-        let data2 = Formula::is_bdd(&mut m, "d", v).from_to(0, 2);
-        let early = Formula::is_bdd(&mut m, "q", v).delay(1);
-        let bad = Assertion::new(clock2.and(data2), early);
-        let mono = ste
-            .check_with(&mut m, &bad, Partitioning::Monolithic)
-            .expect("checks");
-        let conj = ste
-            .check_with(&mut m, &bad, Partitioning::Conjunctive)
-            .expect("checks");
-        assert!(!conj.holds);
-        assert_eq!(mono.ok, conj.ok);
-        assert_eq!(mono.counterexample, conj.counterexample);
-    }
-
-    #[test]
-    fn conjunctive_mode_restores_the_callers_maintenance_policy() {
-        let n = and_gate();
-        let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
-        let mut m = BddManager::new();
-        // No policy installed: the conjunctive path forces one for its own
-        // duration and must uninstall it afterwards.
-        let a = Formula::is0("a");
-        let c = Formula::is0("out");
-        let assertion = Assertion::new(a, c);
-        assert!(m.maintenance().is_none());
-        let report = ste
-            .check_with(&mut m, &assertion, Partitioning::Conjunctive)
-            .expect("checks");
-        assert!(report.holds);
-        assert!(m.maintenance().is_none(), "forced policy was uninstalled");
-    }
-
-    #[test]
     fn word_level_datapath_check() {
         // A 4-bit adder netlist: sum = a + b (mod 16).
         let mut b = NetlistBuilder::new("adder");
@@ -931,74 +682,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_partitioning_switches_at_the_constraint_threshold() {
-        // The 4-bit adder consequent carries exactly
-        // AUTO_PARTITION_THRESHOLD point-wise constraints, so `auto` routes
-        // it to the conjunctive path, while a 1-constraint assertion stays
-        // monolithic.  Either way the verdict and counterexample match.
-        let constraints = |m: &mut BddManager, netlist: &Netlist, assertion: &Assertion| {
-            let c_seq = assertion
-                .consequent
-                .defining_sequence(m, netlist, assertion.depth())
-                .expect("elaborates");
-            c_seq.iter().map(Vec::len).sum::<usize>()
-        };
-        let mut b = NetlistBuilder::new("adder");
-        let a_in = b.word_input("a", 4);
-        let b_in = b.word_input("b", 4);
-        let (sum, _carry) = b.word_add(&a_in, &b_in, None).expect("widths");
-        let named: Vec<_> = sum
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| b.buf(format!("sum[{i}]"), s))
-            .collect();
-        b.mark_word_output(&named);
-        let n = b.finish().expect("valid");
-        let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
-        let mut m = BddManager::new();
-        let (va, vb) = BddVec::new_interleaved_pair(&mut m, "va", "vb", 4);
-        let a_f = Formula::word_is(&mut m, "a", &va);
-        let b_f = Formula::word_is(&mut m, "b", &vb);
-        // Deliberately wrong: claim the sum ignores the carry chain.
-        let wrong = va.xor(&mut m, &vb).expect("widths");
-        let c = Formula::word_is(&mut m, "sum", &wrong);
-        let assertion = Assertion::named("adder_wrong", a_f.and(b_f), c);
-        let count = constraints(&mut m, &n, &assertion);
-        assert_eq!(count, AUTO_PARTITION_THRESHOLD);
-        assert!(Partitioning::Auto.streams(count), "auto streams the adder");
-        assert!(!Partitioning::Auto.streams(count - 1));
-        assert!(!Partitioning::Monolithic.streams(count));
-        assert!(Partitioning::Conjunctive.streams(1));
-        let auto = ste
-            .check_with(&mut m, &assertion, Partitioning::Auto)
-            .expect("checks");
-        assert!(!auto.holds);
-        let mono = ste
-            .check_with(&mut m, &assertion, Partitioning::Monolithic)
-            .expect("checks");
-        assert_eq!(mono.ok, auto.ok);
-        assert_eq!(mono.counterexample, auto.counterexample);
-
-        // A single-constraint assertion under `auto` is monolithic.
-        let gate = and_gate();
-        let gate_model = CompiledModel::new(&gate).expect("compiles");
-        let gate_ste = Ste::new(&gate_model);
-        let mut gm = BddManager::new();
-        let single = Assertion::new(Formula::is0("a"), Formula::is0("out"));
-        assert!(!Partitioning::Auto.streams(constraints(&mut gm, &gate, &single)));
-        let report = gate_ste
-            .check_with(&mut gm, &single, Partitioning::Auto)
-            .expect("checks");
-        assert!(report.holds);
-    }
-
-    #[test]
     fn counterexamples_name_a_failing_node_when_one_sat_leaves_variables_free() {
         // out = a xor b, but the consequent claims out = a.  The failure
         // condition is exactly `vb`, so `one_sat` assigns vb alone and
         // leaves va free, while both the required value (va) and the
-        // trajectory's (va xor vb) read va.  Both paths must still report
+        // trajectory's (va xor vb) read va.  The check must still report
         // the violated node under a complete assignment.
         let mut b = NetlistBuilder::new("xor");
         let a_in = b.input("a");
@@ -1008,38 +696,65 @@ mod tests {
         let n = b.finish().expect("valid");
         let model = CompiledModel::new(&n).expect("compiles");
         let ste = Ste::new(&model);
-        for mode in [Partitioning::Monolithic, Partitioning::Conjunctive] {
-            let mut m = BddManager::new();
-            let va = m.new_var("va");
-            let vb = m.new_var("vb");
-            let a = Formula::is_bdd(&mut m, "a", va).and(Formula::is_bdd(&mut m, "b", vb));
-            let c = Formula::is_bdd(&mut m, "out", va);
-            let report = ste
-                .check_with(&mut m, &Assertion::new(a, c), mode)
-                .expect("checks");
-            assert!(!report.holds);
-            let cex = report.counterexample.expect("has counterexample");
-            assert_eq!(cex.assignment.len(), m.var_count(), "{mode:?}");
-            assert_eq!(cex.assignment.get(1), Some(true));
-            assert_eq!(
-                cex.failures,
-                vec![FailedNode {
-                    time: 0,
-                    node: "out".into(),
-                    expected: Ternary::Zero,
-                    actual: Ternary::One,
-                }],
-                "{mode:?}"
-            );
-        }
+        let mut m = BddManager::new();
+        let va = m.new_var("va");
+        let vb = m.new_var("vb");
+        let a = Formula::is_bdd(&mut m, "a", va).and(Formula::is_bdd(&mut m, "b", vb));
+        let c = Formula::is_bdd(&mut m, "out", va);
+        let report = ste.check(&mut m, &Assertion::new(a, c)).expect("checks");
+        assert!(!report.holds);
+        let cex = report.counterexample.expect("has counterexample");
+        assert_eq!(cex.assignment.len(), m.var_count());
+        assert_eq!(cex.assignment.get(1), Some(true));
+        assert_eq!(
+            cex.failures,
+            vec![FailedNode {
+                time: 0,
+                node: "out".into(),
+                expected: Ternary::Zero,
+                actual: Ternary::One,
+            }]
+        );
     }
 
     #[test]
-    fn partitioning_names_round_trip() {
-        for mode in Partitioning::ALL {
-            assert_eq!(Partitioning::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(Partitioning::parse("bogus"), None);
-        assert_eq!(Partitioning::default(), Partitioning::Auto);
+    fn collected_checks_keep_peak_live_nodes_flat_in_trajectory_depth() {
+        // Under a GC policy only the newest state is live across a step,
+        // so checking four times as deep must not need more memory.
+        let n = counter(64);
+        let model = CompiledModel::new(&n).expect("compiles");
+        let peak = |depth: usize| {
+            let mut m = BddManager::new();
+            m.set_maintenance(Some(MaintainSettings {
+                gc_threshold: 1 << 10,
+                ..MaintainSettings::default()
+            }));
+            let report = check_counter(&mut m, &model, depth);
+            assert!(report.holds, "depth {depth}");
+            assert_eq!(report.constraints_checked, 2, "`q[0] is b` is two rails");
+            let stats = m.stats();
+            assert!(stats.gc_passes > 0, "depth {depth} collected");
+            stats.peak_live_nodes
+        };
+        let (shallow, deep) = (peak(32), peak(128));
+        assert!(
+            deep <= shallow + shallow / 4,
+            "peak live grew with depth: {shallow} -> {deep}"
+        );
+    }
+
+    #[test]
+    fn check_never_installs_a_maintenance_policy() {
+        // A check that allocates well past the default GC threshold still
+        // frees nothing when the caller installed no policy.
+        let n = counter(64);
+        let model = CompiledModel::new(&n).expect("compiles");
+        let mut m = BddManager::new();
+        let report = check_counter(&mut m, &model, 128);
+        assert!(report.holds);
+        assert!(m.maintenance().is_none(), "no policy was installed");
+        let stats = m.stats();
+        assert!(stats.nodes_allocated > MaintainSettings::default().gc_threshold);
+        assert_eq!(stats.gc_passes, 0);
     }
 }

@@ -32,6 +32,12 @@
 //! [`Ste::check`] evaluates exactly this condition with BDDs and returns a
 //! [`CheckReport`] carrying the Boolean residual, any antecedent conflicts
 //! (⊤ values) and a concrete counterexample trace when the property fails.
+//! The check streams the trajectory: each state is released once its
+//! successor exists, and the condition is kept as partition frames that are
+//! conjoined at the end, smallest first.  Under a maintenance policy on the
+//! manager ([`ssr_bdd::BddManager::set_maintenance`]) the released states
+//! are collected, so peak memory follows the working set rather than the
+//! trajectory depth.  The checker never installs a policy itself.
 //!
 //! ## Example
 //!
@@ -73,8 +79,6 @@ pub mod indexing;
 pub mod infer;
 pub mod stimulus;
 
-pub use check::{
-    CheckReport, Counterexample, FailedNode, Partitioning, Ste, AUTO_PARTITION_THRESHOLD,
-};
+pub use check::{CheckReport, Counterexample, FailedNode, Ste};
 pub use error::SteError;
 pub use formula::{Assertion, Formula};

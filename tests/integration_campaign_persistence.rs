@@ -23,7 +23,6 @@ fn spec(threads: usize) -> CampaignSpec {
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Suite,
         order: ssr_engine::OrderPolicy::Interleaved,
-        partitioning: ssr_engine::Partitioning::default(),
         reorder: None,
         threads,
         budget: JobBudget::default(),

@@ -23,7 +23,6 @@ fn spec(order: OrderPolicy, reorder: Option<MaintainSettings>) -> CampaignSpec {
         suites: vec![Suite::PropertyTwo],
         granularity: Granularity::Suite,
         order,
-        partitioning: ssr_engine::Partitioning::default(),
         reorder,
         budget: ssr_engine::JobBudget::default(),
         threads: 1,
@@ -41,7 +40,6 @@ fn ifr_spec(order: OrderPolicy) -> CampaignSpec {
         suites: vec![Suite::Ifr],
         granularity: Granularity::Suite,
         order,
-        partitioning: ssr_engine::Partitioning::default(),
         reorder: None,
         budget: ssr_engine::JobBudget::default(),
         threads: 1,
@@ -155,7 +153,10 @@ fn pre_ordering_journals_resume_against_the_default_order() {
     //   field — the lenient parser must default to `interleaved`;
     // * a report and a journal written while the warm-start store existed
     //   carry nonzero `store_hits`/`store_misses` counters, which the
-    //   parser must ignore.
+    //   parser must ignore;
+    // * a report and a journal written while the checker had selectable
+    //   strategies carry a `partitioning` key on every job, which the
+    //   parser must ignore whatever its value.
     // Each must load, resume against a default-order enumeration to the
     // fresh run's canonical report, and diff clean against it.
     let campaign = spec(OrderPolicy::Interleaved, None);
@@ -166,11 +167,30 @@ fn pre_ordering_journals_resume_against_the_default_order() {
         !legacy.contains("\"order\""),
         "the simulated legacy report must not mention order"
     );
-    let (store_report, store_journal) = with_store_counters(&report);
+    // The store-era writer added `store_hits` or `store_misses` to a job
+    // only when nonzero, so every job here carries exactly one of the two.
+    let (store_report, store_journal) = written_with(&report, |i| {
+        let key = if i % 2 == 0 {
+            "store_hits"
+        } else {
+            "store_misses"
+        };
+        (key, Json::Num(1.0))
+    });
+    let (strategy_report, strategy_journal) = written_with(&report, |i| {
+        let strategy = if i % 2 == 0 {
+            "monolithic"
+        } else {
+            "conjunctive"
+        };
+        ("partitioning", Json::Str(strategy.into()))
+    });
     for (what, text) in [
         ("pre-ordering report", legacy),
         ("store-era report", store_report),
         ("store-era journal", store_journal),
+        ("partitioning-era report", strategy_report),
+        ("partitioning-era journal", strategy_journal),
     ] {
         let partial = load_partial(&text).unwrap_or_else(|e| panic!("{what} loads: {e}"));
         assert!(partial.jobs.iter().all(|j| j.order == "interleaved"));
@@ -185,10 +205,12 @@ fn pre_ordering_journals_resume_against_the_default_order() {
     }
 }
 
-/// The report and the journal of `report` as the store-era writer emitted
-/// them: it added `store_hits` or `store_misses` to a job only when
-/// nonzero, so every job here carries exactly one of the two.
-fn with_store_counters(report: &CampaignReport) -> (String, String) {
+/// The report and the journal of `report` as an older writer emitted
+/// them, with the field `extra(i)` added to job `i`.
+fn written_with(
+    report: &CampaignReport,
+    extra: impl Fn(usize) -> (&'static str, Json),
+) -> (String, String) {
     let jobs: Vec<Json> = report
         .jobs
         .iter()
@@ -196,12 +218,8 @@ fn with_store_counters(report: &CampaignReport) -> (String, String) {
         .map(|(i, job)| {
             let mut line = job.to_json();
             if let Json::Obj(fields) = &mut line {
-                let key = if i % 2 == 0 {
-                    "store_hits"
-                } else {
-                    "store_misses"
-                };
-                fields.insert(key.to_owned(), Json::Num(1.0));
+                let (key, value) = extra(i);
+                fields.insert(key.to_owned(), value);
             }
             line
         })
@@ -221,7 +239,12 @@ fn with_store_counters(report: &CampaignReport) -> (String, String) {
         .map(|line| line.render() + "\n")
         .collect();
     let doc = doc.render_pretty();
-    assert!(doc.contains("\"store_hits\"") && journal.contains("\"store_misses\""));
+    for (i, job) in jobs.iter().enumerate() {
+        let (key, value) = extra(i);
+        assert_eq!(job.get(key), Some(&value));
+        let field = format!("\"{key}\"");
+        assert!(doc.contains(&field) && journal.contains(&field));
+    }
     (doc, journal)
 }
 
