@@ -13,8 +13,8 @@
 //! * memory-array expansion ([`builder::MemoryPorts`]) into register words,
 //!   address decoders and read multiplexers — exactly what the paper's
 //!   synthesis flow produces for the 256×32 instruction memory;
-//! * structural analyses: topological levelisation, combinational-loop
-//!   detection and cone-of-influence extraction ([`topo`]);
+//! * structural analyses: topological levelisation and
+//!   combinational-loop detection ([`topo`]);
 //! * a BLIF reader/writer ([`blif`]) so externally synthesised designs can
 //!   be imported and our generated cores exported;
 //! * area statistics ([`stats`]) used by the retention area/leakage model.

@@ -200,35 +200,28 @@ impl Netlist {
             }
         }
         // Single-driver check.
-        let mut drivers: HashMap<NetId, usize> = HashMap::new();
+        let mut from_cells = vec![0u32; self.nets.len()];
         for (_, cell) in self.cells() {
-            *drivers.entry(cell.output).or_insert(0) += 1;
+            from_cells[cell.output.index()] += 1;
         }
-        for (id, net) in self.nets() {
-            let from_cells = drivers.get(&id).copied().unwrap_or(0);
-            let declared = matches!(net.driver, NetDriver::Input | NetDriver::Constant(_)) as usize;
-            if from_cells + declared > 1 {
+        for (net, &count) in self.nets.iter().zip(&from_cells) {
+            let declared = matches!(net.driver, NetDriver::Input | NetDriver::Constant(_)) as u32;
+            if count + declared > 1 {
                 return Err(NetlistError::MultipleDrivers(net.name.clone()));
             }
         }
         // Every net used as a cell input or primary output must be driven.
-        let mut used: Vec<NetId> = self.outputs.clone();
-        for (_, cell) in self.cells() {
-            used.extend_from_slice(&cell.inputs);
-        }
-        for id in used {
+        let used = self
+            .outputs
+            .iter()
+            .chain(self.cells.iter().flat_map(|c| &c.inputs));
+        for &id in used {
             let net = self.net(id);
-            let driven = !matches!(net.driver, NetDriver::Undriven);
-            if !driven {
+            if matches!(net.driver, NetDriver::Undriven) {
                 return Err(NetlistError::Undriven(net.name.clone()));
             }
         }
         Ok(())
-    }
-
-    /// Cells driving each net (the reverse of the `output` relation).
-    pub(crate) fn driver_map(&self) -> HashMap<NetId, CellId> {
-        self.cells().map(|(id, c)| (c.output, id)).collect()
     }
 
     /// Returns the ids of all retention registers.

@@ -1,11 +1,12 @@
-//! Structural analyses: topological ordering of the combinational logic,
-//! combinational-loop detection and cone-of-influence extraction.
-
-use std::collections::{HashMap, HashSet, VecDeque};
+//! Structural analyses: topological ordering of the combinational logic
+//! and combinational-loop detection.
+//!
+//! Everything here indexes dense vectors by cell and net id; compiling the
+//! paper core touches no hash table.
 
 use crate::cell::CellId;
 use crate::error::NetlistError;
-use crate::netlist::{NetDriver, NetId, Netlist};
+use crate::netlist::{NetId, Netlist};
 
 /// A topological evaluation order of the combinational cells.
 ///
@@ -20,104 +21,113 @@ pub struct EvalOrder {
     pub depth: usize,
 }
 
-/// Computes an evaluation order for the combinational part of `netlist`.
+/// No cell drives the net.
+const UNDRIVEN: u32 = u32::MAX;
+
+/// Computes an evaluation order for the combinational part of `netlist`:
+/// Kahn's algorithm with a FIFO queue seeded with the source cells in id
+/// order.
 ///
 /// # Errors
 /// Returns [`NetlistError::CombinationalLoop`] naming a net on a cycle if
 /// the combinational logic is cyclic.
 pub fn eval_order(netlist: &Netlist) -> Result<EvalOrder, NetlistError> {
-    let driver = netlist.driver_map();
+    let cells = netlist.cell_count();
+    // The combinational cell driving each net, if any.
+    let mut driver = vec![UNDRIVEN; netlist.net_count()];
+    for (id, cell) in netlist.comb_cells() {
+        driver[cell.output.index()] = id.0;
+    }
+    let comb_driver = |net: NetId| Some(driver[net.index()]).filter(|&d| d != UNDRIVEN);
 
-    // Build the dependency graph between combinational cells only.
-    let comb: Vec<CellId> = netlist.comb_cells().map(|(id, _)| id).collect();
-    let comb_set: HashSet<CellId> = comb.iter().copied().collect();
+    // Successor lists in compressed form: one edge per (input, reader)
+    // pair, in reader order, so the queue releases cells in the same order
+    // as adjacency lists built edge by edge would.
+    let mut in_degree = vec![0u32; cells];
+    let mut first = vec![0u32; cells + 1];
+    for (id, cell) in netlist.comb_cells() {
+        for src in cell.inputs.iter().filter_map(|&i| comb_driver(i)) {
+            first[src as usize + 1] += 1;
+            in_degree[id.index()] += 1;
+        }
+    }
+    for i in 0..cells {
+        first[i + 1] += first[i];
+    }
+    let mut fill = first.clone();
+    let mut successors = vec![0u32; first[cells] as usize];
+    for (id, cell) in netlist.comb_cells() {
+        for src in cell.inputs.iter().filter_map(|&i| comb_driver(i)) {
+            successors[fill[src as usize] as usize] = id.0;
+            fill[src as usize] += 1;
+        }
+    }
 
-    let mut in_degree: HashMap<CellId, usize> = comb.iter().map(|&c| (c, 0)).collect();
-    let mut successors: HashMap<CellId, Vec<CellId>> = HashMap::new();
-
-    for &cell_id in &comb {
-        let cell = netlist.cell(cell_id);
-        for &input in &cell.inputs {
-            if let Some(&src) = driver.get(&input) {
-                if comb_set.contains(&src) {
-                    successors.entry(src).or_default().push(cell_id);
-                    *in_degree.get_mut(&cell_id).expect("present") += 1;
-                }
+    // The order doubles as the FIFO queue: `head` is the next cell to
+    // release.
+    let mut order: Vec<CellId> = netlist
+        .comb_cells()
+        .filter(|(id, _)| in_degree[id.index()] == 0)
+        .map(|(id, _)| id)
+        .collect();
+    let mut level = vec![0u32; cells];
+    for c in &order {
+        level[c.index()] = 1;
+    }
+    let mut head = 0;
+    while let Some(&c) = order.get(head) {
+        head += 1;
+        let next = level[c.index()] + 1;
+        for &s in &successors[first[c.index()] as usize..first[c.index() + 1] as usize] {
+            let s = s as usize;
+            level[s] = level[s].max(next);
+            in_degree[s] -= 1;
+            if in_degree[s] == 0 {
+                order.push(CellId(s as u32));
             }
         }
     }
 
-    // Kahn's algorithm, tracking logic depth.
-    let mut queue: VecDeque<CellId> = comb.iter().copied().filter(|c| in_degree[c] == 0).collect();
-    let mut level: HashMap<CellId, usize> = queue.iter().map(|&c| (c, 1)).collect();
-    let mut order = Vec::with_capacity(comb.len());
-    let mut depth = 0usize;
-
-    while let Some(c) = queue.pop_front() {
-        order.push(c);
-        depth = depth.max(level[&c]);
-        if let Some(succs) = successors.get(&c) {
-            for &s in succs.clone().iter() {
-                let d = in_degree.get_mut(&s).expect("present");
-                *d -= 1;
-                let candidate = level[&c] + 1;
-                let entry = level.entry(s).or_insert(candidate);
-                if *entry < candidate {
-                    *entry = candidate;
-                }
-                if *d == 0 {
-                    queue.push_back(s);
-                }
-            }
-        }
+    let comb = netlist.comb_cells().count();
+    if order.len() != comb {
+        return Err(NetlistError::CombinationalLoop(cycle_net(
+            netlist,
+            &in_degree,
+            &comb_driver,
+        )));
     }
-
-    if order.len() != comb.len() {
-        // Some cell was never released: it sits on a cycle.
-        let stuck = comb
-            .iter()
-            .find(|c| !order.contains(c))
-            .expect("at least one cell on the cycle");
-        let net = netlist.cell(*stuck).output;
-        return Err(NetlistError::CombinationalLoop(
-            netlist.net(net).name.clone(),
-        ));
-    }
-
+    let depth = order.iter().map(|c| level[c.index()]).max().unwrap_or(0);
     Ok(EvalOrder {
         comb_cells: order,
-        depth,
+        depth: depth as usize,
     })
 }
 
-/// Computes the cone of influence of the given sink nets: the set of cells
-/// and nets that can affect them (crossing register boundaries).
-///
-/// Returns `(cells, nets)` as sets.
-pub fn cone_of_influence(netlist: &Netlist, sinks: &[NetId]) -> (HashSet<CellId>, HashSet<NetId>) {
-    let driver = netlist.driver_map();
-    let mut cells = HashSet::new();
-    let mut nets: HashSet<NetId> = HashSet::new();
-    let mut work: Vec<NetId> = sinks.to_vec();
-
-    while let Some(net) = work.pop() {
-        if !nets.insert(net) {
-            continue;
-        }
-        match netlist.net(net).driver {
-            NetDriver::Cell(_) => {
-                if let Some(&cell_id) = driver.get(&net) {
-                    if cells.insert(cell_id) {
-                        for &input in &netlist.cell(cell_id).inputs {
-                            work.push(input);
-                        }
-                    }
-                }
-            }
-            NetDriver::Input | NetDriver::Constant(_) | NetDriver::Undriven => {}
-        }
+/// The name of a net on a combinational cycle, once Kahn's algorithm has
+/// stalled.  Every cell it never released still has a never-released
+/// combinational predecessor, so walking those predecessors from any stuck
+/// cell must revisit a cell, and that cell lies on a cycle.
+fn cycle_net(
+    netlist: &Netlist,
+    in_degree: &[u32],
+    comb_driver: &impl Fn(NetId) -> Option<u32>,
+) -> String {
+    let stuck = |c: u32| in_degree[c as usize] > 0;
+    let mut visited = vec![false; in_degree.len()];
+    let mut c = (0..in_degree.len() as u32)
+        .find(|&c| stuck(c))
+        .expect("a stalled sort leaves a cell behind");
+    while !visited[c as usize] {
+        visited[c as usize] = true;
+        c = netlist
+            .cell(CellId(c))
+            .inputs
+            .iter()
+            .filter_map(|&i| comb_driver(i))
+            .find(|&p| stuck(p))
+            .expect("a stuck cell has a stuck predecessor");
     }
-    (cells, nets)
+    netlist.net(netlist.cell(CellId(c)).output).name.clone()
 }
 
 #[cfg(test)]
@@ -173,36 +183,31 @@ mod tests {
     fn combinational_loop_detected() {
         // x = a AND y; y = NOT x — a purely combinational cycle, built
         // through the raw constructor because the builder cannot produce it.
+        // z = NOT x reads the cycle without lying on it, and is cell 0, so
+        // it is the first cell the stalled sort leaves behind.
         use crate::cell::{Cell, CellKind, GateOp};
         use crate::netlist::{Net, NetDriver, Netlist};
         use std::collections::HashMap;
+        let net = |name: &str, driver| Net {
+            name: name.into(),
+            driver,
+        };
         let nets = vec![
-            Net {
-                name: "a".into(),
-                driver: NetDriver::Input,
-            },
-            Net {
-                name: "x".into(),
-                driver: NetDriver::Cell(CellId(0)),
-            },
-            Net {
-                name: "y".into(),
-                driver: NetDriver::Cell(CellId(1)),
-            },
+            net("a", NetDriver::Input),
+            net("x", NetDriver::Cell(CellId(1))),
+            net("y", NetDriver::Cell(CellId(2))),
+            net("z", NetDriver::Cell(CellId(0))),
         ];
+        let gate = |name: &str, op, inputs: &[u32], output| Cell {
+            name: name.into(),
+            kind: CellKind::Gate(op),
+            inputs: inputs.iter().map(|&i| NetId(i)).collect(),
+            output: NetId(output),
+        };
         let cells = vec![
-            Cell {
-                name: "x".into(),
-                kind: CellKind::Gate(GateOp::And),
-                inputs: vec![NetId(0), NetId(2)],
-                output: NetId(1),
-            },
-            Cell {
-                name: "y".into(),
-                kind: CellKind::Gate(GateOp::Not),
-                inputs: vec![NetId(1)],
-                output: NetId(2),
-            },
+            gate("z", GateOp::Not, &[1], 3),
+            gate("x", GateOp::And, &[0, 2], 1),
+            gate("y", GateOp::Not, &[1], 2),
         ];
         let by_name: HashMap<String, NetId> = nets
             .iter()
@@ -214,28 +219,14 @@ mod tests {
             nets,
             cells,
             vec![NetId(0)],
-            vec![NetId(2)],
+            vec![NetId(3)],
             by_name,
         );
-        assert!(matches!(
-            eval_order(&cyclic),
-            Err(NetlistError::CombinationalLoop(_))
-        ));
-    }
-
-    #[test]
-    fn cone_of_influence_stops_at_unrelated_logic() {
-        let mut b = NetlistBuilder::new("t");
-        let a = b.input("a");
-        let c = b.input("b");
-        let unrelated = b.input("u");
-        let x = b.and("x", a, c);
-        let _dead = b.not("dead", unrelated);
-        b.mark_output(x);
-        let n = b.finish().expect("valid");
-        let (cells, nets) = cone_of_influence(&n, &[n.find_net("x").unwrap()]);
-        assert_eq!(cells.len(), 1);
-        assert!(nets.contains(&n.find_net("a").unwrap()));
-        assert!(!nets.contains(&n.find_net("u").unwrap()));
+        match eval_order(&cyclic) {
+            Err(NetlistError::CombinationalLoop(name)) => {
+                assert!(name == "x" || name == "y", "{name} is not on the cycle");
+            }
+            other => panic!("expected a combinational loop, got {other:?}"),
+        }
     }
 }

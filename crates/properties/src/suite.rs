@@ -113,8 +113,12 @@ impl Suite {
     /// sharding for the campaign engine).
     ///
     /// Building a single assertion still goes through the full suite
-    /// constructor — assertion construction is cheap next to checking, and
-    /// this keeps the numbering authoritative.
+    /// constructor, which keeps the numbering authoritative but is not
+    /// cheap next to checking.  On the paper core (2-vCPU Xeon VM), one
+    /// Property II suite takes 34–57 ms to build across the seven named
+    /// policies, against a 12 ms median job of the assertion-granular
+    /// policy sweep, and that sweep spends 5.8 s building suites against
+    /// 5.5 s checking them.
     ///
     /// # Panics
     /// Panics if `index >= assertion_count()` or the suite is not

@@ -13,6 +13,37 @@
 //!   "conventional simulation with 0s and 1s" (experiment E9) and as a
 //!   reference semantics in tests.
 //!
+//! ## Planned simulation
+//!
+//! A verdict reads only a few nets per step, and most of a full step's BDD
+//! work lands in cells none of them can see.  [`SymSimulator::planned_step`]
+//! simulates under a per-assertion [`DemandPlan`] instead, which the STE
+//! checker builds before it simulates:
+//!
+//! * **Exactness.**  A cheap abstract run gives each rail of each net one
+//!   of "constantly true", "constantly false" or "depends on the
+//!   assignment", replaying every dual-rail operation of
+//!   [`SymSimulator::step`] with three-valued and/or.  A net with two
+//!   constant rails is *exact*: the full simulation gives it the same
+//!   lattice constant (0, 1, X or ⊤) under every assignment, so the
+//!   planned step sets it without a BDD operation.
+//! * **Demand.**  A backward walk marks, step by step, the nets whose
+//!   symbolic value the verdict can read: the antecedent's driven nets and
+//!   the consequent's nets, then whatever a demanded gate or register
+//!   reads, cut at exact values — a constant 0 on an AND input, a constant
+//!   mux select, a clock with no edge.  Only demanded nets are computed;
+//!   every other net stays X.
+//! * **Reuse.**  A demanded gate that was computed one step earlier, not
+//!   driven there, and whose inputs carry the same BDD handles takes its
+//!   previous value.  Handles are canonical and the previous state stays
+//!   protected until its successor is, so equal handles mean equal
+//!   functions: state held through sleep or a parked PC costs nothing.
+//!
+//! Every driven and consequent net carries exactly the BDD the full
+//! simulation computes, so verdicts, conflicts and counterexamples do not
+//! move.  [`SymSimulator::step`] and [`SymSimulator::run`] stay the full
+//! simulation, and share one stepping body with the planned step.
+//!
 //! ## Timing model
 //!
 //! The model is a Moore machine over discrete STE time units.  All registers
@@ -66,9 +97,11 @@
 
 mod concrete;
 mod model;
+mod plan;
 mod symbolic;
 pub mod waveform;
 
 pub use concrete::{ConcreteSimulator, ConcreteState};
 pub use model::CompiledModel;
+pub use plan::DemandPlan;
 pub use symbolic::{SymSimulator, SymState};

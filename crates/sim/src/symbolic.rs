@@ -1,10 +1,16 @@
 //! The ternary symbolic simulator — the STE excitation function.
 
 use ssr_bdd::BddManager;
-use ssr_netlist::{CellKind, GateOp, NetDriver, NetId, RegKind};
+use ssr_netlist::{Cell, CellKind, GateOp, NetDriver, NetId, RegKind};
 use ssr_ternary::SymTernary;
 
 use crate::model::CompiledModel;
+use crate::plan::{Action, DemandPlan, StepPlan};
+
+/// What a step does with `net`: every net is computed without a plan.
+fn action(plan: Option<StepPlan<'_>>, net: NetId) -> Action {
+    plan.map_or(Action::Compute, |p| p.action(net))
+}
 
 /// The complete symbolic circuit state at one STE time unit: a dual-rail
 /// value for every net, plus the per-register clock shadows used for edge
@@ -60,13 +66,7 @@ impl<'m> SymSimulator<'m> {
     /// in `drive` are joined on top, constants take their values and the
     /// combinational logic is closed.
     pub fn initial_state(&self, m: &mut BddManager, drive: &[(NetId, SymTernary)]) -> SymState {
-        let netlist = self.model.netlist();
-        let mut nodes = vec![SymTernary::X; netlist.net_count()];
-        let shadow_clk = vec![SymTernary::X; self.model.state_bits()];
-        self.apply_constants(&mut nodes);
-        Self::apply_drive(m, &mut nodes, drive);
-        self.propagate(m, &mut nodes, &shadow_clk);
-        SymState { nodes, shadow_clk }
+        self.advance(m, None, drive, None)
     }
 
     /// Computes the state at time `t` from the state at `t-1` (`prev`) and
@@ -81,53 +81,42 @@ impl<'m> SymSimulator<'m> {
         prev: &SymState,
         drive: &[(NetId, SymTernary)],
     ) -> SymState {
-        let netlist = self.model.netlist();
-        let mut nodes = vec![SymTernary::X; netlist.net_count()];
-        let mut shadow_clk = Vec::with_capacity(self.model.state_bits());
+        self.advance(m, Some(prev), drive, None)
+    }
 
-        // Sequential excitation: next value of every register output.
-        for (state_index, &cell_id) in self.model.state_cells().iter().enumerate() {
-            let cell = netlist.cell(cell_id);
-            let kind = match cell.kind {
-                CellKind::Reg(k) => k,
-                CellKind::Gate(_) => unreachable!("state_cells only holds registers"),
-            };
-            let q_prev = prev.node(cell.output);
-            let d_prev = prev.node(cell.reg_data());
-            let clk_prev = prev.node(cell.reg_clock());
-            let clk_shadow = prev.shadow_clk(state_index);
-
-            // Rising edge seen now: clock was 1 at t-1 and 0 at t-2.
-            let rising = {
-                let not_shadow = clk_shadow.not();
-                clk_prev.and(m, &not_shadow)
-            };
-            let clocked = SymTernary::mux(m, &rising, &d_prev, &q_prev);
-
-            let next = match kind {
-                RegKind::Simple => clocked,
-                RegKind::AsyncReset { reset_value } => {
-                    let nrst = prev.node(cell.reg_nrst().expect("async reset has nrst"));
-                    let reset = SymTernary::from_bool(reset_value);
-                    SymTernary::mux(m, &nrst, &clocked, &reset)
-                }
-                RegKind::Retention { reset_value } => {
-                    let nrst = prev.node(cell.reg_nrst().expect("retention has nrst"));
-                    let nret = prev.node(cell.reg_nret().expect("retention has nret"));
-                    let reset = SymTernary::from_bool(reset_value);
-                    let sample_path = SymTernary::mux(m, &nrst, &clocked, &reset);
-                    // Retention has priority over reset: NRET low holds q.
-                    SymTernary::mux(m, &nret, &sample_path, &q_prev)
-                }
-            };
-            nodes[cell.output.index()] = next;
-            shadow_clk.push(clk_prev);
-        }
-
-        self.apply_constants(&mut nodes);
-        Self::apply_drive(m, &mut nodes, drive);
-        self.propagate(m, &mut nodes, &shadow_clk);
-        SymState { nodes, shadow_clk }
+    /// Computes state `t` of the trajectory `plan` was built for: `prev` is
+    /// the planned state `t-1` (`None` at `t = 0`) and `drive` the
+    /// antecedent's constraints at `t`.
+    ///
+    /// Exact nets take their constant, demanded nets are computed and every
+    /// other net stays `X`.  A demanded gate that was computed, and not
+    /// driven, at `t-1` and whose inputs all carry the same BDD handles as
+    /// in `prev` takes its previous value instead of being re-evaluated:
+    /// handles are canonical, so equal inputs mean an equal output.  That
+    /// needs `prev` to stay valid (protected, under a collecting policy)
+    /// until this step returns.
+    ///
+    /// Every net the plan's verdict reads — the driven nets and the
+    /// consequent's — carries exactly the BDD [`SymSimulator::step`]
+    /// computes for it; the rest of the state is not a trajectory.
+    ///
+    /// # Panics
+    /// Panics if `prev` is absent at `t > 0` or present at `t = 0`, or if
+    /// `t` is past the plan's depth.
+    pub fn planned_step(
+        &self,
+        m: &mut BddManager,
+        prev: Option<&SymState>,
+        drive: &[(NetId, SymTernary)],
+        plan: &DemandPlan,
+        t: usize,
+    ) -> SymState {
+        assert_eq!(
+            prev.is_some(),
+            t > 0,
+            "a planned step after step 0 needs its predecessor"
+        );
+        self.advance(m, prev, drive, Some(plan.step(t)))
     }
 
     /// Runs a whole trajectory: `drives[t]` is the constraint list for time
@@ -143,6 +132,82 @@ impl<'m> SymSimulator<'m> {
             states.push(state);
         }
         states
+    }
+
+    /// The one stepping body: the registers' next state from `prev` (none
+    /// at time 0, where every register starts `X`), then the constants, the
+    /// drive and the combinational logic.  Without a plan every net is
+    /// computed.
+    fn advance(
+        &self,
+        m: &mut BddManager,
+        prev: Option<&SymState>,
+        drive: &[(NetId, SymTernary)],
+        plan: Option<StepPlan<'_>>,
+    ) -> SymState {
+        let netlist = self.model.netlist();
+        let mut nodes = vec![SymTernary::X; netlist.net_count()];
+        let shadow_clk = match prev {
+            None => vec![SymTernary::X; self.model.state_bits()],
+            Some(prev) => {
+                let mut shadow_clk = Vec::with_capacity(self.model.state_bits());
+                for (state_index, &cell_id) in self.model.state_cells().iter().enumerate() {
+                    let cell = netlist.cell(cell_id);
+                    nodes[cell.output.index()] = match action(plan, cell.output) {
+                        Action::Compute => Self::next_state(m, prev, state_index, cell),
+                        Action::Const(value) => SymTernary::constant(value),
+                        Action::Idle => SymTernary::X,
+                    };
+                    shadow_clk.push(prev.node(cell.reg_clock()));
+                }
+                shadow_clk
+            }
+        };
+        self.apply_constants(&mut nodes);
+        Self::apply_drive(m, &mut nodes, drive);
+        self.propagate(m, &mut nodes, &shadow_clk, prev, plan);
+        SymState { nodes, shadow_clk }
+    }
+
+    /// A register's value at `t` from the state at `t-1`.
+    fn next_state(
+        m: &mut BddManager,
+        prev: &SymState,
+        state_index: usize,
+        cell: &Cell,
+    ) -> SymTernary {
+        let kind = match cell.kind {
+            CellKind::Reg(k) => k,
+            CellKind::Gate(_) => unreachable!("state_cells only holds registers"),
+        };
+        let q_prev = prev.node(cell.output);
+        let d_prev = prev.node(cell.reg_data());
+        let clk_prev = prev.node(cell.reg_clock());
+        let clk_shadow = prev.shadow_clk(state_index);
+
+        // Rising edge seen now: clock was 1 at t-1 and 0 at t-2.
+        let rising = {
+            let not_shadow = clk_shadow.not();
+            clk_prev.and(m, &not_shadow)
+        };
+        let clocked = SymTernary::mux(m, &rising, &d_prev, &q_prev);
+
+        match kind {
+            RegKind::Simple => clocked,
+            RegKind::AsyncReset { reset_value } => {
+                let nrst = prev.node(cell.reg_nrst().expect("async reset has nrst"));
+                let reset = SymTernary::from_bool(reset_value);
+                SymTernary::mux(m, &nrst, &clocked, &reset)
+            }
+            RegKind::Retention { reset_value } => {
+                let nrst = prev.node(cell.reg_nrst().expect("retention has nrst"));
+                let nret = prev.node(cell.reg_nret().expect("retention has nret"));
+                let reset = SymTernary::from_bool(reset_value);
+                let sample_path = SymTernary::mux(m, &nrst, &clocked, &reset);
+                // Retention has priority over reset: NRET low holds q.
+                SymTernary::mux(m, &nret, &sample_path, &q_prev)
+            }
+        }
     }
 
     fn apply_constants(&self, nodes: &mut [SymTernary]) {
@@ -162,7 +227,9 @@ impl<'m> SymSimulator<'m> {
 
     /// Closes the combinational logic: every gate output is joined with the
     /// gate function applied to its (already final) inputs.  One pass in
-    /// topological order suffices.
+    /// topological order suffices.  Under a plan, idle gates are skipped,
+    /// constant ones take their constant and a computed gate whose inputs
+    /// kept their handles since `prev` reuses its previous value.
     ///
     /// When the manager has a maintenance policy installed and a pass is
     /// due, the gate loop declares a safe point: the whole working state —
@@ -172,7 +239,14 @@ impl<'m> SymSimulator<'m> {
     /// down *inside* one time step, where the big-memory configurations
     /// allocate most of their nodes; callers that enable maintenance must
     /// root everything else they hold (the STE checker does).
-    fn propagate(&self, m: &mut BddManager, nodes: &mut [SymTernary], extra: &[SymTernary]) {
+    fn propagate(
+        &self,
+        m: &mut BddManager,
+        nodes: &mut [SymTernary],
+        extra: &[SymTernary],
+        prev: Option<&SymState>,
+        plan: Option<StepPlan<'_>>,
+    ) {
         let netlist = self.model.netlist();
         let maintaining = m.maintenance_enabled();
         for &cell_id in self.model.comb_order() {
@@ -181,7 +255,22 @@ impl<'m> SymSimulator<'m> {
                 CellKind::Gate(op) => op,
                 CellKind::Reg(_) => unreachable!("comb_order only holds gates"),
             };
-            let value = Self::eval_gate(m, op, cell.inputs.iter().map(|&i| nodes[i.index()]));
+            let value = match action(plan, cell.output) {
+                Action::Idle => continue,
+                Action::Const(value) => SymTernary::constant(value),
+                Action::Compute => {
+                    let unchanged = |p: &&SymState| {
+                        plan.is_some_and(|plan| plan.reusable(cell.output))
+                            && cell.inputs.iter().all(|&i| nodes[i.index()] == p.node(i))
+                    };
+                    match prev.filter(unchanged) {
+                        Some(p) => p.node(cell.output),
+                        None => {
+                            Self::eval_gate(m, op, cell.inputs.iter().map(|&i| nodes[i.index()]))
+                        }
+                    }
+                }
+            };
             let out = cell.output.index();
             nodes[out] = nodes[out].join(m, &value);
             if maintaining && m.maintenance_due() {
@@ -469,6 +558,76 @@ mod tests {
         let a_id = n.find_net("a").unwrap();
         let s = sim.initial_state(&mut m, &[(a_id, SymTernary::ZERO), (a_id, SymTernary::ONE)]);
         assert_eq!(s.node(a_id).to_constant(&m), Some(Ternary::Top));
+    }
+
+    #[test]
+    fn planned_steps_reuse_gates_whose_inputs_held() {
+        // An 8-bit register captures a symbolic word at the edge seen at
+        // t = 2 and then holds it with the clock at 0, feeding an XOR tree
+        // whose output is read at every step from t = 2.  Once the tree is
+        // computed, the held steps must not evaluate it again: with the
+        // computed table emptied before each of them, any re-evaluation
+        // would show up as ITE misses.
+        let mut b = NetlistBuilder::new("parity");
+        let clk = b.input("clock");
+        let d = b.word_input("d", 8);
+        let q = b.word_reg("q", RegKind::Simple, &d, clk, None, None);
+        let mut level = q.clone();
+        while level.len() > 1 {
+            level = level.chunks(2).map(|p| b.xor_auto(p[0], p[1])).collect();
+        }
+        let parity = b.buf("parity", level[0]);
+        b.mark_output(parity);
+        let n = b.finish().expect("valid");
+        let model = CompiledModel::new(&n).expect("compiles");
+        let sim = SymSimulator::new(&model);
+        let mut m = BddManager::new();
+        let v: Vec<SymTernary> = (0..8)
+            .map(|i| SymTernary::symbol(&mut m, format!("v{i}")))
+            .collect();
+        let depth = 7;
+        let drives: Vec<Vec<(NetId, SymTernary)>> = (0..depth)
+            .map(|t| {
+                let level = if t == 1 {
+                    SymTernary::ONE
+                } else {
+                    SymTernary::ZERO
+                };
+                let mut drive = vec![(clk, level)];
+                if t < 2 {
+                    drive.extend(d.iter().copied().zip(v.iter().copied()));
+                }
+                drive
+            })
+            .collect();
+        let reads: Vec<Vec<(NetId, SymTernary)>> = (0..depth)
+            .map(|t| {
+                if t < 2 {
+                    Vec::new()
+                } else {
+                    vec![(parity, SymTernary::X)]
+                }
+            })
+            .collect();
+        let plan = DemandPlan::new(&model, &drives, &reads);
+        let full = sim.run(&mut m, &drives);
+
+        let mut prev: Option<SymState> = None;
+        for (t, drive) in drives.iter().enumerate() {
+            m.clear_caches();
+            let before = m.stats().ite_cache_misses;
+            let state = sim.planned_step(&mut m, prev.as_ref(), drive, &plan, t);
+            let misses = m.stats().ite_cache_misses - before;
+            match t {
+                2 => assert!(misses > 0, "the capture step computes the tree"),
+                3.. => assert_eq!(misses, 0, "held step {t} re-evaluated the tree"),
+                _ => {}
+            }
+            for &(net, _) in drive.iter().chain(&reads[t]) {
+                assert_eq!(state.node(net), full[t].node(net), "step {t}");
+            }
+            prev = Some(state);
+        }
     }
 
     #[test]

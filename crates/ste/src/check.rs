@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use ssr_bdd::{Assignment, Bdd, BddManager};
 use ssr_netlist::{NetId, Netlist};
-use ssr_sim::{CompiledModel, SymSimulator, SymState};
+use ssr_sim::{CompiledModel, DemandPlan, SymSimulator, SymState};
 use ssr_ternary::{SymTernary, Ternary};
 
 use crate::error::SteError;
@@ -115,6 +115,11 @@ impl<'m> Ste<'m> {
 
     /// Checks the assertion `A ⇒ C` against the model.
     ///
+    /// The trajectory is simulated under a [`DemandPlan`]: only the nets
+    /// the verdict can read are computed, each exactly as the full
+    /// simulation would ([`SymSimulator::planned_step`]), and a gate whose
+    /// inputs did not change since the previous step keeps its value.
+    ///
     /// The trajectory is streamed: only the newest state stays protected
     /// (its predecessor is released once the successor is computed), and
     /// the point-wise `⊑` conditions that are not trivially true are kept
@@ -151,6 +156,7 @@ impl<'m> Ste<'m> {
         m.check_deadline();
         let a_seq = assertion.antecedent.defining_sequence(m, netlist, depth)?;
         let c_seq = assertion.consequent.defining_sequence(m, netlist, depth)?;
+        let plan = DemandPlan::new(self.model, &a_seq, &c_seq);
 
         m.push_root_frame();
         // The assertion's own guard BDDs are rooted too, so the caller can
@@ -180,10 +186,7 @@ impl<'m> Ste<'m> {
             // in-recursion check, and at a point where the root frame
             // makes unwinding safe.
             m.check_deadline();
-            let state = match &prev {
-                None => sim.initial_state(m, drive),
-                Some(p) => sim.step(m, p, drive),
-            };
+            let state = sim.planned_step(m, prev.as_ref(), drive, &plan, t);
             protect_state(m, &state, state_bits);
             if let Some(p) = prev.take() {
                 release_state(m, &p, state_bits);
@@ -403,9 +406,11 @@ mod tests {
         b.finish().expect("valid")
     }
 
-    /// Checks the counter from a symbolic start value over `depth` time
+    /// Checks the counter from a symbolic start value `v` over `depth` time
     /// units of a free-running clock (a rising edge every second unit),
-    /// with a consequent on one node: bit 0 at the last unit.
+    /// with a consequent on the whole word at the last unit:
+    /// `q = v + increments`.  Every bit's carry chain is demanded, so the
+    /// planned simulation does the adder's full work at every edge.
     fn check_counter(m: &mut BddManager, model: &CompiledModel, depth: usize) -> CheckReport {
         let width = model.state_bits();
         let start = BddVec::new_input(m, "v", width);
@@ -420,12 +425,8 @@ mod tests {
         }
         let a = clock.and(Formula::word_is(m, "q", &start));
         let increments = (depth - 1) / 2;
-        let bit0 = if increments % 2 == 1 {
-            start.bit(0).negate()
-        } else {
-            start.bit(0)
-        };
-        let c = Formula::is_bdd(m, "q[0]", bit0).delay(depth - 1);
+        let expected = start.add_constant(m, increments as u64);
+        let c = Formula::word_is(m, "q", &expected).delay(depth - 1);
         Ste::new(model)
             .check(m, &Assertion::named("count", a, c))
             .expect("checks")
@@ -624,6 +625,33 @@ mod tests {
     }
 
     #[test]
+    fn a_constant_drive_on_a_symbolic_net_can_conflict() {
+        // g = buf(x) and out = and(g, y), with x is v, g is 0 and y is 1,
+        // claiming out is 1.  g is x ⊔ 0: 0 where v = 0 and ⊤ where v = 1,
+        // so out is 0 or ⊤, and both the claim and the conflict are exactly
+        // v.  Reading the symbolic drive on x as X would make g an exact 0
+        // and report FALSE for both.
+        let mut b = NetlistBuilder::new("top");
+        let x = b.input("x");
+        let y = b.input("y");
+        let g = b.buf("g", x);
+        let out = b.and("out", g, y);
+        b.mark_output(out);
+        let n = b.finish().expect("valid");
+        let model = CompiledModel::new(&n).expect("compiles");
+        let mut m = BddManager::new();
+        let v = m.new_var("v");
+        let a = Formula::is_bdd(&mut m, "x", v)
+            .and(Formula::is0("g"))
+            .and(Formula::is1("y"));
+        let report = Ste::new(&model)
+            .check(&mut m, &Assertion::new(a, Formula::is1("out")))
+            .expect("checks");
+        assert_eq!(report.ok, v);
+        assert_eq!(report.antecedent_conflict, v);
+    }
+
+    #[test]
     fn unknown_nodes_are_errors() {
         let n = and_gate();
         let model = CompiledModel::new(&n).expect("compiles");
@@ -731,7 +759,10 @@ mod tests {
             }));
             let report = check_counter(&mut m, &model, depth);
             assert!(report.holds, "depth {depth}");
-            assert_eq!(report.constraints_checked, 2, "`q[0] is b` is two rails");
+            assert_eq!(
+                report.constraints_checked, 128,
+                "`q is v + n` is two rails a bit"
+            );
             let stats = m.stats();
             assert!(stats.gc_passes > 0, "depth {depth} collected");
             stats.peak_live_nodes
