@@ -14,8 +14,7 @@
 //! * satisfiability helpers: `sat_count`, `one_sat` cube extraction,
 //!   `all_sat` enumeration, support computation,
 //! * bit-vector ("word level") helpers in [`vec::BddVec`] used by the memory
-//!   and datapath models,
-//! * Graphviz dot export for debugging.
+//!   and datapath models.
 //!
 //! ## Example
 //!
@@ -62,18 +61,15 @@
 //!   `restrict`, `compose`, `rename` and quantification memoise per call
 //!   in a reusable scratch map.  [`BddStats`] surfaces the ITE
 //!   hit/miss/normalisation counters, the live/peak node counts and the
-//!   GC/reorder counters.
-//! * Variable order: declaration order by default, with the static presets
-//!   in [`order::OrderPolicy`] (interleaved | sequential | reverse |
-//!   explicit) naming how word-level operands are declared.  The order is
-//!   *dynamic* underneath: [`BddManager::swap_adjacent_levels`] exchanges
-//!   two adjacent levels in place (every handle keeps its function), and
-//!   [`BddManager::sift`] runs Rudell-style sifting with a growth cap on
-//!   top of it (DESIGN.md experiment E10, now in-kernel).  Automatic
-//!   GC+sift maintenance at caller-declared safe points is configured with
-//!   [`BddManager::set_maintenance`] and driven by
-//!   [`BddManager::maintain`]; GC fires once the live count has doubled
-//!   since the last pass (capped under an installed node budget).
+//!   GC counters.
+//! * Variable order: the declaration order — a variable's index is its
+//!   level — with the static presets in [`order::OrderPolicy`]
+//!   (interleaved | sequential | reverse | explicit) naming how word-level
+//!   operands are declared.  Automatic GC at caller-declared safe points
+//!   is configured with [`BddManager::set_maintenance`]
+//!   ([`MaintainSettings`]) and driven by [`BddManager::maintain`]; it
+//!   fires once the live count has doubled since the last pass (capped
+//!   under an installed node budget).
 //! * Resource governance: [`BddManager::set_budget`] installs a live-node
 //!   ceiling, an ITE-step ceiling and a wall-clock deadline
 //!   ([`BudgetSettings`]).  Exhaustion unwinds out of the hot paths with a
@@ -85,19 +81,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dot;
 mod error;
 pub mod hash;
 mod manager;
 mod node;
 pub mod order;
-pub mod reorder;
 pub mod vec;
 
 pub use error::{BddError, BudgetKind};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use manager::{Assignment, BddManager, BddStats, BudgetSettings};
+pub use manager::{Assignment, BddManager, BddStats, BudgetSettings, MaintainSettings};
 pub use node::Bdd;
 pub use order::OrderPolicy;
-pub use reorder::{MaintainSettings, SiftOutcome};
 pub use vec::BddVec;

@@ -7,7 +7,6 @@ use std::time::Instant;
 use crate::error::{BddError, BudgetKind};
 use crate::hash::{mix2, FxHashMap, FxHashSet};
 use crate::node::{Bdd, Node};
-use crate::reorder::MaintainSettings;
 
 /// A (partial) assignment of Boolean values to BDD variables.
 ///
@@ -109,13 +108,8 @@ pub struct BddStats {
     pub peak_live_nodes: usize,
     /// Mark-and-sweep passes run ([`BddManager::gc`]).
     pub gc_passes: u64,
-    /// Total nodes reclaimed across all GC passes (including nodes freed by
-    /// reordering's reference-count sweeps).
+    /// Total nodes reclaimed across all GC passes.
     pub gc_reclaimed: u64,
-    /// Completed sifting passes ([`BddManager::sift`]).
-    pub reorder_passes: u64,
-    /// Adjacent-level swaps performed (each sift pass runs many).
-    pub level_swaps: u64,
     /// Number of declared variables.
     pub variables: usize,
     /// Hits recorded on the ITE computed table.
@@ -123,7 +117,7 @@ pub struct BddStats {
     /// Misses recorded on the ITE computed table.
     pub ite_cache_misses: u64,
     /// Standard-triple rewrites applied (equal-argument absorption and
-    /// commutative operand reordering), counted per rewrite — including
+    /// commutative operand swaps), counted per rewrite — including
     /// rewrites that short-circuit to a terminal result without probing
     /// the cache.  Commutatively-equivalent calls thereby share one slot.
     pub ite_normalised: u64,
@@ -174,6 +168,22 @@ pub struct BudgetSettings {
     /// The deadline's originally-configured span in milliseconds, reported
     /// as the `limit` of a `budget_time` error (informational only).
     pub deadline_ms: u64,
+}
+
+/// The automatic GC policy installed via [`BddManager::set_maintenance`]
+/// and consulted by [`BddManager::maintain`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MaintainSettings {
+    /// Minimum node count before an automatic GC pass pays for itself.
+    pub gc_threshold: usize,
+}
+
+impl Default for MaintainSettings {
+    fn default() -> Self {
+        MaintainSettings {
+            gc_threshold: 1 << 15,
+        }
+    }
 }
 
 /// ITE misses between deadline probes: frequent enough that an exploding
@@ -227,13 +237,13 @@ fn table_hash(a: u32, b: u32, c: u32) -> usize {
 ///
 /// See the crate-level documentation for an overview and an example.
 pub struct BddManager {
-    pub(crate) nodes: Vec<Node>,
+    nodes: Vec<Node>,
     /// The unique table: one chain head per bucket (`0` = empty), the
     /// chains threaded through [`Node::next`].  Power-of-two length, grown
     /// in place by doubling so its load factor stays at most one.
     buckets: Vec<u32>,
-    /// Arena slots reclaimed by GC/reordering, reused LIFO by `mk_node`.
-    pub(crate) free: Vec<u32>,
+    /// Arena slots reclaimed by GC, reused LIFO by `mk_node`.
+    free: Vec<u32>,
     /// The ITE computed table: direct-mapped and lossy (the last writer
     /// wins), one slot per unique-table bucket, grown with the buckets.
     computed: Vec<CacheSlot>,
@@ -243,35 +253,24 @@ pub struct BddManager {
     /// Name → variable index, maintained by `new_var` (first declaration
     /// wins for duplicate names, matching the old linear-scan semantics).
     name_to_var: FxHashMap<String, u32>,
-    /// `var_to_level[v]` gives the position of variable `v` in the order.
-    pub(crate) var_to_level: Vec<u32>,
-    /// `level_to_var[l]` gives the variable at order position `l`.
-    pub(crate) level_to_var: Vec<u32>,
     /// Persistent external roots: handle → protect count.  Everything
     /// reachable from a root survives [`BddManager::gc`].
-    pub(crate) roots: FxHashMap<Bdd, u32>,
+    roots: FxHashMap<Bdd, u32>,
     /// Scoped root sets: each frame is a batch of handles rooted together
     /// and released together ([`BddManager::push_root_frame`]).
-    pub(crate) root_frames: Vec<Vec<Bdd>>,
+    root_frames: Vec<Vec<Bdd>>,
     /// Allocated-minus-reclaimed node count (terminals included).
-    pub(crate) live: usize,
+    live: usize,
     /// High-water mark of `live`.
-    pub(crate) peak_live: usize,
-    pub(crate) gc_passes: u64,
-    pub(crate) gc_reclaimed: u64,
-    pub(crate) reorder_passes: u64,
-    pub(crate) level_swaps: u64,
-    /// Wall time spent inside sifting, for per-job reporting (kept out of
-    /// [`BddStats`] so statistics stay deterministic).
-    pub(crate) sift_nanos: u64,
-    /// Automatic GC/reorder policy for [`BddManager::maintain`]; `None`
-    /// (the default) keeps the kernel on the historical never-free path.
-    pub(crate) maintenance: Option<MaintainSettings>,
+    peak_live: usize,
+    gc_passes: u64,
+    gc_reclaimed: u64,
+    /// Automatic GC policy for [`BddManager::maintain`]; `None` (the
+    /// default) keeps the kernel on the historical never-free path.
+    maintenance: Option<MaintainSettings>,
     /// Live nodes left by the last automatic GC pass (`0` before the
     /// first); the next pass fires once that many again have accumulated.
-    pub(crate) gc_survivors: usize,
-    /// Live-node level at which the next automatic sift fires.
-    pub(crate) next_sift_at: usize,
+    gc_survivors: usize,
     /// Reusable per-call memo table for `restrict`/`compose`/`rename` and
     /// quantification.  The recursions take it out of the manager
     /// (`mem::take`), clear it (which keeps capacity) and put it back, so
@@ -331,20 +330,14 @@ impl BddManager {
             initial_buckets: buckets,
             var_names: Vec::new(),
             name_to_var: FxHashMap::default(),
-            var_to_level: Vec::new(),
-            level_to_var: Vec::new(),
             roots: FxHashMap::default(),
             root_frames: Vec::new(),
             live: 1,
             peak_live: 1,
             gc_passes: 0,
             gc_reclaimed: 0,
-            reorder_passes: 0,
-            level_swaps: 0,
-            sift_nanos: 0,
             maintenance: None,
             gc_survivors: 0,
-            next_sift_at: 0,
             scratch: FxHashMap::default(),
             ite_hits: 0,
             ite_misses: 0,
@@ -380,20 +373,14 @@ impl BddManager {
         self.computed.resize(self.initial_buckets, CacheSlot::EMPTY);
         self.var_names.clear();
         self.name_to_var.clear();
-        self.var_to_level.clear();
-        self.level_to_var.clear();
         self.roots.clear();
         self.root_frames.clear();
         self.live = 1;
         self.peak_live = 1;
         self.gc_passes = 0;
         self.gc_reclaimed = 0;
-        self.reorder_passes = 0;
-        self.level_swaps = 0;
-        self.sift_nanos = 0;
         self.maintenance = None;
         self.gc_survivors = 0;
-        self.next_sift_at = 0;
         self.scratch.clear();
         self.ite_hits = 0;
         self.ite_misses = 0;
@@ -455,15 +442,14 @@ impl BddManager {
     // Variables
     // ------------------------------------------------------------------
 
-    /// Declares a fresh variable appended at the bottom of the current order
-    /// and returns its positive literal.
+    /// Declares a fresh variable appended at the bottom of the order and
+    /// returns its positive literal.  The variable order is the
+    /// declaration order: a variable's index is its level.
     pub fn new_var(&mut self, name: impl Into<String>) -> Bdd {
         let var = self.var_names.len() as u32;
         let name = name.into();
         self.name_to_var.entry(name.clone()).or_insert(var);
         self.var_names.push(name);
-        self.var_to_level.push(var);
-        self.level_to_var.push(var);
         self.mk_node(var, Bdd::FALSE, Bdd::TRUE)
     }
 
@@ -529,12 +515,6 @@ impl BddManager {
         self.name_to_var.get(name).copied()
     }
 
-    /// The order position ("level") of variable `var`; lower levels are
-    /// closer to the root.
-    pub fn level_of_var(&self, var: u32) -> u32 {
-        self.var_to_level[var as usize]
-    }
-
     // ------------------------------------------------------------------
     // Node primitives
     // ------------------------------------------------------------------
@@ -570,18 +550,15 @@ impl BddManager {
         Bdd(self.nodes[f.index()].hi.0 ^ (f.0 & 1))
     }
 
+    /// The level of `f`'s root variable, which is its index
+    /// (`Node::TERMINAL_VAR`, which sorts last, for terminals).
     #[inline]
     fn level(&self, f: Bdd) -> u32 {
-        let n = self.nodes[f.index()];
-        if n.var == Node::TERMINAL_VAR {
-            u32::MAX
-        } else {
-            self.var_to_level[n.var as usize]
-        }
+        self.nodes[f.index()].var
     }
 
     #[inline]
-    pub(crate) fn mk_node(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
+    fn mk_node(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
         if lo == hi {
             return lo;
         }
@@ -597,8 +574,8 @@ impl BddManager {
         };
         let (slot, created) = self.find_or_insert(var, lo, hi);
         // `live` is monotone between reclamations, so the peak is sampled
-        // where it can drop (GC, swap dereferencing, `stats`) instead of
-        // being tracked here on the allocation hot path.
+        // where it can drop (GC, `stats`) instead of being tracked here on
+        // the allocation hot path.
         if created && self.live > self.node_ceiling {
             exhausted(BudgetKind::Nodes, self.node_ceiling as u64);
         }
@@ -616,7 +593,7 @@ impl BddManager {
     /// free (or fresh) slot, linked at the head of the chain and counted
     /// live.  The tables double once the load factor would pass one.
     #[inline]
-    pub(crate) fn find_or_insert(&mut self, var: u32, lo: Bdd, hi: Bdd) -> (u32, bool) {
+    fn find_or_insert(&mut self, var: u32, lo: Bdd, hi: Bdd) -> (u32, bool) {
         let bucket = self.bucket(var, lo, hi);
         let mut slot = self.buckets[bucket];
         while slot != 0 {
@@ -648,34 +625,6 @@ impl BddManager {
             self.grow_tables();
         }
         (slot, true)
-    }
-
-    /// Links the node in `slot` at the head of its unique-table chain.
-    pub(crate) fn link(&mut self, slot: u32) {
-        let node = self.nodes[slot as usize];
-        let bucket = self.bucket(node.var, node.lo, node.hi);
-        self.nodes[slot as usize].next = self.buckets[bucket];
-        self.buckets[bucket] = slot;
-    }
-
-    /// Removes the node in `slot` from its unique-table chain.
-    pub(crate) fn unlink(&mut self, slot: u32) {
-        let node = self.nodes[slot as usize];
-        let bucket = self.bucket(node.var, node.lo, node.hi);
-        if self.buckets[bucket] == slot {
-            self.buckets[bucket] = node.next;
-            return;
-        }
-        let mut prev = self.buckets[bucket];
-        loop {
-            assert_ne!(prev, 0, "slot {slot} is not on its unique-table chain");
-            let next = self.nodes[prev as usize].next;
-            if next == slot {
-                self.nodes[prev as usize].next = node.next;
-                return;
-            }
-            prev = next;
-        }
     }
 
     /// Doubles the unique and computed tables in place: bucket `b` splits
@@ -718,7 +667,7 @@ impl BddManager {
     /// Folds the current live count into the peak watermark.  Called at
     /// every point where `live` is about to decrease and from `stats()`.
     #[inline]
-    pub(crate) fn note_peak(&mut self) {
+    fn note_peak(&mut self) {
         if self.live > self.peak_live {
             self.peak_live = self.live;
         }
@@ -897,34 +846,27 @@ impl BddManager {
         // operands and result all survived — throwing the warm cache away
         // wholesale makes the steps after a collection recompute (and
         // re-allocate) everything it was suppressing.
-        self.drop_computed_entries(|slot| !marked[slot]);
+        for entry in &mut self.computed {
+            if !(marked[entry.f.index()]
+                && marked[entry.g.index()]
+                && marked[entry.h.index()]
+                && marked[entry.r.index()])
+            {
+                *entry = CacheSlot::EMPTY;
+            }
+        }
         self.scratch.clear();
         self.gc_passes += 1;
         self.gc_reclaimed += reclaimed as u64;
         reclaimed
     }
 
-    /// Empties every computed-table entry whose operands or result sit in
-    /// an arena slot for which `freed` holds.
-    pub(crate) fn drop_computed_entries(&mut self, freed: impl Fn(usize) -> bool) {
-        for entry in &mut self.computed {
-            if freed(entry.f.index())
-                || freed(entry.g.index())
-                || freed(entry.h.index())
-                || freed(entry.r.index())
-            {
-                *entry = CacheSlot::EMPTY;
-            }
-        }
-    }
-
-    /// Installs (or removes) the automatic GC/reordering policy consulted
-    /// by [`BddManager::maintain`].  [`BddManager::reset`] clears it — a
+    /// Installs (or removes) the automatic GC policy consulted by
+    /// [`BddManager::maintain`].  [`BddManager::reset`] clears it — a
     /// recycled manager starts, like a fresh one, on the never-free path.
     pub fn set_maintenance(&mut self, settings: Option<MaintainSettings>) {
         self.maintenance = settings;
         self.gc_survivors = 0;
-        self.next_sift_at = 0;
     }
 
     /// `true` when an automatic maintenance policy is installed.  Checkers
@@ -972,9 +914,7 @@ impl BddManager {
 
     /// Runs the installed maintenance policy, if any: a GC pass once the
     /// live count reaches the trigger (see `gc_trigger`: twice the last
-    /// pass's survivors), followed by a sifting pass when the *live* set
-    /// itself has outgrown its threshold.  Both back off so maintenance
-    /// cost stays amortised.
+    /// pass's survivors), so maintenance cost stays amortised.
     ///
     /// Callers must only invoke this at a safe point: every handle that
     /// will be used again must be reachable from the root registry.
@@ -986,29 +926,7 @@ impl BddManager {
             return;
         }
         self.gc();
-        if settings.sift && self.live >= self.next_sift_at.max(settings.sift_threshold) {
-            // The arena was collected two lines up; skip sift's own GC.
-            let outcome = self.sift_collected(settings.max_growth);
-            // Adaptive backoff: a pass that shaved ≥ 5% earned another try
-            // once the diagram doubles; a pass that found nothing waits
-            // eight times as long — sifting a shape it cannot improve is
-            // the most expensive no-op in the kernel.
-            let gained = outcome.nodes_before.saturating_sub(outcome.nodes_after);
-            let factor = if gained * 20 >= outcome.nodes_before.max(1) {
-                2
-            } else {
-                8
-            };
-            self.next_sift_at = self.live * factor;
-        }
         self.gc_survivors = self.live;
-    }
-
-    /// Wall-clock nanoseconds spent inside sifting passes since the last
-    /// [`BddManager::reset`].  Kept out of [`BddStats`] so statistics stay
-    /// exactly reproducible across runs.
-    pub fn sift_nanos(&self) -> u64 {
-        self.sift_nanos
     }
 
     /// Returns aggregate statistics about the manager.
@@ -1021,8 +939,6 @@ impl BddManager {
             peak_live_nodes: self.peak_live.max(self.live),
             gc_passes: self.gc_passes,
             gc_reclaimed: self.gc_reclaimed,
-            reorder_passes: self.reorder_passes,
-            level_swaps: self.level_swaps,
             variables: self.var_names.len(),
             ite_cache_hits: self.ite_hits,
             ite_cache_misses: self.ite_misses,
@@ -1183,16 +1099,15 @@ impl BddManager {
             self.check_deadline();
         }
 
-        // Split on the top variable (minimum level among the three).  Each
-        // operand's node is loaded exactly once: `split` yields its level
-        // and both cofactor edges together (with the operand's complement
-        // attribute pushed into them), and the cofactor choice below is by
-        // level equality (levels and variables are in bijection).
+        // Split on the top variable (minimum level among the three; a
+        // variable's level is its index).  Each operand's node is loaded
+        // exactly once: `split` yields its variable and both cofactor edges
+        // together (with the operand's complement attribute pushed into
+        // them).
         let (lf, flo, fhi) = self.split(f);
         let (lg, glo, ghi) = self.split(g);
         let (lh, hlo, hhi) = self.split(h);
         let top_level = lf.min(lg).min(lh);
-        let top_var = self.level_to_var[top_level as usize];
 
         let (f0, f1) = if lf == top_level { (flo, fhi) } else { (f, f) };
         let (g0, g1) = if lg == top_level { (glo, ghi) } else { (g, g) };
@@ -1200,7 +1115,7 @@ impl BddManager {
 
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
-        let result = self.mk_node(top_var, lo, hi);
+        let result = self.mk_node(top_level, lo, hi);
         // The recursion may have grown the table: re-mask.
         let index = hash & (self.computed.len() - 1);
         self.computed[index] = CacheSlot { f, g, h, r: result };
@@ -1212,47 +1127,26 @@ impl BddManager {
     }
 
     /// One load of `f`'s node: its level (`u32::MAX` for terminals) and
-    /// both cofactor edges (`f` itself for terminals).  The operand's
-    /// complement attribute is pushed into the returned edges, so they
-    /// denote the cofactors of the *function* `f`.
+    /// both cofactor edges.  The operand's complement attribute is pushed
+    /// into the returned edges, so they denote the cofactors of the
+    /// *function* `f`; the terminal node's two regular `TRUE` edges make a
+    /// terminal split into itself.
     #[inline]
     fn split(&self, f: Bdd) -> (u32, Bdd, Bdd) {
         let n = self.nodes[f.index()];
-        if n.var == Node::TERMINAL_VAR {
-            (u32::MAX, f, f)
-        } else {
-            let c = f.0 & 1;
-            (
-                self.var_to_level[n.var as usize],
-                Bdd(n.lo.0 ^ c),
-                Bdd(n.hi.0 ^ c),
-            )
-        }
+        let c = f.0 & 1;
+        (n.var, Bdd(n.lo.0 ^ c), Bdd(n.hi.0 ^ c))
     }
 
     /// `true` if `a` comes strictly before `b` in the canonical operand
-    /// order used by ITE normalisation: by level of the root variable, ties
-    /// broken by arena index (deterministic and order-aware, so the chosen
+    /// order used by ITE normalisation: by the root variable (its level),
+    /// ties broken by arena index (deterministic and order-aware, so the chosen
     /// condition also tends to be the topmost variable).
     #[inline]
     fn precedes(&self, a: Bdd, b: Bdd) -> bool {
         let la = self.level(a);
         let lb = self.level(b);
         la < lb || (la == lb && a.0 < b.0)
-    }
-
-    #[inline]
-    pub(crate) fn cofactors_at(&self, f: Bdd, var: u32) -> (Bdd, Bdd) {
-        if f.is_terminal() {
-            return (f, f);
-        }
-        let n = self.nodes[f.index()];
-        if n.var == var {
-            let c = f.0 & 1;
-            (Bdd(n.lo.0 ^ c), Bdd(n.hi.0 ^ c))
-        } else {
-            (f, f)
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1400,9 +1294,7 @@ impl BddManager {
         }
         let n = self.nodes[f.index()];
         let c = f.0 & 1;
-        let target_level = self.var_to_level[var as usize];
-        let node_level = self.var_to_level[n.var as usize];
-        let result = if node_level > target_level {
+        let result = if n.var > var {
             // Variable does not appear in this subgraph.
             f
         } else if n.var == var {
@@ -1685,14 +1577,12 @@ impl BddManager {
     /// Builds the conjunction of literals described by `assignment` (a
     /// "cube").
     pub fn cube(&mut self, assignment: &Assignment) -> Bdd {
-        // Build bottom-up — deepest *level* first — so each conjunction adds
-        // exactly one node.  Sorting by level (not variable index) keeps the
-        // construction linear under any variable order, including the
-        // interleaved presets where index order ≠ level order.
-        let mut pairs: Vec<(u32, bool)> = assignment.iter().collect();
-        pairs.sort_by_key(|&(var, _)| std::cmp::Reverse(self.var_to_level[var as usize]));
+        // Build bottom-up — deepest variable first, the reverse of the
+        // assignment's ascending iteration — so each conjunction adds
+        // exactly one node.
+        let pairs: Vec<(u32, bool)> = assignment.iter().collect();
         let mut acc = Bdd::TRUE;
-        for &(var, val) in &pairs {
+        for &(var, val) in pairs.iter().rev() {
             let lit = if val {
                 self.literal(var)
             } else {
@@ -2162,8 +2052,8 @@ mod tests {
 
         let mut pooled = BddManager::new();
         // Dirty the manager with unrelated work — including the lifetime
-        // and ordering machinery: grown tables, protected roots, a GC pass
-        // and a sifting pass all leave sizes, counters, free slots and
+        // machinery: grown tables, protected roots, an explicit GC pass and
+        // a maintained one all leave sizes, counters, free slots and
         // maintenance state that `reset` must clear back to the
         // fresh-manager baseline.
         let _ = sequential_equality(&mut pooled, "grow", 14);
@@ -2176,14 +2066,13 @@ mod tests {
         let _ = pooled.exists(d0, &[0]);
         pooled.protect(dirty);
         pooled.gc();
-        pooled.set_maintenance(Some(crate::reorder::MaintainSettings {
-            gc_threshold: 1,
-            sift: true,
-            sift_threshold: 1,
-            max_growth: 1.5,
-        }));
+        pooled.set_maintenance(Some(MaintainSettings { gc_threshold: 1 }));
         pooled.maintain();
-        assert!(pooled.stats().gc_passes > 0 && pooled.stats().reorder_passes > 0);
+        assert_eq!(
+            pooled.stats().gc_passes,
+            2,
+            "an explicit and a maintained pass"
+        );
         pooled.reset();
         assert!(
             !pooled.maintenance_enabled(),
@@ -2205,13 +2094,12 @@ mod tests {
         };
         assert_eq!(
             normalised, s_fresh,
-            "stats — including live/peak/GC/reorder counters — are reproduced exactly"
+            "stats — including live/peak/GC counters — are reproduced exactly"
         );
         assert!(
             s_fresh.ite_normalised > 0,
             "the canonical-polarity/standard-triple rewrites fired and were counted"
         );
-        assert_eq!(pooled.sift_nanos(), 0, "reset clears the sift clock");
         assert_eq!(fresh.node_count(), pooled.node_count());
         assert_eq!(fresh.var_count(), pooled.var_count());
         assert_eq!(
@@ -2264,6 +2152,102 @@ mod tests {
         assert_eq!(m.exists(g, &[3, 5]), first);
     }
 
+    /// Evaluates `f` on every assignment of `vars` — the semantics of the
+    /// function, one entry per truth-table row.
+    fn truth_mask(m: &BddManager, f: Bdd, vars: usize) -> Vec<bool> {
+        (0..(1u64 << vars))
+            .map(|row| {
+                let asg: Assignment = (0..vars as u32).map(|v| (v, row >> v & 1 == 1)).collect();
+                m.eval(f, &asg) == Some(true)
+            })
+            .collect()
+    }
+
+    /// A pool of random functions over `vars` variables (driven by the
+    /// workspace's shared deterministic test generator).
+    fn random_pool(m: &mut BddManager, vars: usize, ops: usize, seed: u64) -> Vec<Bdd> {
+        let mut rng = ssr_prop::Rng::new(seed);
+        let mut pool: Vec<Bdd> = (0..vars).map(|i| m.new_var(format!("v{i}"))).collect();
+        for _ in 0..ops {
+            let a = pool[rng.index(pool.len())];
+            let b = pool[rng.index(pool.len())];
+            let c = pool[rng.index(pool.len())];
+            let next = match rng.below(5) {
+                0 => m.and(a, b),
+                1 => m.or(a, b),
+                2 => m.xor(a, b),
+                3 => m.not(a),
+                _ => m.ite(a, b, c),
+            };
+            pool.push(next);
+        }
+        pool
+    }
+
+    /// GC reclaims garbage, keeps roots, and reclaimed slots are reused.
+    #[test]
+    fn gc_reclaims_unrooted_nodes_and_keeps_roots() {
+        const VARS: usize = 6;
+        let mut m = BddManager::new();
+        let pool = random_pool(&mut m, VARS, 80, 0xBEE);
+        let kept = pool[pool.len() - 1];
+        let kept_mask = truth_mask(&m, kept, VARS);
+        let live_before = m.node_count();
+        m.protect(kept);
+        let reclaimed = m.gc();
+        assert!(reclaimed > 0, "the pool must contain garbage");
+        assert!(m.node_count() < live_before);
+        assert_eq!(truth_mask(&m, kept, VARS), kept_mask, "roots survive");
+        let stats = m.stats();
+        assert_eq!(stats.gc_passes, 1);
+        assert_eq!(stats.gc_reclaimed, reclaimed as u64);
+        assert_eq!(stats.live_nodes, m.node_count());
+        assert!(stats.peak_live_nodes >= live_before);
+        // Reclaimed slots are reused: rebuilding work does not regrow the
+        // arena beyond its old footprint.
+        let arena = m.arena_len();
+        let x = m.literal(0);
+        let y = m.literal(1);
+        let _ = m.xor(x, y);
+        assert_eq!(m.arena_len(), arena, "new nodes reuse freed slots");
+        m.release(kept);
+        m.gc();
+        assert_eq!(m.node_count(), 1, "releasing the root frees everything");
+    }
+
+    /// Scoped root frames protect exactly while they are open.
+    #[test]
+    fn root_frames_scope_protection() {
+        let mut m = BddManager::new();
+        let a = m.new_var("a");
+        let b = m.new_var("b");
+        let f = m.and(a, b);
+        m.push_root_frame();
+        m.root(f);
+        m.gc();
+        assert_eq!(m.lo(f), Bdd::FALSE, "frame-rooted node survives");
+        m.pop_root_frame();
+        m.gc();
+        assert_eq!(m.node_count(), 1, "popping the frame releases the set");
+    }
+
+    /// `maintain` is a no-op without a policy and honours the GC threshold
+    /// with one.
+    #[test]
+    fn maintain_respects_policy_and_thresholds() {
+        let mut m = BddManager::new();
+        let pool = random_pool(&mut m, 6, 60, 0xCAFE);
+        m.maintain();
+        assert_eq!(m.stats().gc_passes, 0, "no policy, no GC");
+        m.protect(*pool.last().expect("non-empty"));
+        m.set_maintenance(Some(MaintainSettings::default()));
+        m.maintain();
+        assert_eq!(m.stats().gc_passes, 0, "below the threshold, no GC");
+        m.set_maintenance(Some(MaintainSettings { gc_threshold: 1 }));
+        m.maintain();
+        assert_eq!(m.stats().gc_passes, 1, "past the threshold, one GC");
+    }
+
     /// With a node budget installed, automatic GC fires before the
     /// ceiling trips even when the ceiling sits below `gc_threshold`: a
     /// small rooted working set plus garbage between safe points never
@@ -2275,10 +2259,7 @@ mod tests {
         let vars = m.new_vars("w", 24);
         let kept = m.and(vars[0], vars[1]);
         m.protect(kept);
-        let settings = crate::reorder::MaintainSettings {
-            sift: false,
-            ..crate::reorder::MaintainSettings::default()
-        };
+        let settings = MaintainSettings::default();
         assert!(CEILING < settings.gc_threshold as u64);
         m.set_maintenance(Some(settings));
         m.set_budget(BudgetSettings {
@@ -2336,13 +2317,13 @@ mod tests {
         }
     }
 
-    /// Cube construction must stay linear (and correct) when the variable
-    /// order differs from index order.
+    /// Cube construction must stay linear (and correct) over a sparse
+    /// subset of the variables: it conjoins the deepest level first.
     #[test]
     fn cube_follows_level_order_not_index_order() {
         let mut m = BddManager::new();
-        // Declare interleaved: a[0] b[0] a[1] b[1] — index order ≠ the
-        // grouping a cube over only-a or only-b would iterate.
+        // Declare interleaved: a[0] b[0] a[1] b[1] — a cube over only-a
+        // skips every other level.
         let a0 = m.new_var("a0");
         let _b0 = m.new_var("b0");
         let a1 = m.new_var("a1");

@@ -97,8 +97,9 @@ impl From<bool> for Bdd {
 /// returned handle, so every function keeps exactly one representation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Node {
-    /// Decision variable index (not level; levels are looked up through the
-    /// manager's order tables).  The terminal uses `u32::MAX`.
+    /// Decision variable index, which is also its level in the order
+    /// (declaration order).  The terminal uses `u32::MAX`, below every
+    /// variable.
     pub var: u32,
     /// Cofactor with `var = 0`; always a regular (uncomplemented) edge.
     pub lo: Bdd,

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use ssr_bdd::{Bdd, BddManager, BddVec, MaintainSettings, OrderPolicy};
+use ssr_bdd::{Bdd, BddManager, BddVec, OrderPolicy};
 use ssr_engine::json::Json;
 use ssr_engine::{named_policies, CampaignSpec, Granularity, JobBudget, NamedConfig, Suite};
 
@@ -28,16 +28,13 @@ use ssr_engine::{named_policies, CampaignSpec, Granularity, JobBudget, NamedConf
 pub const SCHEMA: &str = "ssr-bench-report/v1";
 
 /// Execution options shared by every campaign workload of a bench run:
-/// the variable-order preset and the kernel maintenance (GC + sifting)
-/// policy, mirroring `ssr bench --order/--reorder`, plus the serve
-/// closed-loop fleet shape (`--clients`/`--requests`).  The defaults
+/// the variable-order preset, mirroring `ssr bench --order`, plus the
+/// serve closed-loop fleet shape (`--clients`/`--requests`).  The defaults
 /// reproduce the committed `BENCH_*.json` trajectory exactly.
 #[derive(Debug, Clone)]
 pub struct BenchOptions {
     /// Variable-order preset for the campaign (and serve) workloads.
     pub order: OrderPolicy,
-    /// Kernel GC/sifting policy for the campaign (and serve) workloads.
-    pub reorder: Option<MaintainSettings>,
     /// Serve closed loop: concurrent clients.
     pub serve_clients: usize,
     /// Serve closed loop: campaigns each client submits back-to-back.
@@ -48,7 +45,6 @@ impl Default for BenchOptions {
     fn default() -> Self {
         BenchOptions {
             order: OrderPolicy::default(),
-            reorder: None,
             serve_clients: 4,
             serve_requests: 2,
         }
@@ -359,7 +355,6 @@ fn campaign_spec(granularity: Granularity, options: &BenchOptions) -> CampaignSp
         suites: Suite::ALL.to_vec(),
         granularity,
         order: options.order.clone(),
-        reorder: options.reorder,
         threads: 1,
         budget: JobBudget::default(),
         verbose: false,
@@ -376,7 +371,6 @@ fn acceptance_spec(options: &BenchOptions) -> CampaignSpec {
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Assertion,
         order: options.order.clone(),
-        reorder: options.reorder,
         threads: 1,
         budget: JobBudget::default(),
         verbose: false,
@@ -392,7 +386,6 @@ fn ifr_paper_spec(options: &BenchOptions) -> CampaignSpec {
         suites: vec![Suite::Ifr],
         granularity: Granularity::Suite,
         order: options.order.clone(),
-        reorder: options.reorder,
         threads: 1,
         budget: JobBudget::default(),
         verbose: false,
@@ -649,7 +642,6 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
                 suites: Suite::ALL.to_vec(),
                 granularity: Granularity::Suite,
                 order: options.order.clone(),
-                reorder: options.reorder,
                 threads: 1,
                 budget: JobBudget::default(),
                 verbose: false,

@@ -69,14 +69,6 @@ OPTIONS:
                                   ablation baseline and is exponential for
                                   32-bit operand suites (one/two); use it
                                   with --suite ifr.
-    --reorder                     Add Rudell sifting at the checker's
-                                  safe points, on top of the garbage
-                                  collection every job already runs.
-                                  Changes node counts and peak memory,
-                                  never verdicts.
-    --max-growth <X>              Sifting growth cap (default 1.2): abort a
-                                  variable's exploration once the live node
-                                  count exceeds X times its starting size
     --control-path <ifr|combinational|unsafe>
                                   Control-path variant of the generated
                                   core.  Non-default variants tag the
@@ -109,8 +101,8 @@ CAMPAIGN PERSISTENCE:
 RESOURCE BUDGETS (campaign/check/submit):
     --node-budget <N>             Per-job ceiling on live BDD nodes.  A job
                                   that exhausts a budget is retried once
-                                  with GC + sifting forced and the budgets
-                                  doubled (graceful degradation); if that
+                                  with every budget doubled (graceful
+                                  degradation); if that
                                   also exhausts, the job is recorded as a
                                   structured `budget_nodes` error and the
                                   campaign continues — budgets never abort
@@ -171,8 +163,8 @@ SUBMIT OPTIONS (ssr submit):
     --status                      Print the daemon's request table instead
                                   of submitting
     --shutdown                    Stop the daemon instead of submitting
-    Campaign shape flags (--config/--policy/--suite/--granularity/--order/
-    --reorder/--max-growth) choose what to submit;
+    Campaign shape flags (--config/--policy/--suite/--granularity/--order)
+    choose what to submit;
     --json/--quiet control output like `ssr campaign`.
 
 EXIT CODE:
@@ -238,10 +230,6 @@ pub struct Command {
     pub granularity: Option<Granularity>,
     /// Variable-order preset (`--order`).
     pub order: OrderPolicy,
-    /// Add sifting to the default GC policy (`--reorder`).
-    pub reorder: bool,
-    /// Sifting growth cap (`--max-growth`).
-    pub max_growth: f64,
     /// Where to write the JSON report (`-` = stdout).
     pub json: Option<String>,
     /// Suppress the table.
@@ -382,8 +370,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut jobs = 0usize;
     let mut granularity: Option<Granularity> = None;
     let mut order = OrderPolicy::Interleaved;
-    let mut reorder = false;
-    let mut max_growth = 1.2f64;
     let mut control_path = ControlPath::RefreshingIfr;
     let mut json = None;
     let mut quiet = false;
@@ -446,15 +432,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                          explicit(name;...))"
                     )
                 })?;
-            }
-            "--reorder" => reorder = true,
-            "--max-growth" => {
-                let v = value("--max-growth")?;
-                max_growth = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|g| g.is_finite() && *g >= 1.0)
-                    .ok_or_else(|| format!("--max-growth needs a number >= 1.0, got `{v}`"))?;
             }
             "--control-path" => {
                 let v = value("--control-path")?;
@@ -638,8 +615,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         jobs,
         granularity,
         order,
-        reorder,
-        max_growth,
         json,
         quiet,
         verbose,
@@ -808,21 +783,9 @@ mod tests {
     fn ordering_flags_parse_with_defaults() {
         let cmd = parse(&argv(&["campaign"])).expect("parses");
         assert_eq!(cmd.order, OrderPolicy::Interleaved);
-        assert!(!cmd.reorder);
-        assert!((cmd.max_growth - 1.2).abs() < 1e-9);
 
-        let cmd = parse(&argv(&[
-            "campaign",
-            "--order",
-            "sequential",
-            "--reorder",
-            "--max-growth",
-            "1.5",
-        ]))
-        .expect("parses");
+        let cmd = parse(&argv(&["campaign", "--order", "sequential"])).expect("parses");
         assert_eq!(cmd.order, OrderPolicy::Sequential);
-        assert!(cmd.reorder);
-        assert!((cmd.max_growth - 1.5).abs() < 1e-9);
 
         let cmd = parse(&argv(&["bench", "--order", "explicit(a[0];b[0])"])).expect("parses");
         assert_eq!(
@@ -831,8 +794,9 @@ mod tests {
         );
 
         assert!(parse(&argv(&["campaign", "--order", "bogus"])).is_err());
-        assert!(parse(&argv(&["campaign", "--max-growth", "0.5"])).is_err());
-        assert!(parse(&argv(&["campaign", "--max-growth", "nan"])).is_err());
+        // The dynamic-reordering flags are gone: unknown options now.
+        assert!(parse(&argv(&["campaign", "--reorder"])).is_err());
+        assert!(parse(&argv(&["campaign", "--max-growth", "1.5"])).is_err());
     }
 
     #[test]

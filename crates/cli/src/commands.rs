@@ -5,7 +5,7 @@ use std::process::ExitCode;
 use ssr_engine::persist::{load_partial, plan_resume, Checkpoint, PartialCampaign};
 use ssr_engine::{
     minimise_with_engine, CampaignReport, CampaignSpec, EngineOracle, Granularity, JobBudget,
-    JobResult, MaintainSettings, ReportDiff,
+    JobResult, ReportDiff,
 };
 use ssr_netlist::stats::{stats, AreaModel};
 use ssr_properties::CoreHarness;
@@ -14,17 +14,6 @@ use ssr_retention::intent::RetentionIntent;
 use ssr_retention::selection::classify;
 
 use crate::args::{Action, Command, USAGE};
-
-/// The kernel maintenance policy a command's `--reorder`/`--max-growth`
-/// flags select: GC plus sifting with `--reorder`, else `None`, which
-/// leaves every job on the engine's GC-only default.
-fn maintenance(cmd: &Command) -> Option<MaintainSettings> {
-    cmd.reorder.then(|| MaintainSettings {
-        sift: true,
-        max_growth: cmd.max_growth,
-        ..Default::default()
-    })
-}
 
 /// Runs the parsed command; the exit code reports the overall verdict.
 pub fn run(cmd: Command) -> ExitCode {
@@ -58,7 +47,6 @@ fn spec_from_flags(cmd: &Command) -> CampaignSpec {
         suites,
         granularity: cmd.granularity.unwrap_or(Granularity::Suite),
         order: cmd.order.clone(),
-        reorder: maintenance(cmd),
         threads: cmd.jobs,
         budget: JobBudget {
             node_budget: cmd.node_budget,
@@ -329,7 +317,6 @@ fn bench(cmd: &Command) -> ExitCode {
     } else {
         let options = BenchOptions {
             order: cmd.order.clone(),
-            reorder: maintenance(cmd),
             serve_clients: cmd.clients,
             serve_requests: cmd.requests,
         };
@@ -429,18 +416,6 @@ fn campaign(cmd: &Command) -> ExitCode {
     let prior: Vec<JobResult> = match &cmd.resume {
         Some(path) => match load_campaign_artifact(path) {
             Ok(partial) => {
-                if let Some(recorded) = partial.reorder {
-                    if recorded != cmd.reorder {
-                        eprintln!(
-                            "warning: {path} was recorded {} --reorder but this run is {} it; \
-                             verdicts are unaffected, but reused jobs carry the other mode's \
-                             kernel telemetry (node counts, peaks, GC counters), so the merged \
-                             report is not canonically byte-identical to a fresh run",
-                            if recorded { "with" } else { "without" },
-                            if cmd.reorder { "with" } else { "without" },
-                        );
-                    }
-                }
                 if !cmd.quiet {
                     let plan = plan_resume(&jobs, &partial.jobs);
                     println!(
@@ -472,12 +447,7 @@ fn campaign(cmd: &Command) -> ExitCode {
     };
     let checkpoint = match cmd.checkpoint.as_ref().or(auto_partial.as_ref()) {
         Some(path) => {
-            match Checkpoint::create(
-                std::path::Path::new(path),
-                granularity.name(),
-                jobs.len(),
-                cmd.reorder,
-            ) {
+            match Checkpoint::create(std::path::Path::new(path), granularity.name(), jobs.len()) {
                 Ok(cp) => Some(cp),
                 Err(e) => {
                     eprintln!("error: cannot create checkpoint {path}: {e}");
@@ -537,13 +507,12 @@ fn minimise(cmd: &Command) -> ExitCode {
     // `minimise` explores policies itself.  The flags still shape each
     // oracle query: --granularity overrides the oracle's default
     // obligation-sharding, an explicit --suite widens/narrows the
-    // acceptance criterion beyond Property II, and --order/--reorder pick
-    // the kernel's ordering configuration per query.
+    // acceptance criterion beyond Property II, and --order picks the
+    // variable order per query.
     if let Some(granularity) = cmd.granularity {
         oracle.granularity = granularity;
     }
     oracle.order = cmd.order.clone();
-    oracle.reorder = maintenance(cmd);
     if !cmd.suites.is_empty() {
         oracle.suites = cmd.suites.clone();
     }
@@ -636,15 +605,12 @@ fn minimise(cmd: &Command) -> ExitCode {
 }
 
 /// The `ssr stats` kernel census: compiles every applicable suite's
-/// assertions for the (config × policy × order) into one arena — with
-/// `--reorder`, running the GC/sift maintenance between suites — and
+/// assertions for the (config × policy × order) into one arena and
 /// reports the manager's statistics alongside the netlist ones.
 fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConfig) {
     // Acquire from the process-wide pool (as the campaign engine does), so
     // the pool census below reflects real acquire/release traffic.
     let mut m = ssr_engine::ManagerPool::global().acquire();
-    m.set_maintenance(maintenance(cmd));
-    m.push_root_frame();
     let mut built = 0usize;
     let suites = if cmd.suites.is_empty() {
         ssr_engine::Suite::ALL.to_vec()
@@ -655,17 +621,8 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
         if !suite.applicable_to(config) {
             continue;
         }
-        for assertion in suite.assertions(harness, &mut m) {
-            let mut bdds = Vec::new();
-            assertion.collect_bdds(&mut bdds);
-            for b in &bdds {
-                m.root(*b);
-            }
-            built += 1;
-        }
-        m.maintain();
+        built += suite.assertions(harness, &mut m).len();
     }
-    m.pop_root_frame();
     let s = m.stats();
     let (complemented, unique_nodes) = m.complement_edge_census();
     println!(
@@ -679,15 +636,11 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
         100.0 * m.complement_edge_share(),
     );
     println!(
-        "    ITE {:.1}% hit ({} rewrites), gc {} pass(es) ({} reclaimed), \
-         sift {} pass(es) ({} swaps, {} ms)",
+        "    ITE {:.1}% hit ({} rewrites), gc {} pass(es) ({} reclaimed)",
         100.0 * s.ite_hit_rate(),
         s.ite_normalised,
         s.gc_passes,
         s.gc_reclaimed,
-        s.reorder_passes,
-        s.level_swaps,
-        m.sift_nanos() / 1_000_000,
     );
     ssr_engine::ManagerPool::global().release(m);
 }

@@ -196,7 +196,7 @@ fn shared_harnesses(jobs: &[JobSpec]) -> Vec<Arc<SharedHarness>> {
 
 /// A campaign specification: the (configs × policies × suites) product plus
 /// execution parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Core configurations to generate (retention overwritten per policy).
     pub configs: Vec<NamedConfig>,
@@ -210,16 +210,10 @@ pub struct CampaignSpec {
     /// the job identity, so `--resume`/`ssr diff` never mix verdicts
     /// across orders.
     pub order: OrderPolicy,
-    /// Maintenance policy for the workers' managers: GC plus, with `sift`
-    /// set, dynamic reordering.  `None` means the GC-only default that
-    /// [`run_job_with`] installs for every job.  An execution parameter
-    /// like `threads`: it changes node counts and peak memory, never
-    /// verdicts, and is not part of job identity.
-    pub reorder: Option<MaintainSettings>,
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
     /// Per-job resource ceilings (node/step/deadline); the default is
-    /// ungoverned.  Like `reorder`, an execution parameter: it can turn a
+    /// ungoverned.  Like `threads`, an execution parameter: it can turn a
     /// verdict into a structured `budget_*` error record, but never flips
     /// holds ↔ fails, and it is not part of job identity.
     pub budget: JobBudget,
@@ -238,7 +232,6 @@ impl CampaignSpec {
             suites: Suite::ALL.to_vec(),
             granularity: Granularity::Suite,
             order: OrderPolicy::Interleaved,
-            reorder: None,
             threads: 0,
             budget: JobBudget::default(),
             verbose: false,
@@ -301,11 +294,7 @@ impl CampaignSpec {
     ///   identity; mismatches are ignored and re-run.  Because job
     ///   execution is deterministic, the merged report's
     ///   [`CampaignReport::canonical_json`] is byte-identical to an
-    ///   uninterrupted run's — provided the execution mode matches too:
-    ///   reused results keep the kernel telemetry of the run that produced
-    ///   them, so resuming under a different `reorder` setting mixes
-    ///   telemetry (verdicts are unaffected; the CLI warns, via the
-    ///   journal header's `reorder` field).
+    ///   uninterrupted run's.
     /// * `checkpoint` — a journal that receives every result (reused ones
     ///   up front, fresh ones as workers finish), so the run is resumable
     ///   from the instant it dies.  Journal I/O errors are reported to
@@ -392,13 +381,8 @@ impl CampaignSpec {
                                 spec.part.render(),
                             );
                         }
-                        let (result, exhausted) = run_governed(
-                            spec,
-                            contexts[index].get(),
-                            &mut manager,
-                            self.budget,
-                            self.reorder,
-                        );
+                        let (result, exhausted) =
+                            run_governed(spec, contexts[index].get(), &mut manager, self.budget);
                         if exhausted {
                             // Telemetry for `ssr stats`: this lease tripped
                             // a budget (whether or not the retry recovered)
@@ -476,10 +460,8 @@ fn attempt(
     harness: Result<&CoreHarness, &HarnessError>,
     manager: &mut BddManager,
     budget: JobBudget,
-    maintenance: Option<MaintainSettings>,
 ) -> Attempt {
     manager.reset();
-    manager.set_maintenance(maintenance);
     manager.set_budget(budget.to_settings());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_job_with(spec, harness, manager)
@@ -498,10 +480,12 @@ fn attempt(
 
 /// Runs `spec` under the campaign's budget with one-shot graceful
 /// degradation: a budget-exhausted attempt is retried exactly once with
-/// every ceiling doubled and GC+sifting maintenance forced on (the kernel
-/// caps the GC trigger under the node ceiling, so collection fires before
-/// the budget does).  A second exhaustion is recorded as a structured
-/// `budget_*` error — the campaign always completes.
+/// every ceiling doubled (the kernel caps the GC trigger under the node
+/// ceiling, so collection fires before the budget does).  The retry runs
+/// the job exactly as an unbudgeted run would, so a job it completes
+/// reports what an unbudgeted run reports.  A second exhaustion is
+/// recorded as a structured `budget_*` error — the campaign always
+/// completes.
 ///
 /// Returns the result plus whether any attempt exhausted its budget (the
 /// pool-telemetry signal).  Node/step governance is deterministic, so the
@@ -511,40 +495,16 @@ fn run_governed(
     harness: Result<&CoreHarness, &HarnessError>,
     manager: &mut BddManager,
     budget: JobBudget,
-    maintenance: Option<MaintainSettings>,
 ) -> (JobResult, bool) {
-    match attempt(spec, harness, manager, budget, maintenance) {
+    match attempt(spec, harness, manager, budget) {
         Attempt::Done(result) => (result, false),
         Attempt::Panicked(result) => (result, false),
-        Attempt::Exhausted(_) => {
-            let raised = budget.raised();
-            let degraded = degraded_maintenance(maintenance, raised.node_budget);
-            match attempt(spec, harness, manager, raised, Some(degraded)) {
-                Attempt::Done(result) => (result, true),
-                Attempt::Panicked(result) => (result, true),
-                Attempt::Exhausted(err) => (budget_job(spec, &err), true),
-            }
-        }
+        Attempt::Exhausted(_) => match attempt(spec, harness, manager, budget.raised()) {
+            Attempt::Done(result) => (result, true),
+            Attempt::Panicked(result) => (result, true),
+            Attempt::Exhausted(err) => (budget_job(spec, &err), true),
+        },
     }
-}
-
-/// The maintenance policy of the degradation retry: the campaign's own
-/// settings (or the defaults) with sifting forced on and the sift
-/// threshold clamped to an eighth of the node ceiling — a ceiling below
-/// the default threshold would otherwise exhaust before the first sift
-/// ever ran.  GC needs no clamp: the kernel caps its trigger under an
-/// installed node budget.
-fn degraded_maintenance(
-    base: Option<MaintainSettings>,
-    node_budget: Option<u64>,
-) -> MaintainSettings {
-    let mut settings = base.unwrap_or_default();
-    settings.sift = true;
-    if let Some(nodes) = node_budget {
-        let cap = usize::try_from(nodes / 8).unwrap_or(usize::MAX).max(256);
-        settings.sift_threshold = settings.sift_threshold.min(cap);
-    }
-    settings
 }
 
 /// The structured error record of a job that exhausted its budget twice:
@@ -605,8 +565,6 @@ fn empty_result(spec: &JobSpec) -> JobResult {
         bdd_nodes: 0,
         peak_live_nodes: 0,
         gc_passes: 0,
-        reorder_passes: 0,
-        sift_ms: 0,
         bdd_vars: 0,
         ite_hits: 0,
         ite_misses: 0,
@@ -633,7 +591,7 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
 /// This is where every engine path picks its maintenance policy: a
 /// manager without one gets the GC-only [`MaintainSettings::default`], so
 /// the streaming checker's released states are collected; a policy the
-/// caller installed (a campaign's `reorder`, the degraded retry) is kept.
+/// caller installed is kept.
 pub fn run_job_with(
     spec: &JobSpec,
     harness: Result<&CoreHarness, &HarnessError>,
@@ -672,8 +630,6 @@ pub fn run_job_with(
     result.bdd_nodes = stats.nodes_allocated as u64;
     result.peak_live_nodes = stats.peak_live_nodes as u64;
     result.gc_passes = stats.gc_passes;
-    result.reorder_passes = stats.reorder_passes;
-    result.sift_ms = m.sift_nanos() / 1_000_000;
     result.bdd_vars = stats.variables as u64;
     result.ite_hits = stats.ite_cache_hits;
     result.ite_misses = stats.ite_cache_misses;
@@ -722,7 +678,6 @@ mod tests {
             suites: vec![Suite::PropertyTwo],
             granularity,
             order: OrderPolicy::Interleaved,
-            reorder: None,
             threads,
             budget: JobBudget::default(),
             verbose: false,
@@ -791,7 +746,6 @@ mod tests {
             suites: vec![Suite::PropertyTwo],
             granularity: Granularity::Suite,
             order: OrderPolicy::Interleaved,
-            reorder: None,
             threads: 2,
             budget: JobBudget::default(),
             verbose: false,
@@ -1048,36 +1002,55 @@ mod tests {
         assert!(!report.all_hold());
     }
 
-    /// The one-shot degradation retry: a node budget the GC-only first
-    /// attempt exhausts, but the doubled and sifting retry fits inside,
-    /// recovers the true verdict.
+    /// The one-shot degradation retry: a node budget the first attempt
+    /// exhausts, but the doubled retry fits inside, recovers the job — and
+    /// the retry reports exactly what an unbudgeted run reports, every
+    /// assertion field `canonical()` keeps (counterexamples included).
     #[test]
     fn the_degradation_retry_recovers_jobs_the_raw_run_exhausts() {
-        let job = tiny_spec(1, Granularity::Suite).jobs().remove(0);
-        let unlimited = run_job(&job);
-        assert!(unlimited.error.is_none());
-        let budget = JobBudget {
-            node_budget: Some(unlimited.peak_live_nodes / 4),
-            ..JobBudget::default()
-        };
-        let harness = SharedHarness::build(job.config, job.order.clone());
-        let mut manager = BddManager::new();
-        let (result, exhausted) = run_governed(&job, harness.get(), &mut manager, budget, None);
-        assert!(exhausted, "the first attempt must exhaust the budget");
-        assert!(
-            result.error.is_none(),
-            "the retry should recover this job, got {:?}",
-            result.error
-        );
-        // The verdict matches the unbudgeted run; only telemetry differs.
-        let verdicts = |r: &JobResult| -> Vec<(String, bool)> {
+        let suite_job = tiny_spec(1, Granularity::Suite).jobs().remove(0);
+        let peak = run_job(&suite_job).peak_live_nodes;
+        // The small core's `no-pc` Property II obligation #6
+        // (`equivalence_beq`) fails by design, so the retry must reproduce
+        // its counterexample too.
+        let mut no_pc = tiny_spec(1, Granularity::Assertion);
+        no_pc.policies = vec![policy_by_name("no-pc").expect("named")];
+        let beq = no_pc
+            .jobs()
+            .into_iter()
+            .find(|job| job.part == JobPart::Assertion(6))
+            .expect("Property II has an obligation #6");
+        let canonical = |r: &JobResult| -> Vec<AssertionOutcome> {
             r.assertions
                 .iter()
-                .map(|a| (a.name.clone(), a.holds))
+                .map(|a| AssertionOutcome {
+                    wall_ms: 0,
+                    ..a.clone()
+                })
                 .collect()
         };
-        assert_eq!(result.holds, unlimited.holds);
-        assert_eq!(verdicts(&result), verdicts(&unlimited));
+        for (job, node_budget) in [(suite_job, peak / 4), (beq, 8000)] {
+            let unlimited = run_job(&job);
+            assert!(unlimited.error.is_none());
+            let budget = JobBudget {
+                node_budget: Some(node_budget),
+                ..JobBudget::default()
+            };
+            let harness = SharedHarness::build(job.config, job.order.clone());
+            let mut manager = BddManager::new();
+            let (result, exhausted) = run_governed(&job, harness.get(), &mut manager, budget);
+            assert!(
+                exhausted,
+                "the first attempt must exhaust {node_budget} nodes"
+            );
+            assert!(
+                result.error.is_none(),
+                "the retry should recover this job, got {:?}",
+                result.error
+            );
+            assert_eq!(result.holds, unlimited.holds);
+            assert_eq!(canonical(&result), canonical(&unlimited));
+        }
     }
 
     /// Budget-exhausted verdicts are deterministic: node/step governance

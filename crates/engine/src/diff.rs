@@ -18,8 +18,8 @@ use crate::report::{CampaignReport, JobResult};
 /// The identity a job is matched on across reports.
 ///
 /// Deliberately *excludes* the variable-order preset: diffing a campaign
-/// against the same campaign at another order (or with `--reorder`) is
-/// exactly the ordering-ablation gate — verdicts must agree across orders,
+/// against the same campaign at another order is exactly the
+/// ordering-ablation gate — verdicts must agree across orders,
 /// so matching them makes the gate stricter, never looser.  Resume is the
 /// opposite trade and does validate the order (see
 /// [`crate::report::job_identity`]).
@@ -361,8 +361,6 @@ mod tests {
             bdd_nodes: 100,
             peak_live_nodes: 100,
             gc_passes: 0,
-            reorder_passes: 0,
-            sift_ms: 0,
             bdd_vars: 8,
             ite_hits: 80,
             ite_misses: 20,

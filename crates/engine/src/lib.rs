@@ -49,7 +49,6 @@
 //!     suites: vec![Suite::PropertyTwo],
 //!     granularity: Granularity::Suite,
 //!     order: ssr_engine::OrderPolicy::Interleaved,
-//!     reorder: None,
 //!     threads: 2,
 //!     budget: ssr_engine::JobBudget::default(),
 //!     verbose: false,

@@ -9,7 +9,7 @@
 
 use std::cell::RefCell;
 
-use ssr_bdd::{MaintainSettings, OrderPolicy};
+use ssr_bdd::OrderPolicy;
 use ssr_cpu::RetentionPolicy;
 use ssr_properties::Suite;
 use ssr_retention::selection::{minimise, SelectionStep};
@@ -35,8 +35,6 @@ pub struct EngineOracle {
     pub granularity: Granularity,
     /// Variable-order preset each query's models compile under.
     pub order: OrderPolicy,
-    /// Automatic GC/reordering policy for each query's managers.
-    pub reorder: Option<MaintainSettings>,
 }
 
 impl EngineOracle {
@@ -49,7 +47,6 @@ impl EngineOracle {
             threads,
             granularity: Granularity::Assertion,
             order: OrderPolicy::Interleaved,
-            reorder: None,
         }
     }
 
@@ -64,7 +61,6 @@ impl EngineOracle {
             suites: self.suites.clone(),
             granularity: self.granularity,
             order: self.order.clone(),
-            reorder: self.reorder,
             threads: self.threads,
             budget: JobBudget::default(),
             verbose: false,
@@ -168,7 +164,6 @@ mod tests {
             threads: 1,
             granularity: Granularity::Suite,
             order: OrderPolicy::Interleaved,
-            reorder: None,
         };
         let mut no_pc = ssr_cpu::RetentionPolicy::architectural();
         no_pc.pc = false;

@@ -170,20 +170,9 @@ impl Checkpoint {
     ///
     /// # Errors
     /// Propagates the I/O error if the file cannot be created or written.
-    pub fn create(
-        path: &Path,
-        granularity: &str,
-        total_jobs: usize,
-        reorder: bool,
-    ) -> std::io::Result<Self> {
+    pub fn create(path: &Path, granularity: &str, total_jobs: usize) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
-        Checkpoint::with_sink(
-            Box::new(FileSink(file)),
-            path,
-            granularity,
-            total_jobs,
-            reorder,
-        )
+        Checkpoint::with_sink(Box::new(FileSink(file)), path, granularity, total_jobs)
     }
 
     /// [`Checkpoint::create`], but every append goes through a
@@ -199,7 +188,6 @@ impl Checkpoint {
         path: &Path,
         granularity: &str,
         total_jobs: usize,
-        reorder: bool,
         plan: FaultPlan,
     ) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
@@ -209,7 +197,7 @@ impl Checkpoint {
             boundary: 0,
             dead: false,
         };
-        Checkpoint::with_sink(Box::new(sink), path, granularity, total_jobs, reorder)
+        Checkpoint::with_sink(Box::new(sink), path, granularity, total_jobs)
     }
 
     fn with_sink(
@@ -217,17 +205,11 @@ impl Checkpoint {
         path: &Path,
         granularity: &str,
         total_jobs: usize,
-        reorder: bool,
     ) -> std::io::Result<Self> {
         let header = Json::obj([
             ("schema", Json::Str(JOURNAL_SCHEMA.into())),
             ("granularity", Json::Str(granularity.to_owned())),
             ("total_jobs", Json::Num(total_jobs as f64)),
-            // Execution mode, not identity: verdicts are reorder-invariant,
-            // but the kernel telemetry (node counts, peaks, GC counters)
-            // is not, so a resume under the other mode mixes telemetry and
-            // the CLI warns about it.
-            ("reorder", Json::Bool(reorder)),
         ]);
         let mut line = header.render();
         line.push('\n');
@@ -270,10 +252,6 @@ pub struct PartialCampaign {
     /// Granularity the file recorded, if any (journals and reports both
     /// carry it).
     pub granularity: Option<String>,
-    /// Whether the journal was recorded under `--reorder`, when known
-    /// (journal headers carry it since the ordering layer; reports and
-    /// older journals do not).
-    pub reorder: Option<bool>,
     /// Worker count, when loaded from a complete report.
     pub threads: Option<u64>,
     /// Campaign wall time, when loaded from a complete report.
@@ -325,7 +303,6 @@ pub fn load_partial(text: &str) -> Result<PartialCampaign, String> {
         let report = CampaignReport::from_json(text)?;
         return Ok(PartialCampaign {
             granularity: Some(report.granularity),
-            reorder: None,
             threads: Some(report.threads),
             total_wall_ms: Some(report.total_wall_ms),
             jobs: report.jobs,
@@ -339,7 +316,7 @@ pub fn load_partial(text: &str) -> Result<PartialCampaign, String> {
         .get("granularity")
         .and_then(Json::as_str)
         .map(str::to_owned);
-    let reorder = header.get("reorder").and_then(Json::as_bool);
+    // A `reorder` key (written while the kernel could sift) is ignored.
     // Keep the 1-based file line number with each record so corruption
     // reports point at the real line even when the file has blank lines.
     let lines: Vec<(usize, &str)> = text
@@ -372,7 +349,6 @@ pub fn load_partial(text: &str) -> Result<PartialCampaign, String> {
     }
     Ok(PartialCampaign {
         granularity,
-        reorder,
         threads: None,
         total_wall_ms: None,
         jobs,
@@ -460,8 +436,6 @@ mod tests {
             bdd_nodes: 10,
             peak_live_nodes: 10,
             gc_passes: 0,
-            reorder_passes: 0,
-            sift_ms: 0,
             bdd_vars: 4,
             ite_hits: 7,
             ite_misses: 3,
@@ -477,7 +451,7 @@ mod tests {
     #[test]
     fn journal_round_trips_through_the_filesystem() {
         let path = unique_path("roundtrip");
-        let cp = Checkpoint::create(&path, "suite", 2, false).expect("creates");
+        let cp = Checkpoint::create(&path, "suite", 2).expect("creates");
         let a = sample_result(0, "architectural", "suite");
         let b = sample_result(1, "none", "suite");
         cp.record(&a).expect("records");
@@ -494,7 +468,7 @@ mod tests {
     #[test]
     fn a_torn_final_line_is_dropped_not_fatal() {
         let path = unique_path("torn");
-        let cp = Checkpoint::create(&path, "suite", 2, true).expect("creates");
+        let cp = Checkpoint::create(&path, "suite", 2).expect("creates");
         cp.record(&sample_result(0, "architectural", "suite"))
             .expect("records");
         cp.record(&sample_result(1, "none", "suite"))
@@ -605,7 +579,7 @@ mod tests {
             })
             .collect();
         let path = unique_path(tag);
-        match Checkpoint::create_with_faults(&path, "suite", records.len(), false, plan) {
+        match Checkpoint::create_with_faults(&path, "suite", records.len(), plan) {
             Ok(cp) => {
                 for r in &records {
                     // The campaign treats checkpointing as best-effort;

@@ -50,10 +50,6 @@ pub struct JobResult {
     pub peak_live_nodes: u64,
     /// Garbage-collection passes the job's manager ran.
     pub gc_passes: u64,
-    /// Sifting passes the job's manager ran.
-    pub reorder_passes: u64,
-    /// Wall time spent inside sifting, in milliseconds.
-    pub sift_ms: u64,
     /// BDD variables allocated by the job's manager.
     pub bdd_vars: u64,
     /// ITE computed-table hits recorded by the job's manager.
@@ -118,8 +114,6 @@ impl JobResult {
             ("bdd_nodes", Json::Num(self.bdd_nodes as f64)),
             ("peak_live_nodes", Json::Num(self.peak_live_nodes as f64)),
             ("gc_passes", Json::Num(self.gc_passes as f64)),
-            ("reorder_passes", Json::Num(self.reorder_passes as f64)),
-            ("sift_ms", Json::Num(self.sift_ms as f64)),
             ("bdd_vars", Json::Num(self.bdd_vars as f64)),
             ("ite_hits", Json::Num(self.ite_hits as f64)),
             ("ite_misses", Json::Num(self.ite_misses as f64)),
@@ -216,8 +210,8 @@ impl JobResult {
             bdd_nodes: num_field("bdd_nodes")?,
             peak_live_nodes: v.get("peak_live_nodes").and_then(Json::as_u64).unwrap_or(0),
             gc_passes: v.get("gc_passes").and_then(Json::as_u64).unwrap_or(0),
-            reorder_passes: v.get("reorder_passes").and_then(Json::as_u64).unwrap_or(0),
-            sift_ms: v.get("sift_ms").and_then(Json::as_u64).unwrap_or(0),
+            // `reorder_passes` and `sift_ms` (written while the kernel
+            // could sift) are ignored.
             bdd_vars: num_field("bdd_vars")?,
             // Kernel-cache telemetry: absent in pre-kernel-rework reports,
             // parsed leniently so old v1 files still load.
@@ -296,21 +290,20 @@ impl CampaignReport {
     /// and the kernel-arena telemetry zeroed: the scheduling-, timing- and
     /// maintenance-independent content.  Two runs of the same campaign — at
     /// any thread count, with or without manager-pool reuse, fresh or
-    /// resumed from a checkpoint, with or without `--reorder` — must
-    /// serialise this to byte-identical JSON.  (Node counts and cache
-    /// telemetry are deterministic per maintenance policy but legitimately
-    /// differ across policies, exactly like timing across thread counts.)
+    /// resumed from a checkpoint, unbudgeted or recovered by the budget
+    /// retry — must serialise this to byte-identical JSON.  (Node counts
+    /// and cache telemetry are deterministic per maintenance policy but
+    /// legitimately differ across policies, exactly like timing across
+    /// thread counts.)
     pub fn canonical(&self) -> CampaignReport {
         let mut report = self.clone();
         report.total_wall_ms = 0;
         report.threads = 0;
         for job in &mut report.jobs {
             job.wall_ms = 0;
-            job.sift_ms = 0;
             job.bdd_nodes = 0;
             job.peak_live_nodes = 0;
             job.gc_passes = 0;
-            job.reorder_passes = 0;
             job.ite_hits = 0;
             job.ite_misses = 0;
             for assertion in &mut job.assertions {
@@ -324,9 +317,8 @@ impl CampaignReport {
     /// every assertion's (name, holds, vacuous) triple.  Unlike
     /// [`CampaignReport::canonical_json`] this excludes all kernel
     /// telemetry, so it is the right equality for order-invariance checks —
-    /// two campaigns over different variable orders (or with reordering
-    /// enabled) must produce equal verdicts even though their node counts
-    /// differ.
+    /// two campaigns over different variable orders must produce equal
+    /// verdicts even though their node counts differ.
     #[allow(clippy::type_complexity)]
     pub fn verdicts(
         &self,
@@ -610,8 +602,6 @@ mod tests {
                     bdd_nodes: 880,
                     peak_live_nodes: 700,
                     gc_passes: 2,
-                    reorder_passes: 1,
-                    sift_ms: 3,
                     bdd_vars: 70,
                     ite_hits: 5400,
                     ite_misses: 600,
@@ -630,8 +620,6 @@ mod tests {
                     bdd_nodes: 0,
                     peak_live_nodes: 0,
                     gc_passes: 0,
-                    reorder_passes: 0,
-                    sift_ms: 0,
                     bdd_vars: 0,
                     ite_hits: 0,
                     ite_misses: 0,

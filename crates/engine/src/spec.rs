@@ -10,7 +10,7 @@
 //! (worker threads, verbosity) are clamped or ignored server-side; the
 //! parser here only validates shape.
 
-use ssr_bdd::{MaintainSettings, OrderPolicy};
+use ssr_bdd::OrderPolicy;
 use ssr_properties::Suite;
 
 use crate::campaign::CampaignSpec;
@@ -20,8 +20,7 @@ use crate::json::Json;
 /// Serialises a campaign spec to its wire object.
 ///
 /// `verbose` is intentionally not carried (stderr streaming is a local CLI
-/// affordance); `reorder` travels as the (`reorder`, `max_growth`) pair of
-/// its [`MaintainSettings`] when enabled.  Budget fields (`node_budget`,
+/// affordance).  Budget fields (`node_budget`,
 /// `step_budget`, `deadline_ms`) are emitted only when set, so an
 /// unbudgeted spec's wire object is byte-identical to pre-budget
 /// `ssr-serve/v1` — and old servers, which parse leniently, simply ignore
@@ -43,11 +42,6 @@ pub fn spec_to_json(spec: &CampaignSpec) -> Json {
         ),
         ("granularity", Json::Str(spec.granularity.name().into())),
         ("order", Json::Str(spec.order.name())),
-        ("reorder", Json::Bool(spec.reorder.is_some())),
-        (
-            "max_growth",
-            Json::Num(spec.reorder.as_ref().map_or(0.0, |m| m.max_growth)),
-        ),
         ("threads", Json::Num(spec.threads as f64)),
     ];
     let budgets = [
@@ -111,22 +105,8 @@ pub fn spec_from_json(v: &Json) -> Result<CampaignSpec, String> {
         None => OrderPolicy::Interleaved,
     };
     // A `partitioning` key (sent while the checker had selectable
-    // strategies) is ignored, whatever its value.
-    let reorder = match v.get("reorder").and_then(Json::as_bool) {
-        Some(true) => {
-            let max_growth = v
-                .get("max_growth")
-                .and_then(Json::as_f64)
-                .filter(|g| g.is_finite() && *g >= 1.0)
-                .unwrap_or(1.2);
-            Some(MaintainSettings {
-                sift: true,
-                max_growth,
-                ..Default::default()
-            })
-        }
-        _ => None,
-    };
+    // strategies) and the `reorder`/`max_growth` pair (sent while the
+    // kernel could sift) are ignored, whatever their values.
     let threads = v
         .get("threads")
         .and_then(Json::as_u64)
@@ -144,7 +124,6 @@ pub fn spec_from_json(v: &Json) -> Result<CampaignSpec, String> {
         suites,
         granularity,
         order,
-        reorder,
         threads,
         budget,
         verbose: false,
@@ -163,11 +142,6 @@ mod tests {
             suites: Suite::ALL.to_vec(),
             granularity: Granularity::Assertion,
             order: OrderPolicy::Reverse,
-            reorder: Some(MaintainSettings {
-                sift: true,
-                max_growth: 1.5,
-                ..Default::default()
-            }),
             threads: 2,
             budget: JobBudget {
                 node_budget: Some(1 << 20),
@@ -182,18 +156,7 @@ mod tests {
     fn specs_round_trip_through_the_wire_form() {
         let spec = sample();
         let parsed = spec_from_json(&spec_to_json(&spec)).expect("parses");
-        // The spec has no PartialEq (MaintainSettings); compare the parts.
-        assert_eq!(parsed.configs, spec.configs);
-        assert_eq!(parsed.policies, spec.policies);
-        assert_eq!(parsed.suites, spec.suites);
-        assert_eq!(parsed.granularity, spec.granularity);
-        assert_eq!(parsed.order, spec.order);
-        assert_eq!(parsed.threads, spec.threads);
-        let growth = parsed.reorder.expect("reorder carried").max_growth;
-        assert!((growth - 1.5).abs() < 1e-9);
-        assert_eq!(parsed.budget, spec.budget, "budgets round-trip");
-        // And the job enumerations — the semantics — agree exactly.
-        assert_eq!(parsed.jobs(), spec.jobs());
+        assert_eq!(parsed, spec);
     }
 
     #[test]
@@ -237,19 +200,30 @@ mod tests {
                 Json::Arr(vec![Json::Str("architectural".into())]),
             ),
             ("suites", Json::Arr(vec![Json::Str("two".into())])),
-            // Ignored, whatever its value (compatibility input).
-            ("partitioning", Json::Str("sideways".into())),
         ]);
         let spec = spec_from_json(&minimal).expect("parses");
-        assert!(spec_to_json(&spec).get("partitioning").is_none());
         assert_eq!(spec.granularity, Granularity::Suite);
         assert_eq!(spec.order, OrderPolicy::Interleaved);
-        assert!(spec.reorder.is_none());
         assert_eq!(spec.threads, 0);
         assert!(
             spec.budget.is_unlimited(),
             "pre-budget wire objects parse as unlimited"
         );
+        // Keys older clients still send are ignored, whatever their values
+        // (compatibility inputs): the spec equals the default one, and its
+        // wire form drops them.
+        let mut old = minimal.clone();
+        if let Json::Obj(map) = &mut old {
+            map.insert("partitioning".into(), Json::Str("sideways".into()));
+            map.insert("reorder".into(), Json::Bool(true));
+            map.insert("max_growth".into(), Json::Num(1.5));
+        }
+        let parsed = spec_from_json(&old).expect("old wire objects parse");
+        assert_eq!(parsed, spec);
+        let wire = spec_to_json(&parsed);
+        for key in ["partitioning", "reorder", "max_growth"] {
+            assert!(wire.get(key).is_none(), "`{key}` is not written back");
+        }
     }
 
     #[test]

@@ -572,12 +572,7 @@ fn handle_submit(
     let mut journal_name = None;
     if let Some(dir) = &shared.journal_dir {
         let name = format!("req-{id}.journal");
-        match Checkpoint::create(
-            &dir.join(&name),
-            spec.granularity.name(),
-            jobs.len(),
-            spec.reorder.is_some(),
-        ) {
+        match Checkpoint::create(&dir.join(&name), spec.granularity.name(), jobs.len()) {
             Ok(cp) => {
                 checkpoint = Some(cp);
                 journal_name = Some(name);

@@ -41,7 +41,6 @@ fn quick_spec() -> CampaignSpec {
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Suite,
         order: OrderPolicy::Interleaved,
-        reorder: None,
         threads: 1,
         budget: JobBudget::default(),
         verbose: false,

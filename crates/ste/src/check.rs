@@ -130,7 +130,7 @@ impl<'m> Ste<'m> {
     /// The checker never installs a maintenance policy; it honours the one
     /// the manager has ([`BddManager::set_maintenance`]).  With a policy,
     /// the simulator and the checker's per-step safe points may
-    /// garbage-collect (and resift) the released states, so peak memory
+    /// garbage-collect the released states, so peak memory
     /// stays bounded by the working set rather than the trajectory.  With
     /// none, nothing is freed and every handle the caller holds stays
     /// valid.  The verdict is the same either way.  After a check under a
@@ -602,10 +602,7 @@ mod tests {
         assert!(kept.3.is_some(), "early claim has a counterexample");
 
         let mut eager = BddManager::new();
-        eager.set_maintenance(Some(MaintainSettings {
-            gc_threshold: 1,
-            ..MaintainSettings::default()
-        }));
+        eager.set_maintenance(Some(MaintainSettings { gc_threshold: 1 }));
         let collected = verdicts(&mut eager);
         assert!(eager.stats().gc_passes > 0, "states were collected");
         assert_eq!(collected, kept);
@@ -755,7 +752,6 @@ mod tests {
             let mut m = BddManager::new();
             m.set_maintenance(Some(MaintainSettings {
                 gc_threshold: 1 << 10,
-                ..MaintainSettings::default()
             }));
             let report = check_counter(&mut m, &model, depth);
             assert!(report.holds, "depth {depth}");

@@ -37,7 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Assertion,
         order: ssr_engine::OrderPolicy::Interleaved,
-        reorder: None,
         threads: 0, // one worker per CPU
         budget: JobBudget::default(),
         verbose: false,

@@ -23,7 +23,6 @@ fn spec(threads: usize) -> CampaignSpec {
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Suite,
         order: ssr_engine::OrderPolicy::Interleaved,
-        reorder: None,
         threads,
         budget: JobBudget::default(),
         verbose: false,
@@ -44,7 +43,7 @@ fn killed_campaign_resumes_to_a_byte_identical_report() {
 
     // First life: checkpoint to disk, die after three jobs.
     let path = journal_path("kill-resume");
-    let checkpoint = Checkpoint::create(&path, "suite", 6, false).expect("journal creates");
+    let checkpoint = Checkpoint::create(&path, "suite", 6).expect("journal creates");
     let partial_report = spec(1).run_with(&[], Some(&checkpoint), Some(3));
     assert_eq!(partial_report.jobs.len(), 3, "the run was interrupted");
     drop(checkpoint);
@@ -89,7 +88,7 @@ fn sweep_spec() -> CampaignSpec {
 #[test]
 fn every_journal_line_prefix_resumes_to_a_byte_identical_report() {
     let path = journal_path("prefix-sweep");
-    let checkpoint = Checkpoint::create(&path, "suite", 3, false).expect("journal creates");
+    let checkpoint = Checkpoint::create(&path, "suite", 3).expect("journal creates");
     let fresh = sweep_spec().run_with(&[], Some(&checkpoint), None);
     assert_eq!(fresh.jobs.len(), 3, "1 policy x 3 suites");
     drop(checkpoint);
@@ -131,7 +130,7 @@ fn resume_survives_a_fault_at_every_checkpoint_boundary() {
         ] {
             let plan = FaultPlan::kill_at(boundary, fault);
             let path = journal_path(&format!("fault-{boundary}-{tag}"));
-            let report = match Checkpoint::create_with_faults(&path, "suite", 3, false, plan) {
+            let report = match Checkpoint::create_with_faults(&path, "suite", 3, plan) {
                 Ok(cp) => sweep_spec().run_with(&[], Some(&cp), None),
                 // The header append itself faulted: the campaign runs
                 // un-checkpointed, exactly as the CLI would after warning.

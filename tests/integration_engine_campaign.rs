@@ -22,7 +22,6 @@ fn parallel_campaign_reproduces_the_papers_verdicts() {
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Suite,
         order: ssr_engine::OrderPolicy::Interleaved,
-        reorder: None,
         budget: ssr_engine::JobBudget::default(),
         threads: 4,
         verbose: false,
@@ -72,7 +71,6 @@ fn campaign_catches_the_unsafe_control_path_reset() {
         suites: vec![Suite::PropertyTwo],
         granularity: Granularity::Assertion,
         order: ssr_engine::OrderPolicy::Interleaved,
-        reorder: None,
         budget: ssr_engine::JobBudget::default(),
         threads: 2,
         verbose: false,

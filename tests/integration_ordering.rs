@@ -1,19 +1,18 @@
-//! End-to-end ordering-layer tests: every variable-order preset — and a
-//! campaign with dynamic reordering enabled — must produce verdict-identical
-//! reports on the example configurations, artifacts from older writers
-//! must still resume cleanly, and `--reorder` must sift without raising
-//! the peak live node count on the IFR workload.
+//! End-to-end ordering-layer tests: every variable-order preset must
+//! produce verdict-identical reports on the example configurations,
+//! artifacts from older writers must still resume cleanly, and an eager
+//! GC policy must not raise the peak live node count on the IFR workload.
 
+use ssr_bdd::BddManager;
 use ssr_engine::json::Json;
 use ssr_engine::persist::{load_partial, JOURNAL_SCHEMA};
 use ssr_engine::{
-    plan_resume, policy_by_name, CampaignReport, CampaignSpec, Granularity, MaintainSettings,
-    NamedConfig, OrderPolicy, ReportDiff, Suite,
+    plan_resume, policy_by_name, run_job_with, CampaignReport, CampaignSpec, Granularity,
+    MaintainSettings, NamedConfig, OrderPolicy, ReportDiff, SharedHarness, Suite,
 };
 
-/// A small two-policy Property II campaign under the given ordering
-/// configuration.
-fn spec(order: OrderPolicy, reorder: Option<MaintainSettings>) -> CampaignSpec {
+/// A small two-policy Property II campaign under the given variable order.
+fn spec(order: OrderPolicy) -> CampaignSpec {
     CampaignSpec {
         configs: vec![NamedConfig::small()],
         policies: vec![
@@ -23,7 +22,6 @@ fn spec(order: OrderPolicy, reorder: Option<MaintainSettings>) -> CampaignSpec {
         suites: vec![Suite::PropertyTwo],
         granularity: Granularity::Suite,
         order,
-        reorder,
         budget: ssr_engine::JobBudget::default(),
         threads: 1,
         verbose: false,
@@ -40,56 +38,26 @@ fn ifr_spec(order: OrderPolicy) -> CampaignSpec {
         suites: vec![Suite::Ifr],
         granularity: Granularity::Suite,
         order,
-        reorder: None,
         budget: ssr_engine::JobBudget::default(),
         threads: 1,
         verbose: false,
     }
 }
 
-/// Aggressive maintenance so the small test campaigns actually exercise
-/// GC + sifting (production defaults trigger at much higher node counts).
-fn eager_reorder() -> Option<MaintainSettings> {
-    Some(MaintainSettings {
-        gc_threshold: 1 << 10,
-        sift: true,
-        sift_threshold: 1 << 10,
-        max_growth: 1.2,
-    })
-}
-
 #[test]
-fn verdicts_are_invariant_across_presets_and_reordering() {
-    let baseline = spec(OrderPolicy::Interleaved, None).run();
+fn verdicts_are_invariant_across_presets() {
+    let baseline = spec(OrderPolicy::Interleaved).run();
     assert!(baseline.jobs[0].holds && !baseline.jobs[1].holds);
 
     // Reverse preset: same verdicts, different (but valid) node counts.
-    let reverse = spec(OrderPolicy::Reverse, None).run();
+    let reverse = spec(OrderPolicy::Reverse).run();
     assert_eq!(reverse.verdicts(), baseline.verdicts());
     assert_eq!(reverse.jobs[0].order, "reverse");
 
     // Explicit preset (a partial list; the rest falls back to interleaved).
     let explicit = OrderPolicy::Explicit(vec!["eq_add_r2[0]".into(), "eq_add_r1[0]".into()]);
-    let explicit_report = spec(explicit, None).run();
+    let explicit_report = spec(explicit).run();
     assert_eq!(explicit_report.verdicts(), baseline.verdicts());
-
-    // Dynamic reordering on top of the default preset: verdicts identical,
-    // GC demonstrably ran, and the reported peak can only shrink.
-    let reordered = spec(OrderPolicy::Interleaved, eager_reorder()).run();
-    assert_eq!(reordered.verdicts(), baseline.verdicts());
-    assert!(
-        reordered.jobs.iter().any(|j| j.gc_passes > 0),
-        "the eager policy must have collected at least once"
-    );
-    for (with, without) in reordered.jobs.iter().zip(&baseline.jobs) {
-        assert!(
-            with.peak_live_nodes <= without.peak_live_nodes,
-            "job {}: reordering grew the peak ({} > {})",
-            with.job_id,
-            with.peak_live_nodes,
-            without.peak_live_nodes
-        );
-    }
 }
 
 #[test]
@@ -113,18 +81,33 @@ fn sequential_preset_matches_on_the_ifr_suite() {
 #[test]
 fn eager_maintenance_keeps_verdicts_and_the_ifr_peak() {
     // The §III-B IFR property is the most memory-hungry job of the small
-    // config.  Eager GC + sifting must leave its verdicts alone, actually
-    // sift, and never raise the peak above the unmaintained run's.  (Any
-    // peak saving here comes from GC cadence, not sifting; sifting's own
-    // shrink is covered by the kernel's sift tests.)
-    let without = ifr_spec(OrderPolicy::Interleaved).run();
-    let mut with = ifr_spec(OrderPolicy::Interleaved);
-    with.reorder = eager_reorder();
-    let with = with.run();
-    assert_eq!(with.verdicts(), without.verdicts());
-    assert!(with.jobs[0].reorder_passes > 0, "the eager policy sifted");
+    // config.  A GC policy far more eager than the default one (which
+    // `run_job_with` keeps when the caller installed it) must leave its
+    // verdict and counterexamples alone, actually collect, and never raise
+    // the peak above the default run's.
+    let campaign = ifr_spec(OrderPolicy::Interleaved);
+    let without = campaign.run();
+    let job = campaign.jobs().remove(0);
+    let harness = SharedHarness::build(job.config, job.order.clone());
+    let mut m = BddManager::new();
+    m.set_maintenance(Some(MaintainSettings {
+        gc_threshold: 1 << 10,
+    }));
+    let with = run_job_with(&job, harness.get(), &mut m);
+    assert_eq!(with.holds, without.jobs[0].holds);
+    assert_eq!(with.assertions.len(), without.jobs[0].assertions.len());
+    for (a, b) in with.assertions.iter().zip(&without.jobs[0].assertions) {
+        assert_eq!(
+            (&a.name, a.holds, a.vacuous, &a.failures),
+            (&b.name, b.holds, b.vacuous, &b.failures)
+        );
+    }
+    assert!(
+        with.gc_passes > without.jobs[0].gc_passes,
+        "the eager policy collected more"
+    );
     let peak_without = without.jobs[0].peak_live_nodes;
-    let peak_with = with.jobs[0].peak_live_nodes;
+    let peak_with = with.peak_live_nodes;
     assert!(
         peak_with <= peak_without,
         "eager maintenance grew the peak: {peak_with} vs {peak_without}"
@@ -133,8 +116,8 @@ fn eager_maintenance_keeps_verdicts_and_the_ifr_peak() {
 
 #[test]
 fn order_is_part_of_the_resume_identity() {
-    let interleaved = spec(OrderPolicy::Interleaved, None);
-    let reverse = spec(OrderPolicy::Reverse, None);
+    let interleaved = spec(OrderPolicy::Interleaved);
+    let reverse = spec(OrderPolicy::Reverse);
     let report = interleaved.run();
     // Same shape, different order: nothing may be reused.
     let plan = plan_resume(&reverse.jobs(), &report.jobs);
@@ -156,10 +139,13 @@ fn pre_ordering_journals_resume_against_the_default_order() {
     //   parser must ignore;
     // * a report and a journal written while the checker had selectable
     //   strategies carry a `partitioning` key on every job, which the
-    //   parser must ignore whatever its value.
+    //   parser must ignore whatever its value;
+    // * a report and a journal written while the kernel could sift carry
+    //   `reorder_passes` and `sift_ms` on every job and, in the journal
+    //   header, `"reorder": true`, which the parser must ignore.
     // Each must load, resume against a default-order enumeration to the
     // fresh run's canonical report, and diff clean against it.
-    let campaign = spec(OrderPolicy::Interleaved, None);
+    let campaign = spec(OrderPolicy::Interleaved);
     let report = campaign.run();
     let json = report.to_json();
     let legacy = regex_strip_order(&json);
@@ -169,21 +155,27 @@ fn pre_ordering_journals_resume_against_the_default_order() {
     );
     // The store-era writer added `store_hits` or `store_misses` to a job
     // only when nonzero, so every job here carries exactly one of the two.
-    let (store_report, store_journal) = written_with(&report, |i| {
+    let (store_report, store_journal) = written_with(&report, false, |i| {
         let key = if i % 2 == 0 {
             "store_hits"
         } else {
             "store_misses"
         };
-        (key, Json::Num(1.0))
+        vec![(key, Json::Num(1.0))]
     });
-    let (strategy_report, strategy_journal) = written_with(&report, |i| {
+    let (strategy_report, strategy_journal) = written_with(&report, false, |i| {
         let strategy = if i % 2 == 0 {
             "monolithic"
         } else {
             "conjunctive"
         };
-        ("partitioning", Json::Str(strategy.into()))
+        vec![("partitioning", Json::Str(strategy.into()))]
+    });
+    let (sift_report, sift_journal) = written_with(&report, true, |i| {
+        vec![
+            ("reorder_passes", Json::Num((i + 1) as f64)),
+            ("sift_ms", Json::Num(3.0)),
+        ]
     });
     for (what, text) in [
         ("pre-ordering report", legacy),
@@ -191,6 +183,8 @@ fn pre_ordering_journals_resume_against_the_default_order() {
         ("store-era journal", store_journal),
         ("partitioning-era report", strategy_report),
         ("partitioning-era journal", strategy_journal),
+        ("reorder-era report", sift_report),
+        ("reorder-era journal", sift_journal),
     ] {
         let partial = load_partial(&text).unwrap_or_else(|e| panic!("{what} loads: {e}"));
         assert!(partial.jobs.iter().all(|j| j.order == "interleaved"));
@@ -206,10 +200,13 @@ fn pre_ordering_journals_resume_against_the_default_order() {
 }
 
 /// The report and the journal of `report` as an older writer emitted
-/// them, with the field `extra(i)` added to job `i`.
+/// them, with the fields `extra(i)` added to job `i` and the journal
+/// header's `reorder` flag (written by every journal writer from the
+/// ordering layer until sifting was removed) set to `reorder`.
 fn written_with(
     report: &CampaignReport,
-    extra: impl Fn(usize) -> (&'static str, Json),
+    reorder: bool,
+    extra: impl Fn(usize) -> Vec<(&'static str, Json)>,
 ) -> (String, String) {
     let jobs: Vec<Json> = report
         .jobs
@@ -218,8 +215,9 @@ fn written_with(
         .map(|(i, job)| {
             let mut line = job.to_json();
             if let Json::Obj(fields) = &mut line {
-                let (key, value) = extra(i);
-                fields.insert(key.to_owned(), value);
+                for (key, value) in extra(i) {
+                    fields.insert(key.to_owned(), value);
+                }
             }
             line
         })
@@ -232,7 +230,7 @@ fn written_with(
         ("schema", Json::Str(JOURNAL_SCHEMA.into())),
         ("granularity", Json::Str(report.granularity.clone())),
         ("total_jobs", Json::Num(report.jobs.len() as f64)),
-        ("reorder", Json::Bool(false)),
+        ("reorder", Json::Bool(reorder)),
     ]);
     let journal: String = std::iter::once(&header)
         .chain(&jobs)
@@ -240,10 +238,11 @@ fn written_with(
         .collect();
     let doc = doc.render_pretty();
     for (i, job) in jobs.iter().enumerate() {
-        let (key, value) = extra(i);
-        assert_eq!(job.get(key), Some(&value));
-        let field = format!("\"{key}\"");
-        assert!(doc.contains(&field) && journal.contains(&field));
+        for (key, value) in extra(i) {
+            assert_eq!(job.get(key), Some(&value));
+            let field = format!("\"{key}\"");
+            assert!(doc.contains(&field) && journal.contains(&field));
+        }
     }
     (doc, journal)
 }
