@@ -699,33 +699,32 @@ mod tests {
 
     #[test]
     fn assertion_granularity_agrees_with_suite_granularity() {
-        let whole = tiny_spec(2, Granularity::Suite).run();
-        let sharded = tiny_spec(4, Granularity::Assertion).run();
-        assert_eq!(
-            sharded.jobs.len(),
-            2 * Suite::PropertyTwo.assertion_count(),
-            "one job per obligation per policy"
-        );
-        // Per-assertion verdicts must agree between the two granularities.
-        let whole_verdicts: Vec<(String, bool)> = whole
-            .jobs
-            .iter()
-            .flat_map(|j| {
-                j.assertions
-                    .iter()
-                    .map(|a| (format!("{}/{}", j.policy_name, a.name), a.holds))
-            })
-            .collect();
-        let sharded_verdicts: Vec<(String, bool)> = sharded
-            .jobs
-            .iter()
-            .flat_map(|j| {
-                j.assertions
-                    .iter()
-                    .map(|a| (format!("{}/{}", j.policy_name, a.name), a.holds))
-            })
-            .collect();
-        assert_eq!(whole_verdicts, sharded_verdicts);
+        let spec = |threads, granularity| CampaignSpec {
+            policies: crate::job::named_policies(),
+            suites: Suite::ALL.to_vec(),
+            ..tiny_spec(threads, granularity)
+        };
+        let whole = spec(2, Granularity::Suite).run().canonical();
+        let sharded = spec(4, Granularity::Assertion).run().canonical();
+        let obligations: usize = whole.jobs.iter().map(|j| j.assertions.len()).sum();
+        assert_eq!(sharded.jobs.len(), obligations, "one job per obligation");
+        // A one-assertion job reports what its whole-suite job reports for
+        // that assertion, as far as `canonical()` keeps it, and declares
+        // the same variables.
+        let mut shards = sharded.jobs.iter();
+        for job in &whole.jobs {
+            for outcome in &job.assertions {
+                let shard = shards.next().expect("a job per obligation");
+                let what = format!("{}/{}/{}", job.policy_name, job.suite, outcome.name);
+                assert_eq!(
+                    (&shard.policy_name, &shard.suite),
+                    (&job.policy_name, &job.suite),
+                    "{what}"
+                );
+                assert_eq!(shard.assertions, std::slice::from_ref(outcome), "{what}");
+                assert_eq!(shard.bdd_vars, job.bdd_vars, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -19,10 +19,11 @@
 use ssr_bdd::{BddManager, BddVec};
 use ssr_cpu::ControlPath;
 use ssr_retention::SleepResumeSchedule;
-use ssr_ste::indexing::{direct_memory_antecedent, raw_expected};
+use ssr_ste::indexing::{direct_memory_antecedent, memory_word, raw_expected};
 use ssr_ste::{Assertion, Formula};
 
 use crate::harness::CoreHarness;
+use crate::suite::Pick;
 
 /// How the instruction memory's initial contents are described to the
 /// antecedent.
@@ -40,6 +41,53 @@ pub enum AntecedentStyle {
 /// resume (during which the IFR re-captures the opcode).
 pub fn schedule() -> SleepResumeSchedule {
     SleepResumeSchedule::new(1, 1)
+}
+
+/// The IFR suite's assertions that `pick` selects: the direct style, then
+/// the indexed one.  A style that is not picked still declares its
+/// variables, so both builds name the suite's variables in one order.
+pub(crate) fn build(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
+    let mut out = Vec::new();
+    for style in [AntecedentStyle::Direct, AntecedentStyle::Indexed] {
+        if pick.next() {
+            out.push(assertion(harness, m, style));
+        } else {
+            declare(harness, m, style);
+        }
+    }
+    out
+}
+
+/// Declares the variables [`assertion`] declares for `style`, in the same
+/// order, and builds nothing.
+fn declare(harness: &CoreHarness, m: &mut BddManager, style: AntecedentStyle) {
+    ports(harness, m);
+    match style {
+        AntecedentStyle::Direct => {
+            for i in 0..harness.config().imem_depth {
+                memory_word(m, i, 32);
+            }
+        }
+        AntecedentStyle::Indexed => {
+            indexed_word(harness, m);
+        }
+    }
+}
+
+/// The symbolic read address (the PC's word address), write address and
+/// write data.
+fn ports(harness: &CoreHarness, m: &mut BddManager) -> (BddVec, BddVec, BddVec) {
+    let addr_bits = harness.config().imem_addr_bits();
+    (
+        harness.order().word(m, "ifr_ra", addr_bits),
+        harness.order().word(m, "ifr_wa", addr_bits),
+        harness.order().word(m, "ifr_wd", 32),
+    )
+}
+
+/// The indexed style's symbolic contents of the addressed word.
+fn indexed_word(harness: &CoreHarness, m: &mut BddManager) -> BddVec {
+    harness.order().word(m, "ifr_mem", 32)
 }
 
 /// Builds the instruction-memory / IFR read-after-write property.
@@ -61,12 +109,9 @@ pub fn assertion(harness: &CoreHarness, m: &mut BddManager, style: AntecedentSty
     let cfg = harness.config();
     let s = schedule();
     let depth = s.depth;
-    let addr_bits = cfg.imem_addr_bits();
 
     // Symbolic read address (the PC) and write port values.
-    let read_word = harness.order().word(m, "ifr_ra", addr_bits);
-    let write_word = harness.order().word(m, "ifr_wa", addr_bits);
-    let write_data = harness.order().word(m, "ifr_wd", 32);
+    let (read_word, write_word, write_data) = ports(harness, m);
 
     let mut pc_bits = vec![ssr_bdd::Bdd::FALSE; 32];
     for (i, &b) in read_word.bits().iter().enumerate() {
@@ -89,7 +134,7 @@ pub fn assertion(harness: &CoreHarness, m: &mut BddManager, style: AntecedentSty
             (formula, raw)
         }
         AntecedentStyle::Indexed => {
-            let data = harness.order().word(m, "ifr_mem", 32);
+            let data = indexed_word(harness, m);
             let formula = harness.imem_indexed_is(m, &read_word, &data, 0, 1);
             let write_hits_read = write_word.equals(m, &read_word).expect("width");
             let raw = write_data.mux(m, write_hits_read, &data).expect("width");

@@ -17,20 +17,31 @@ use ssr_ste::stimulus::clock;
 use ssr_ste::{Assertion, Formula};
 
 use crate::harness::CoreHarness;
+use crate::suite::Pick;
 
 /// Builds the full 26-assertion Property I suite for the given core.
 pub fn suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
+    build(harness, m, &mut Pick::all())
+}
+
+/// The suite's assertions that `pick` selects, every variable of the
+/// suite declared (see [`Pick`]).
+pub(crate) fn build(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
     let mut out = Vec::with_capacity(26);
-    out.extend(fetch(harness, m));
-    out.extend(decode(harness, m));
-    out.extend(control(harness, m));
-    out.extend(execute(harness, m));
-    out.push(write_back(harness, m));
+    out.extend(fetch_picked(harness, m, pick));
+    out.extend(decode_picked(harness, m, pick));
+    out.extend(control_picked(harness, m, pick));
+    out.extend(execute_picked(harness, m, pick));
+    out.extend(write_back_picked(harness, m, pick));
     out
 }
 
 /// The two fetch-unit assertions.
 pub fn fetch(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
+    fetch_picked(harness, m, &mut Pick::all())
+}
+
+fn fetch_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
     let opcode_net = harness.opcode_net();
     let mut out = Vec::new();
 
@@ -38,13 +49,15 @@ pub fn fetch(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
     // PC + 4 after one clock cycle.
     {
         let pc = harness.order().word(m, "f1_pc", 32);
-        let a = CoreHarness::nominal_controls(3)
-            .and(clock("clock", 0, 1))
-            .and(CoreHarness::pc_is(m, &pc, 0, 2))
-            .and(Formula::word_is_const(opcode_net, 0, 6).from_to(0, 2));
-        let expected = pc.add_constant(m, 4);
-        let c = Formula::word_is(m, "PC", &expected).delay(2);
-        out.push(Assertion::named("fetch_pc_plus_4", a, c));
+        if pick.next() {
+            let a = CoreHarness::nominal_controls(3)
+                .and(clock("clock", 0, 1))
+                .and(CoreHarness::pc_is(m, &pc, 0, 2))
+                .and(Formula::word_is_const(opcode_net, 0, 6).from_to(0, 2));
+            let expected = pc.add_constant(m, 4);
+            let c = Formula::word_is(m, "PC", &expected).delay(2);
+            out.push(Assertion::named("fetch_pc_plus_4", a, c));
+        }
     }
 
     // F2: branch target — with a taken `beq` the PC becomes
@@ -55,23 +68,29 @@ pub fn fetch(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
     // ordering ablation of the `bdd_ops` bench).
     {
         let (pc, offset) = harness.order().pair(m, "f2_pc", "f2_off", 32);
-        let a = CoreHarness::nominal_controls(3)
-            .and(clock("clock", 0, 1))
-            .and(CoreHarness::pc_is(m, &pc, 0, 2))
-            .and(Formula::word_is_const(opcode_net, OP_BEQ as u64, 6).from_to(0, 2))
-            .and(Formula::node_is_from_to("Zero", true, 0, 2))
-            .and(CoreHarness::word_over(m, "SignExt", &offset, 0, 2));
-        let plus4 = pc.add_constant(m, 4);
-        let shifted = offset.shl_constant(2);
-        let expected = plus4.add(m, &shifted).expect("same width");
-        let c = Formula::word_is(m, "PC", &expected).delay(2);
-        out.push(Assertion::named("fetch_branch_taken", a, c));
+        if pick.next() {
+            let a = CoreHarness::nominal_controls(3)
+                .and(clock("clock", 0, 1))
+                .and(CoreHarness::pc_is(m, &pc, 0, 2))
+                .and(Formula::word_is_const(opcode_net, OP_BEQ as u64, 6).from_to(0, 2))
+                .and(Formula::node_is_from_to("Zero", true, 0, 2))
+                .and(CoreHarness::word_over(m, "SignExt", &offset, 0, 2));
+            let plus4 = pc.add_constant(m, 4);
+            let shifted = offset.shl_constant(2);
+            let expected = plus4.add(m, &shifted).expect("same width");
+            let c = Formula::word_is(m, "PC", &expected).delay(2);
+            out.push(Assertion::named("fetch_branch_taken", a, c));
+        }
     }
     out
 }
 
 /// The six decode-unit assertions.
 pub fn decode(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
+    decode_picked(harness, m, &mut Pick::all())
+}
+
+fn decode_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
     let reg_bits = harness.config().reg_addr_bits();
     let reg_count = harness.config().reg_count;
     let mut out = Vec::new();
@@ -83,6 +102,9 @@ pub fn decode(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
     ] {
         let addr = harness.order().word(m, &format!("{name}_addr"), reg_bits);
         let data = harness.order().word(m, &format!("{name}_data"), 32);
+        if !pick.next() {
+            continue;
+        }
         let mut bank = Formula::True;
         for i in 0..reg_count {
             let hit = addr.equals_constant(m, i as u64);
@@ -104,14 +126,16 @@ pub fn decode(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
     // D3: sign extension of the 16-bit immediate.
     {
         let imm = harness.order().word(m, "d3_imm", 16);
-        let mut field = Formula::True;
-        for (bit, &b) in imm.bits().iter().enumerate() {
-            field = field.and(Formula::is_bdd(m, format!("Instruction[{bit}]"), b));
+        if pick.next() {
+            let mut field = Formula::True;
+            for (bit, &b) in imm.bits().iter().enumerate() {
+                field = field.and(Formula::is_bdd(m, format!("Instruction[{bit}]"), b));
+            }
+            let a = CoreHarness::nominal_controls(1).and(field);
+            let expected = imm.sext(32);
+            let c = Formula::word_is(m, "SignExt", &expected);
+            out.push(Assertion::named("decode_sign_extend", a, c));
         }
-        let a = CoreHarness::nominal_controls(1).and(field);
-        let expected = imm.sext(32);
-        let c = Formula::word_is(m, "SignExt", &expected);
-        out.push(Assertion::named("decode_sign_extend", a, c));
     }
 
     // D4/D5: the RegDst destination-register multiplexer.
@@ -120,6 +144,9 @@ pub fn decode(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
         ("decode_write_register_load", false, 16usize),
     ] {
         let addr = harness.order().word(m, &format!("{name}_addr"), reg_bits);
+        if !pick.next() {
+            continue;
+        }
         let mut field = Formula::True;
         for (bit, &b) in addr.bits().iter().enumerate() {
             field = field.and(Formula::is_bdd(
@@ -139,27 +166,33 @@ pub fn decode(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
     {
         let addr = harness.order().word(m, "d6_addr", reg_bits);
         let data = harness.order().word(m, "d6_data", 32);
-        let a = CoreHarness::nominal_controls(3)
-            .and(clock("clock", 0, 1))
-            .and(Formula::node_is_from_to("RegWrite", true, 0, 2))
-            .and(CoreHarness::word_over(m, "WriteRegister", &addr, 0, 2))
-            .and(CoreHarness::word_over(m, "WriteBackData", &data, 0, 2));
-        let mut c = Formula::True;
-        for i in 0..reg_count {
-            let hit = addr.equals_constant(m, i as u64);
-            c = c.and(
-                Formula::word_is(m, &format!("Registers_w{i}"), &data)
-                    .when(hit)
-                    .delay(2),
-            );
+        if pick.next() {
+            let a = CoreHarness::nominal_controls(3)
+                .and(clock("clock", 0, 1))
+                .and(Formula::node_is_from_to("RegWrite", true, 0, 2))
+                .and(CoreHarness::word_over(m, "WriteRegister", &addr, 0, 2))
+                .and(CoreHarness::word_over(m, "WriteBackData", &data, 0, 2));
+            let mut c = Formula::True;
+            for i in 0..reg_count {
+                let hit = addr.equals_constant(m, i as u64);
+                c = c.and(
+                    Formula::word_is(m, &format!("Registers_w{i}"), &data)
+                        .when(hit)
+                        .delay(2),
+                );
+            }
+            out.push(Assertion::named("decode_register_write_back", a, c));
         }
-        out.push(Assertion::named("decode_register_write_back", a, c));
     }
     out
 }
 
 /// The eleven control-unit assertions.
 pub fn control(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
+    control_picked(harness, m, &mut Pick::all())
+}
+
+fn control_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
     let opcode_net = harness.opcode_net();
     let mut out = Vec::new();
 
@@ -228,6 +261,9 @@ pub fn control(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
         ),
     ];
     for (name, opcode, outputs, alu_op) in rows {
+        if !pick.next() {
+            continue;
+        }
         let a = CoreHarness::nominal_controls(1).and(Formula::word_is_const(opcode_net, opcode, 6));
         let mut c = Formula::all(outputs.iter().map(|(net, v)| Formula::is_bool(*net, *v)));
         c = c.and(Formula::word_is_const("ALUOp", alu_op, 2));
@@ -237,20 +273,22 @@ pub fn control(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
     // C5: unimplemented opcodes drive no commits.
     {
         let op = harness.order().word(m, "c5_op", 6);
-        let known = [0u64, OP_LW as u64, OP_SW as u64, OP_BEQ as u64];
-        let mut is_known = ssr_bdd::Bdd::FALSE;
-        for k in known {
-            let eq = op.equals_constant(m, k);
-            is_known = m.or(is_known, eq);
+        if pick.next() {
+            let known = [0u64, OP_LW as u64, OP_SW as u64, OP_BEQ as u64];
+            let mut is_known = ssr_bdd::Bdd::FALSE;
+            for k in known {
+                let eq = op.equals_constant(m, k);
+                is_known = m.or(is_known, eq);
+            }
+            let unknown = m.not(is_known);
+            let a = CoreHarness::nominal_controls(1).and(Formula::word_is(m, opcode_net, &op));
+            let c = Formula::all(
+                ["RegWrite", "MemWrite", "Branch", "PCWrite"]
+                    .iter()
+                    .map(|net| Formula::is0(*net).when(unknown)),
+            );
+            out.push(Assertion::named("control_unknown_is_inert", a, c));
         }
-        let unknown = m.not(is_known);
-        let a = CoreHarness::nominal_controls(1).and(Formula::word_is(m, opcode_net, &op));
-        let c = Formula::all(
-            ["RegWrite", "MemWrite", "Branch", "PCWrite"]
-                .iter()
-                .map(|net| Formula::is0(*net).when(unknown)),
-        );
-        out.push(Assertion::named("control_unknown_is_inert", a, c));
     }
 
     // C6–C10: each control output as a symbolic function of the opcode.
@@ -279,6 +317,9 @@ pub fn control(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
     let output_net = ["RegWrite", "MemWrite", "Branch", "ALUSrc", "MemRead"];
     for (i, (name, expected_fn)) in symbolic_outputs.iter().enumerate() {
         let op = harness.order().word(m, &format!("{name}_op"), 6);
+        if !pick.next() {
+            continue;
+        }
         let a = CoreHarness::nominal_controls(1).and(Formula::word_is(m, opcode_net, &op));
         let expected = expected_fn(m, &op);
         let c = Formula::is_bdd(m, output_net[i], expected);
@@ -289,31 +330,35 @@ pub fn control(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
     // itself is already checked per opcode by C1–C4.)
     {
         let funct = harness.order().word(m, "c11_funct", 6);
-        let mut field = Formula::True;
-        for (bit, &b) in funct.bits().iter().enumerate() {
-            field = field.and(Formula::is_bdd(m, format!("Instruction[{bit}]"), b));
+        if pick.next() {
+            let mut field = Formula::True;
+            for (bit, &b) in funct.bits().iter().enumerate() {
+                field = field.and(Formula::is_bdd(m, format!("Instruction[{bit}]"), b));
+            }
+            let a = CoreHarness::nominal_controls(1)
+                .and(Formula::is1("ALUOp[1]"))
+                .and(Formula::is0("ALUOp[0]"))
+                .and(field);
+            // With ALUOp = 10 the textbook equations reduce to:
+            //   ctrl2 = F1,  ctrl1 = ¬F2,  ctrl0 = F3 ∨ F0.
+            let ctrl2 = funct.bit(1);
+            let ctrl1 = m.not(funct.bit(2));
+            let ctrl0 = m.or(funct.bit(3), funct.bit(0));
+            let c = Formula::is_bdd(m, "ALUControl[2]", ctrl2)
+                .and(Formula::is_bdd(m, "ALUControl[1]", ctrl1))
+                .and(Formula::is_bdd(m, "ALUControl[0]", ctrl0));
+            out.push(Assertion::named("control_alu_control_table", a, c));
         }
-        let a = CoreHarness::nominal_controls(1)
-            .and(Formula::is1("ALUOp[1]"))
-            .and(Formula::is0("ALUOp[0]"))
-            .and(field);
-        // With ALUOp = 10 the textbook equations reduce to:
-        //   ctrl2 = F1,  ctrl1 = ¬F2,  ctrl0 = F3 ∨ F0.
-        let ctrl2 = funct.bit(1);
-        let ctrl1 = m.not(funct.bit(2));
-        let ctrl0 = m.or(funct.bit(3), funct.bit(0));
-        let c = Formula::is_bdd(m, "ALUControl[2]", ctrl2)
-            .and(Formula::is_bdd(m, "ALUControl[1]", ctrl1))
-            .and(Formula::is_bdd(m, "ALUControl[0]", ctrl0));
-        out.push(Assertion::named("control_alu_control_table", a, c));
     }
-
-    debug_assert_eq!(out.len(), 11);
     out
 }
 
 /// The six execute-unit assertions.
 pub fn execute(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
+    execute_picked(harness, m, &mut Pick::all())
+}
+
+fn execute_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
     let mut out = Vec::new();
 
     let alu_cases: [(&str, u64); 5] = [
@@ -328,6 +373,9 @@ pub fn execute(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
             harness
                 .order()
                 .pair(m, &format!("{name}_a"), &format!("{name}_b"), 32);
+        if !pick.next() {
+            continue;
+        }
         let antecedent = CoreHarness::nominal_controls(1)
             .and(Formula::is0("ALUSrc"))
             .and(Formula::word_is_const("ALUControl", ctrl, 3))
@@ -352,30 +400,43 @@ pub fn execute(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
     // E6: the Zero flag is exactly the equality of the subtraction operands.
     {
         let (a_vec, b_vec) = harness.order().pair(m, "e6_a", "e6_b", 32);
-        let antecedent = CoreHarness::nominal_controls(1)
-            .and(Formula::is0("ALUSrc"))
-            .and(Formula::word_is_const("ALUControl", 0b110, 3))
-            .and(Formula::word_is(m, "ReadData1", &a_vec))
-            .and(Formula::word_is(m, "ReadData2", &b_vec));
-        let eq = a_vec.equals(m, &b_vec).expect("width");
-        let c = Formula::is_bdd(m, "Zero", eq);
-        out.push(Assertion::named("execute_zero_flag", antecedent, c));
+        if pick.next() {
+            let antecedent = CoreHarness::nominal_controls(1)
+                .and(Formula::is0("ALUSrc"))
+                .and(Formula::word_is_const("ALUControl", 0b110, 3))
+                .and(Formula::word_is(m, "ReadData1", &a_vec))
+                .and(Formula::word_is(m, "ReadData2", &b_vec));
+            let eq = a_vec.equals(m, &b_vec).expect("width");
+            let c = Formula::is_bdd(m, "Zero", eq);
+            out.push(Assertion::named("execute_zero_flag", antecedent, c));
+        }
     }
     out
 }
 
 /// The single write-back assertion.
 pub fn write_back(harness: &CoreHarness, m: &mut BddManager) -> Assertion {
+    write_back_picked(harness, m, &mut Pick::all()).expect("every assertion is picked")
+}
+
+fn write_back_picked(
+    harness: &CoreHarness,
+    m: &mut BddManager,
+    pick: &mut Pick,
+) -> Option<Assertion> {
     let mem_data = harness.order().word(m, "wb_mem", 32);
     let alu_data = harness.order().word(m, "wb_alu", 32);
     let sel = m.declare("wb_sel");
+    if !pick.next() {
+        return None;
+    }
     let a = CoreHarness::nominal_controls(1)
         .and(Formula::is_bdd(m, "MemtoReg", sel))
         .and(Formula::word_is(m, "MemReadData", &mem_data))
         .and(Formula::word_is(m, "ALUResult", &alu_data));
     let expected = mem_data.mux(m, sel, &alu_data).expect("width");
     let c = Formula::word_is(m, "WriteBackData", &expected);
-    Assertion::named("writeback_mux", a, c)
+    Some(Assertion::named("writeback_mux", a, c))
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ use ssr_retention::SleepResumeSchedule;
 use ssr_ste::{Assertion, Formula};
 
 use crate::harness::CoreHarness;
+use crate::suite::Pick;
 
 /// The sleep/resume schedule the suite uses: the power-down starts right
 /// after the symbolic present state is established, and two clock cycles
@@ -39,6 +40,10 @@ pub fn schedule() -> SleepResumeSchedule {
 /// memory word, one register and one indexed data-memory word keep their
 /// symbolic values across the power-down window.
 pub fn survival_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
+    survival_picked(harness, m, &mut Pick::all())
+}
+
+fn survival_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
     let s = schedule();
     let depth = s.depth;
     // Observe after NRET has been released but before the first post-resume
@@ -49,12 +54,14 @@ pub fn survival_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertio
     // PC survives.
     {
         let pc = harness.order().word(m, "sv_pc", 32);
-        let a = s
-            .formula()
-            .and(CoreHarness::imem_port_idle(depth))
-            .and(CoreHarness::pc_is(m, &pc, 0, 1));
-        let c = Formula::word_is(m, "PC", &pc).delay(observe);
-        out.push(Assertion::named("survive_pc", a, c));
+        if pick.next() {
+            let a = s
+                .formula()
+                .and(CoreHarness::imem_port_idle(depth))
+                .and(CoreHarness::pc_is(m, &pc, 0, 1));
+            let c = Formula::word_is(m, "PC", &pc).delay(observe);
+            out.push(Assertion::named("survive_pc", a, c));
+        }
     }
 
     // An indexed instruction-memory word survives.
@@ -63,31 +70,35 @@ pub fn survival_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertio
             .order()
             .word(m, "sv_imem_addr", harness.config().imem_addr_bits());
         let data = harness.order().word(m, "sv_imem_data", 32);
-        let a = s
-            .formula()
-            .and(CoreHarness::imem_port_idle(depth))
-            .and(harness.imem_indexed_is(m, &addr, &data, 0, 1));
-        let mut c = Formula::True;
-        for i in 0..harness.config().imem_depth {
-            let hit = addr.equals_constant(m, i as u64);
-            c = c.and(
-                Formula::word_is(m, &format!("IMem_w{i}"), &data)
-                    .when(hit)
-                    .delay(observe),
-            );
+        if pick.next() {
+            let a = s
+                .formula()
+                .and(CoreHarness::imem_port_idle(depth))
+                .and(harness.imem_indexed_is(m, &addr, &data, 0, 1));
+            let mut c = Formula::True;
+            for i in 0..harness.config().imem_depth {
+                let hit = addr.equals_constant(m, i as u64);
+                c = c.and(
+                    Formula::word_is(m, &format!("IMem_w{i}"), &data)
+                        .when(hit)
+                        .delay(observe),
+                );
+            }
+            out.push(Assertion::named("survive_imem_word", a, c));
         }
-        out.push(Assertion::named("survive_imem_word", a, c));
     }
 
     // Register 1 survives.
     {
         let value = harness.order().word(m, "sv_reg", 32);
-        let a = s
-            .formula()
-            .and(CoreHarness::imem_port_idle(depth))
-            .and(CoreHarness::register_is(m, 1, &value, 0, 1));
-        let c = Formula::word_is(m, "Registers_w1", &value).delay(observe);
-        out.push(Assertion::named("survive_register", a, c));
+        if pick.next() {
+            let a = s
+                .formula()
+                .and(CoreHarness::imem_port_idle(depth))
+                .and(CoreHarness::register_is(m, 1, &value, 0, 1));
+            let c = Formula::word_is(m, "Registers_w1", &value).delay(observe);
+            out.push(Assertion::named("survive_register", a, c));
+        }
     }
 
     // An indexed data-memory word survives.
@@ -96,20 +107,22 @@ pub fn survival_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertio
             .order()
             .word(m, "sv_dmem_addr", harness.config().dmem_addr_bits());
         let data = harness.order().word(m, "sv_dmem_data", 32);
-        let a = s
-            .formula()
-            .and(CoreHarness::imem_port_idle(depth))
-            .and(harness.dmem_indexed_is(m, &addr, &data, 0, 1));
-        let mut c = Formula::True;
-        for i in 0..harness.config().dmem_depth {
-            let hit = addr.equals_constant(m, i as u64);
-            c = c.and(
-                Formula::word_is(m, &format!("DMem_w{i}"), &data)
-                    .when(hit)
-                    .delay(observe),
-            );
+        if pick.next() {
+            let a = s
+                .formula()
+                .and(CoreHarness::imem_port_idle(depth))
+                .and(harness.dmem_indexed_is(m, &addr, &data, 0, 1));
+            let mut c = Formula::True;
+            for i in 0..harness.config().dmem_depth {
+                let hit = addr.equals_constant(m, i as u64);
+                c = c.and(
+                    Formula::word_is(m, &format!("DMem_w{i}"), &data)
+                        .when(hit)
+                        .delay(observe),
+                );
+            }
+            out.push(Assertion::named("survive_dmem_word", a, c));
         }
-        out.push(Assertion::named("survive_dmem_word", a, c));
     }
     out
 }
@@ -124,28 +137,33 @@ fn aligned_address(word_addr: &BddVec) -> BddVec {
     BddVec::from_bits(bits)
 }
 
+/// Declares the symbolic PC word address `{tag}_pcw` of an equivalence
+/// assertion's [`present_state`].
+fn pc_word(harness: &CoreHarness, m: &mut BddManager, tag: &str) -> BddVec {
+    let addr_bits = harness.config().imem_addr_bits();
+    harness.order().word(m, &format!("{tag}_pcw"), addr_bits)
+}
+
 /// The present state shared by every equivalence assertion: a symbolic,
-/// word-aligned PC and the instruction under test placed at the PC's word
-/// address in the retained instruction memory.  Returns the antecedent
-/// fragment and the PC vector.
+/// word-aligned PC at word address `word_addr` (see [`pc_word`]) and the
+/// instruction under test placed there in the retained instruction
+/// memory.  Returns the antecedent fragment and the PC vector.
 fn present_state(
     harness: &CoreHarness,
     m: &mut BddManager,
-    tag: &str,
+    word_addr: &BddVec,
     instruction: u32,
     s: &SleepResumeSchedule,
 ) -> (Formula, BddVec) {
     let depth = s.depth;
-    let addr_bits = harness.config().imem_addr_bits();
-    let word_addr = harness.order().word(m, &format!("{tag}_pcw"), addr_bits);
-    let pc = aligned_address(&word_addr);
+    let pc = aligned_address(word_addr);
     let instr_vec = BddVec::constant(m, instruction as u64, 32);
 
     let a = s
         .formula()
         .and(CoreHarness::imem_port_idle(depth))
         .and(CoreHarness::pc_is(m, &pc, 0, 1))
-        .and(harness.imem_indexed_is(m, &word_addr, &instr_vec, 0, 1));
+        .and(harness.imem_indexed_is(m, word_addr, &instr_vec, 0, 1));
     (a, pc)
 }
 
@@ -159,6 +177,17 @@ fn commit_time(s: &SleepResumeSchedule) -> usize {
 /// Builds the architectural-equivalence assertions, one per instruction
 /// class.
 pub fn equivalence_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
+    equivalence_picked(harness, m, &mut Pick::all())
+}
+
+/// The equivalence assertions `pick` selects.  Each declares its
+/// `_pcw` word, builds its present state if picked, then declares its
+/// operands: the whole suite's declaration order.
+fn equivalence_picked(
+    harness: &CoreHarness,
+    m: &mut BddManager,
+    pick: &mut Pick,
+) -> Vec<Assertion> {
     let s = schedule();
     let commit = commit_time(&s);
     let mut out = Vec::new();
@@ -171,21 +200,25 @@ pub fn equivalence_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Asser
             rt: 2,
         }
         .encode();
-        let (base, pc) = present_state(harness, m, "eq_add", instr, &s);
+        let picked = pick.next();
+        let word_addr = pc_word(harness, m, "eq_add");
+        let present = picked.then(|| present_state(harness, m, &word_addr, instr, &s));
         // The register operands meet in the 32-bit ALU adder; interleave
         // their variables or the carry chain's BDD is exponential.
         let (v1, v2) = harness.order().pair(m, "eq_add_r1", "eq_add_r2", 32);
-        let a = base
-            .and(CoreHarness::register_is(m, 1, &v1, 0, 1))
-            .and(CoreHarness::register_is(m, 2, &v2, 0, 1));
-        let sum = v1.add(m, &v2).expect("width");
-        let pc_next = pc.add_constant(m, 4);
-        let c = Formula::word_is(m, "Registers_w3", &sum)
-            .and(Formula::word_is(m, "Registers_w1", &v1))
-            .and(Formula::word_is(m, "Registers_w2", &v2))
-            .and(Formula::word_is(m, "PC", &pc_next))
-            .delay(commit);
-        out.push(Assertion::named("equivalence_add", a, c));
+        if let Some((base, pc)) = present {
+            let a = base
+                .and(CoreHarness::register_is(m, 1, &v1, 0, 1))
+                .and(CoreHarness::register_is(m, 2, &v2, 0, 1));
+            let sum = v1.add(m, &v2).expect("width");
+            let pc_next = pc.add_constant(m, 4);
+            let c = Formula::word_is(m, "Registers_w3", &sum)
+                .and(Formula::word_is(m, "Registers_w1", &v1))
+                .and(Formula::word_is(m, "Registers_w2", &v2))
+                .and(Formula::word_is(m, "PC", &pc_next))
+                .delay(commit);
+            out.push(Assertion::named("equivalence_add", a, c));
+        }
     }
 
     // `sw r2, 0(r1)` — the data memory receives the stored word, the
@@ -197,22 +230,29 @@ pub fn equivalence_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Asser
             imm: 0,
         }
         .encode();
-        let (base, pc) = present_state(harness, m, "eq_sw", instr, &s);
+        let picked = pick.next();
+        let word_addr = pc_word(harness, m, "eq_sw");
+        let present = picked.then(|| present_state(harness, m, &word_addr, instr, &s));
         let dmem_bits = harness.config().dmem_addr_bits();
         let base_word = harness.order().word(m, "eq_sw_addr", dmem_bits);
-        let base_addr = aligned_address(&base_word);
         let stored = harness.order().word(m, "eq_sw_data", 32);
-        let a = base
-            .and(CoreHarness::register_is(m, 1, &base_addr, 0, 1))
-            .and(CoreHarness::register_is(m, 2, &stored, 0, 1));
-        let pc_next = pc.add_constant(m, 4);
-        let mut c =
-            Formula::word_is(m, "PC", &pc_next).and(Formula::word_is(m, "Registers_w2", &stored));
-        for i in 0..harness.config().dmem_depth {
-            let hit = base_word.equals_constant(m, i as u64);
-            c = c.and(Formula::word_is(m, &format!("DMem_w{i}"), &stored).when(hit));
+        if let Some((base, pc)) = present {
+            let base_addr = aligned_address(&base_word);
+            let a = base
+                .and(CoreHarness::register_is(m, 1, &base_addr, 0, 1))
+                .and(CoreHarness::register_is(m, 2, &stored, 0, 1));
+            let pc_next = pc.add_constant(m, 4);
+            let mut c = Formula::word_is(m, "PC", &pc_next).and(Formula::word_is(
+                m,
+                "Registers_w2",
+                &stored,
+            ));
+            for i in 0..harness.config().dmem_depth {
+                let hit = base_word.equals_constant(m, i as u64);
+                c = c.and(Formula::word_is(m, &format!("DMem_w{i}"), &stored).when(hit));
+            }
+            out.push(Assertion::named("equivalence_sw", a, c.delay(commit)));
         }
-        out.push(Assertion::named("equivalence_sw", a, c.delay(commit)));
     }
 
     // `beq r1, r2, +2` — taken and not-taken, decided symbolically by the
@@ -224,22 +264,26 @@ pub fn equivalence_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Asser
             imm: 2,
         }
         .encode();
-        let (base, pc) = present_state(harness, m, "eq_beq", instr, &s);
+        let picked = pick.next();
+        let word_addr = pc_word(harness, m, "eq_beq");
+        let present = picked.then(|| present_state(harness, m, &word_addr, instr, &s));
         // The operands meet in the ALU's equality comparator; interleaved
         // ordering keeps it linear (sequential ordering is exponential).
         let (v1, v2) = harness.order().pair(m, "eq_beq_r1", "eq_beq_r2", 32);
-        let a = base
-            .and(CoreHarness::register_is(m, 1, &v1, 0, 1))
-            .and(CoreHarness::register_is(m, 2, &v2, 0, 1));
-        let taken = v1.equals(m, &v2).expect("width");
-        let pc_plus_4 = pc.add_constant(m, 4);
-        let pc_taken = pc_plus_4.add_constant(m, 8);
-        let pc_next = pc_taken.mux(m, taken, &pc_plus_4).expect("width");
-        let c = Formula::word_is(m, "PC", &pc_next)
-            .and(Formula::word_is(m, "Registers_w1", &v1))
-            .and(Formula::word_is(m, "Registers_w2", &v2))
-            .delay(commit);
-        out.push(Assertion::named("equivalence_beq", a, c));
+        if let Some((base, pc)) = present {
+            let a = base
+                .and(CoreHarness::register_is(m, 1, &v1, 0, 1))
+                .and(CoreHarness::register_is(m, 2, &v2, 0, 1));
+            let taken = v1.equals(m, &v2).expect("width");
+            let pc_plus_4 = pc.add_constant(m, 4);
+            let pc_taken = pc_plus_4.add_constant(m, 8);
+            let pc_next = pc_taken.mux(m, taken, &pc_plus_4).expect("width");
+            let c = Formula::word_is(m, "PC", &pc_next)
+                .and(Formula::word_is(m, "Registers_w1", &v1))
+                .and(Formula::word_is(m, "Registers_w2", &v2))
+                .delay(commit);
+            out.push(Assertion::named("equivalence_beq", a, c));
+        }
     }
 
     // `lw r2, 0(r1)` — the loaded register receives the addressed data-memory
@@ -251,20 +295,24 @@ pub fn equivalence_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Asser
             imm: 0,
         }
         .encode();
-        let (base, pc) = present_state(harness, m, "eq_lw", instr, &s);
+        let picked = pick.next();
+        let word_addr = pc_word(harness, m, "eq_lw");
+        let present = picked.then(|| present_state(harness, m, &word_addr, instr, &s));
         let dmem_bits = harness.config().dmem_addr_bits();
         let base_word = harness.order().word(m, "eq_lw_addr", dmem_bits);
-        let base_addr = aligned_address(&base_word);
         let loaded = harness.order().word(m, "eq_lw_data", 32);
-        let a = base
-            .and(CoreHarness::register_is(m, 1, &base_addr, 0, 1))
-            .and(harness.dmem_indexed_is(m, &base_word, &loaded, 0, 1));
-        let pc_next = pc.add_constant(m, 4);
-        let c = Formula::word_is(m, "PC", &pc_next)
-            .and(Formula::word_is(m, "Registers_w2", &loaded))
-            .and(Formula::word_is(m, "Registers_w1", &base_addr))
-            .delay(commit);
-        out.push(Assertion::named("equivalence_lw", a, c));
+        if let Some((base, pc)) = present {
+            let base_addr = aligned_address(&base_word);
+            let a = base
+                .and(CoreHarness::register_is(m, 1, &base_addr, 0, 1))
+                .and(harness.dmem_indexed_is(m, &base_word, &loaded, 0, 1));
+            let pc_next = pc.add_constant(m, 4);
+            let c = Formula::word_is(m, "PC", &pc_next)
+                .and(Formula::word_is(m, "Registers_w2", &loaded))
+                .and(Formula::word_is(m, "Registers_w1", &base_addr))
+                .delay(commit);
+            out.push(Assertion::named("equivalence_lw", a, c));
+        }
     }
 
     out
@@ -272,8 +320,14 @@ pub fn equivalence_suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Asser
 
 /// The complete Property II suite: survival plus equivalence.
 pub fn suite(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
-    let mut out = survival_suite(harness, m);
-    out.extend(equivalence_suite(harness, m));
+    build(harness, m, &mut Pick::all())
+}
+
+/// The suite's assertions that `pick` selects, every variable of the
+/// suite declared (see [`Pick`]).
+pub(crate) fn build(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
+    let mut out = survival_picked(harness, m, pick);
+    out.extend(equivalence_picked(harness, m, pick));
     out
 }
 

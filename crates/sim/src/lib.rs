@@ -22,11 +22,16 @@
 //!
 //! * **Exactness.**  A cheap abstract run gives each rail of each net one
 //!   of "constantly true", "constantly false" or "depends on the
-//!   assignment", replaying every dual-rail operation of
+//!   assignment", mirroring every dual-rail operation of
 //!   [`SymSimulator::step`] with three-valued and/or.  A net with two
 //!   constant rails is *exact*: the full simulation gives it the same
 //!   lattice constant (0, 1, X or ⊤) under every assignment, so the
-//!   planned step sets it without a BDD operation.
+//!   planned step sets it without a BDD operation.  The run is itself
+//!   change-driven: each step starts from the one before and re-evaluates
+//!   only registers that do not provably hold, nets driven now or one step
+//!   earlier, and gates whose inputs changed, through fan-out tables
+//!   [`CompiledModel`] builds once.  Builds with debug assertions check
+//!   each plan's table against the dense replay of every operation.
 //! * **Demand.**  A backward walk marks, step by step, the nets whose
 //!   symbolic value the verdict can read: the antecedent's driven nets and
 //!   the consequent's nets, then whatever a demanded gate or register

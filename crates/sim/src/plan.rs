@@ -2,17 +2,25 @@
 //! can set without a single BDD operation.
 //!
 //! A plan is built per STE assertion, before anything is simulated, in two
-//! passes over the model's existing tables (`comb_order`, `state_cells`,
-//! cell inputs and net drivers):
+//! passes over the model's tables (`comb_order`, its fan-out and register
+//! tables, cell inputs and net drivers):
 //!
 //! * **The abstract run.**  Each rail of each net is abstracted to what its
 //!   BDD in the full simulation can be: constantly true, constantly false,
-//!   or dependent on the assignment.  Every [`SymTernary`] operation of
-//!   [`SymSimulator::step`](crate::SymSimulator::step) is replayed rail by
-//!   rail with three-valued (Kleene) and/or, in the same order.  A drive's
-//!   rail is constant iff its BDD is.  Kleene logic is sound for and/or, so
-//!   a net whose two rails both come out constant — an *exact* net — carries
+//!   or dependent on the assignment.  Each [`SymTernary`] operation of
+//!   [`SymSimulator::step`](crate::SymSimulator::step) has a rail-by-rail
+//!   counterpart in three-valued (Kleene) and/or.  A drive's rail is
+//!   constant iff its BDD is.  Kleene logic is sound for and/or, so a net
+//!   whose two rails both come out constant — an *exact* net — carries
 //!   that lattice constant (0, 1, X or ⊤) under every assignment.
+//!
+//!   The run is change-driven: a step starts from the step before and
+//!   re-evaluates only the registers that do not provably hold, the nets
+//!   driven now or one step earlier, and the gates one of whose inputs
+//!   changed (see `abstract_run`).  Most net-steps repeat the step before,
+//!   so this costs a fraction of replaying every operation.  The dense
+//!   replay stays as the oracle: builds with debug assertions check every
+//!   plan's table against it.
 //!
 //!   A scalar pre-pass that reads symbolic drives as X is *not* a sound
 //!   substitute: it turns `g = buf(x)` driven with `x is v` and `g is 0`
@@ -35,7 +43,7 @@ use ssr_bdd::Bdd;
 use ssr_netlist::{Cell, CellKind, GateOp, NetDriver, NetId, RegKind};
 use ssr_ternary::{SymTernary, Ternary};
 
-use crate::model::CompiledModel;
+use crate::model::{CompiledModel, Register};
 
 /// What one rail's BDD can be in the full simulation, for all assignments
 /// at once.
@@ -259,6 +267,11 @@ fn decode(code: u8) -> Action {
 /// step and net, whether the planned step computes the net, sets it to a
 /// constant or leaves it X.
 ///
+/// Building one runs the change-driven abstract run and the backward
+/// demand walk (see the module documentation).  With debug assertions on,
+/// [`DemandPlan::new`] also replays the dense abstract run and panics,
+/// naming the step and net, if the two value tables differ.
+///
 /// [`SymSimulator::planned_step`]: crate::SymSimulator::planned_step
 #[derive(Debug, Clone)]
 pub struct DemandPlan {
@@ -282,6 +295,8 @@ impl DemandPlan {
         assert!(reads.len() <= drives.len(), "reads outlast the trajectory");
         let nets = model.netlist().net_count();
         let values = abstract_run(model, drives);
+        #[cfg(debug_assertions)]
+        check_against_dense(model, drives, &values);
         let mut codes = vec![0u8; values.len()];
         let mut walk = Walk {
             model,
@@ -340,8 +355,145 @@ impl StepPlan<'_> {
 }
 
 /// The abstract run: every net's abstract value at every step, one row of
-/// `net_count` values per step.
+/// `net_count` values per step, computed change by change.
+///
+/// Rows −1 and −2 read as all X, and a gate or register whose inputs are
+/// all X yields X, so every step, step 0 included, starts as a copy of the
+/// row before and re-evaluates only what can differ from it:
+///
+/// * **registers** (from step 1), except one that provably holds: NRET
+///   exact 0, or no edge (`rising(clk[t-1], clk[t-2])` exact 0) with NRST
+///   and NRET each exact 1 or absent.  Its next state is then its own
+///   value at `t-1`, which the copy already holds;
+/// * **driven nets**: a net driven at `t` or `t-1` becomes its base (X, its
+///   constant, or its register's next state) joined with its drives at
+///   `t`; at step 0 the constants take their values;
+/// * **gates** whose input changed at `t` or whose output is driven at `t`
+///   or `t-1`, visited in `comb_order` through a dirty bit per position.
+///   A changed output dirties the gates that read it, which come later.
+///
+/// A net has changed when its value differs from the row before.  The
+/// dense replay of every operation, [`dense_run`], is the oracle
+/// `DemandPlan::new` checks this against in builds with debug assertions.
 fn abstract_run(model: &CompiledModel, drives: &[Vec<(NetId, SymTernary)>]) -> Vec<Abs> {
+    let netlist = model.netlist();
+    let nets = netlist.net_count();
+    let comb_order = model.comb_order();
+    let mut values = vec![Abs::X; nets * drives.len()];
+    let mut dirty = vec![0u64; comb_order.len().div_ceil(64)];
+    let mut driven_now = vec![false; nets];
+    let touch = |dirty: &mut [u64], net: NetId| {
+        for &position in model.readers(net) {
+            dirty[position as usize / 64] |= 1 << (position % 64);
+        }
+    };
+    for (t, drive) in drives.iter().enumerate() {
+        let (done, rest) = values.split_at_mut(t * nets);
+        let row = &mut rest[..nets];
+        let prev = t.checked_sub(1).map(|p| &done[p * nets..(p + 1) * nets]);
+        let before = t.checked_sub(2).map(|p| &done[p * nets..(p + 1) * nets]);
+        let was = |net: NetId| prev.map_or(Abs::X, |p| p[net.index()]);
+        let withdrawn: &[(NetId, SymTernary)] = t.checked_sub(1).map_or(&[], |p| &drives[p]);
+
+        if let Some(prev) = prev {
+            row.copy_from_slice(prev);
+            for reg in model.registers() {
+                let r = reg_inputs(reg, prev, before);
+                if holds(reg, r) {
+                    continue;
+                }
+                let value = Abs::next_state(reg.kind, r);
+                row[reg.q.index()] = value;
+                if value != prev[reg.q.index()] {
+                    touch(&mut dirty, reg.q);
+                }
+            }
+        } else {
+            for (id, net) in netlist.nets() {
+                if let NetDriver::Constant(v) = net.driver {
+                    row[id.index()] = Abs::constant(Ternary::from_bool(v));
+                    touch(&mut dirty, id);
+                }
+            }
+        }
+
+        // Driven nets: back to their base (a register's is already in
+        // place), then joined with this step's drives.
+        let rebased = drive.iter().chain(withdrawn);
+        for &(id, _) in rebased.clone() {
+            match netlist.net(id).driver {
+                NetDriver::Constant(v) => row[id.index()] = Abs::constant(Ternary::from_bool(v)),
+                NetDriver::Cell(cell) if netlist.cell(cell).kind.is_state() => {}
+                _ => row[id.index()] = Abs::X,
+            }
+        }
+        for &(id, value) in drive {
+            row[id.index()] = row[id.index()].join(Abs::of(value));
+            driven_now[id.index()] = true;
+        }
+        for &(id, _) in rebased {
+            match model.gate_of(id) {
+                Some(position) => dirty[position / 64] |= 1 << (position % 64),
+                None if row[id.index()] != was(id) => touch(&mut dirty, id),
+                None => {}
+            }
+        }
+
+        // Gates, in evaluation order: a touched gate only dirties later
+        // positions, so one forward sweep over the bits reaches them all.
+        let mut inputs = [Abs::X; 3];
+        let mut word = 0;
+        while word < dirty.len() {
+            let bits = dirty[word];
+            if bits == 0 {
+                word += 1;
+                continue;
+            }
+            let bit = bits.trailing_zeros() as usize;
+            dirty[word] &= !(1 << bit);
+            let cell = netlist.cell(comb_order[word * 64 + bit]);
+            for (slot, &input) in inputs.iter_mut().zip(&cell.inputs) {
+                *slot = row[input.index()];
+            }
+            let out = cell.output;
+            let base = if driven_now[out.index()] {
+                row[out.index()]
+            } else {
+                Abs::X
+            };
+            let value = base.join(Abs::gate(gate_op(cell), &inputs[..cell.inputs.len()]));
+            row[out.index()] = value;
+            if value != was(out) {
+                touch(&mut dirty, out);
+            }
+        }
+        for &(id, _) in drive {
+            driven_now[id.index()] = false;
+        }
+    }
+    values
+}
+
+/// `true` when a register's next state is provably its own value at
+/// `t-1`: NRET is exact 0, or there is no edge and NRST and NRET are each
+/// exact 1 or absent.
+fn holds(reg: &Register, r: RegInputs) -> bool {
+    // An absent control reads X in `r`, so presence is checked apart.
+    let high_or_absent = |control: Option<NetId>, value: Abs| {
+        control.is_none() || value.exact() == Some(Ternary::One)
+    };
+    (reg.nret.is_some() && r.nret.exact() == Some(Ternary::Zero))
+        || (Abs::rising(r.clk, r.shadow).exact() == Some(Ternary::Zero)
+            && high_or_absent(reg.nrst, r.nrst)
+            && high_or_absent(reg.nret, r.nret))
+}
+
+/// The dense abstract run: every [`SymTernary`] operation of
+/// [`SymSimulator::step`](crate::SymSimulator::step) replayed rail by rail,
+/// in the same order, for every net at every step.  The oracle of
+/// [`abstract_run`].
+#[cfg(any(test, debug_assertions))]
+fn dense_run(model: &CompiledModel, drives: &[Vec<(NetId, SymTernary)>]) -> Vec<Abs> {
     let netlist = model.netlist();
     let nets = netlist.net_count();
     let mut values = vec![Abs::X; nets * drives.len()];
@@ -352,10 +504,8 @@ fn abstract_run(model: &CompiledModel, drives: &[Vec<(NetId, SymTernary)>]) -> V
         if t > 0 {
             let prev = &done[(t - 1) * nets..];
             let before = (t > 1).then(|| &done[(t - 2) * nets..(t - 1) * nets]);
-            for &cell_id in model.state_cells() {
-                let cell = netlist.cell(cell_id);
-                let r = reg_inputs(cell, prev, before);
-                row[cell.output.index()] = Abs::next_state(reg_kind(cell), r);
+            for reg in model.registers() {
+                row[reg.q.index()] = Abs::next_state(reg.kind, reg_inputs(reg, prev, before));
             }
         }
         for (id, net) in netlist.nets() {
@@ -377,6 +527,32 @@ fn abstract_run(model: &CompiledModel, drives: &[Vec<(NetId, SymTernary)>]) -> V
     values
 }
 
+/// Panics, naming the first step and net where they differ, unless the
+/// change-driven run's `values` equal the dense oracle's.
+#[cfg(any(test, debug_assertions))]
+fn check_against_dense(model: &CompiledModel, drives: &[Vec<(NetId, SymTernary)>], values: &[Abs]) {
+    let dense = dense_run(model, drives);
+    let netlist = model.netlist();
+    let rows = values.chunks(netlist.net_count().max(1));
+    for (t, (row, dense_row)) in rows
+        .zip(dense.chunks(netlist.net_count().max(1)))
+        .enumerate()
+    {
+        if let Some((id, net)) = netlist
+            .nets()
+            .find(|(id, _)| row[id.index()] != dense_row[id.index()])
+        {
+            panic!(
+                "change-driven abstract run diverges from the dense run at step {t}, net `{}`: \
+                 {:?} against {:?}",
+                net.name,
+                row[id.index()],
+                dense_row[id.index()]
+            );
+        }
+    }
+}
+
 fn gate_op(cell: &Cell) -> GateOp {
     match cell.kind {
         CellKind::Gate(op) => op,
@@ -384,25 +560,18 @@ fn gate_op(cell: &Cell) -> GateOp {
     }
 }
 
-fn reg_kind(cell: &Cell) -> RegKind {
-    match cell.kind {
-        CellKind::Reg(kind) => kind,
-        CellKind::Gate(_) => unreachable!("state_cells only holds registers"),
-    }
-}
-
 /// A register's next-state inputs from the abstract rows at `t-1` (`prev`)
 /// and `t-2` (`before`, absent at `t = 1`, where the shadow is X).
-fn reg_inputs(cell: &Cell, prev: &[Abs], before: Option<&[Abs]>) -> RegInputs {
+fn reg_inputs(reg: &Register, prev: &[Abs], before: Option<&[Abs]>) -> RegInputs {
     let at = |net: NetId| prev[net.index()];
     let control = |net: Option<NetId>| net.map_or(Abs::X, at);
     RegInputs {
-        clk: at(cell.reg_clock()),
-        shadow: before.map_or(Abs::X, |b| b[cell.reg_clock().index()]),
-        d: at(cell.reg_data()),
-        q: at(cell.output),
-        nrst: control(cell.reg_nrst()),
-        nret: control(cell.reg_nret()),
+        clk: at(reg.clk),
+        shadow: before.map_or(Abs::X, |b| b[reg.clk.index()]),
+        d: at(reg.d),
+        q: at(reg.q),
+        nrst: control(reg.nrst),
+        nret: control(reg.nret),
     }
 }
 
@@ -477,22 +646,19 @@ impl Walk<'_> {
     /// at `t-1`, and their clock at `t-2` for the edge.
     fn registers(&mut self, t: usize) {
         let (model, values, nets) = (self.model, self.values, self.nets);
-        let netlist = model.netlist();
         let prev = &values[(t - 1) * nets..t * nets];
         let before = (t > 1).then(|| &values[(t - 2) * nets..(t - 1) * nets]);
-        for &cell_id in model.state_cells() {
-            let cell = netlist.cell(cell_id);
-            if *self.code(t, cell.output) & DEMANDED == 0 {
+        for reg in model.registers() {
+            if *self.code(t, reg.q) & DEMANDED == 0 {
                 continue;
             }
-            let r = reg_inputs(cell, prev, before);
-            let kind = reg_kind(cell);
-            if !self.circuit(t, cell.output, Abs::next_state(kind, r)) {
+            let r = reg_inputs(reg, prev, before);
+            if !self.circuit(t, reg.q, Abs::next_state(reg.kind, r)) {
                 continue;
             }
-            let (q, p) = (cell.output, t - 1);
+            let (q, p) = (reg.q, t - 1);
             let mut clocked = true;
-            if let Some(nret) = cell.reg_nret() {
+            if let Some(nret) = reg.nret {
                 // Retention has priority: NRET low holds q.
                 self.demand(p, nret);
                 if r.nret.exact() != Some(Ternary::One) {
@@ -500,7 +666,7 @@ impl Walk<'_> {
                 }
                 clocked = r.nret.exact() != Some(Ternary::Zero);
             }
-            if let Some(nrst) = cell.reg_nrst().filter(|_| clocked) {
+            if let Some(nrst) = reg.nrst.filter(|_| clocked) {
                 self.demand(p, nrst);
                 clocked = r.nrst.exact() != Some(Ternary::Zero);
             }
@@ -508,15 +674,15 @@ impl Walk<'_> {
                 // The planned step recomputes the edge from both clock
                 // samples, so they are demanded even when the edge is
                 // exact (a no-op for an exact clock).
-                self.demand(p, cell.reg_clock());
+                self.demand(p, reg.clk);
                 if t > 1 {
-                    self.demand(t - 2, cell.reg_clock());
+                    self.demand(t - 2, reg.clk);
                 }
                 match Abs::rising(r.clk, r.shadow).exact() {
-                    Some(Ternary::One) => self.demand(p, cell.reg_data()),
+                    Some(Ternary::One) => self.demand(p, reg.d),
                     Some(Ternary::Zero) => self.demand(p, q),
                     _ => {
-                        self.demand(p, cell.reg_data());
+                        self.demand(p, reg.d);
                         self.demand(p, q);
                     }
                 }
@@ -545,6 +711,219 @@ impl Walk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssr_bdd::BddManager;
+    use ssr_netlist::builder::NetlistBuilder;
+    use ssr_netlist::Netlist;
+
+    /// Runs the change-driven abstract run over `steps` (net name and
+    /// value, per step) and requires the dense oracle's table; returns the
+    /// table for the test's own checks.
+    fn run_both(netlist: &Netlist, steps: &[Vec<(&str, SymTernary)>]) -> (CompiledModel, Vec<Abs>) {
+        let model = CompiledModel::new(netlist).expect("compiles");
+        let drives: Vec<Vec<(NetId, SymTernary)>> = steps
+            .iter()
+            .map(|step| {
+                step.iter()
+                    .map(|&(name, v)| (netlist.find_net(name).expect("net exists"), v))
+                    .collect()
+            })
+            .collect();
+        let values = abstract_run(&model, &drives);
+        check_against_dense(&model, &drives, &values);
+        (model, values)
+    }
+
+    /// The exact value of net `name` at step `t`, if it has one.
+    fn exact_at(model: &CompiledModel, values: &[Abs], t: usize, name: &str) -> Option<Ternary> {
+        let netlist = model.netlist();
+        let net = netlist.find_net(name).expect("net exists");
+        values[t * netlist.net_count() + net.index()].exact()
+    }
+
+    const LO: SymTernary = SymTernary::ZERO;
+    const HI: SymTernary = SymTernary::ONE;
+
+    #[test]
+    fn a_withdrawn_drive_falls_back_to_the_circuit() {
+        // `a` is driven at step 0 only, `q` (a register output) at step 1
+        // only, and `g` (a gate output) at steps 0 and 1: each net driven
+        // one step earlier and not now must lose that drive.
+        let mut b = NetlistBuilder::new("withdrawn");
+        let clk = b.input("clock");
+        let a = b.input("a");
+        let q = b.reg("q", RegKind::Simple, a, clk, None, None);
+        let g = b.and("g", a, q);
+        let h = b.buf("h", g);
+        b.mark_output(h);
+        let n = b.finish().expect("valid");
+        let (model, values) = run_both(
+            &n,
+            &[
+                vec![("clock", LO), ("a", HI), ("g", LO)],
+                vec![("clock", LO), ("q", HI), ("g", HI)],
+                vec![("clock", LO)],
+                vec![("clock", LO)],
+            ],
+        );
+        assert_eq!(exact_at(&model, &values, 0, "a"), Some(Ternary::One));
+        assert_eq!(exact_at(&model, &values, 1, "a"), Some(Ternary::X));
+        assert_eq!(exact_at(&model, &values, 1, "g"), Some(Ternary::One));
+        assert_eq!(exact_at(&model, &values, 2, "q"), Some(Ternary::One));
+        assert_eq!(exact_at(&model, &values, 3, "q"), Some(Ternary::One));
+        assert_eq!(exact_at(&model, &values, 2, "g"), Some(Ternary::X));
+        assert_eq!(exact_at(&model, &values, 2, "h"), Some(Ternary::X));
+    }
+
+    #[test]
+    fn a_driven_gate_output_joins_its_drive_with_the_gate() {
+        let mut m = BddManager::new();
+        let v = SymTernary::symbol(&mut m, "v");
+        let mut b = NetlistBuilder::new("driven_gate");
+        let a = b.input("a");
+        let c = b.input("c");
+        let g = b.and("g", a, c);
+        let h = b.not("h", g);
+        b.mark_output(h);
+        let n = b.finish().expect("valid");
+        let (model, values) = run_both(
+            &n,
+            &[
+                vec![("a", HI), ("c", HI), ("g", LO)],
+                vec![("a", HI), ("c", HI), ("g", HI)],
+                vec![("a", HI), ("c", HI)],
+                vec![("a", LO), ("c", HI), ("g", HI)],
+                vec![("a", HI), ("c", v), ("g", v)],
+                vec![("a", HI), ("c", v), ("g", v)],
+            ],
+        );
+        let expected = [
+            Some(Ternary::Top),
+            Some(Ternary::One),
+            Some(Ternary::One),
+            Some(Ternary::Top),
+            None,
+            None,
+        ];
+        for (t, want) in expected.into_iter().enumerate() {
+            assert_eq!(exact_at(&model, &values, t, "g"), want, "step {t}");
+        }
+    }
+
+    #[test]
+    fn retention_holds_through_nret_low_and_resets_on_a_sample_mode_pulse() {
+        // A retention and a reset register share the controls.  The clock
+        // stays low after the capture, so every step from 3 on has no
+        // edge: NRET low holds across the NRST pulse at step 4, the pulse
+        // at step 7 (NRET high) resets both registers, and the reset
+        // register also resets at step 5.
+        let mut m = BddManager::new();
+        let v = SymTernary::symbol(&mut m, "v");
+        let mut b = NetlistBuilder::new("retention");
+        let clk = b.input("clock");
+        let d = b.input("d");
+        let nrst = b.input("NRST");
+        let nret = b.input("NRET");
+        let kind = RegKind::Retention { reset_value: false };
+        let q = b.reg("q", kind, d, clk, Some(nrst), Some(nret));
+        let kind = RegKind::AsyncReset { reset_value: true };
+        let r = b.reg("r", kind, d, clk, Some(nrst), None);
+        b.mark_output(q);
+        b.mark_output(r);
+        let n = b.finish().expect("valid");
+        let control = |c, nrst, nret| vec![("clock", c), ("NRST", nrst), ("NRET", nret)];
+        let mut steps = vec![
+            control(LO, HI, HI),
+            control(HI, HI, HI),
+            control(LO, HI, HI),
+            control(LO, HI, LO),
+            control(LO, LO, LO),
+            control(LO, HI, LO),
+            control(LO, HI, HI),
+            control(LO, LO, HI),
+            control(LO, HI, HI),
+            control(LO, HI, HI),
+        ];
+        steps[0].push(("d", v));
+        steps[1].push(("d", v));
+        let (model, values) = run_both(&n, &steps);
+        let q_at = |t| exact_at(&model, &values, t, "q");
+        let r_at = |t| exact_at(&model, &values, t, "r");
+        for t in 2..=7 {
+            assert_eq!(q_at(t), None, "q holds v at step {t}");
+        }
+        assert_eq!(q_at(8), Some(Ternary::Zero));
+        assert_eq!(q_at(9), Some(Ternary::Zero));
+        assert_eq!((r_at(4), r_at(5)), (None, Some(Ternary::One)));
+        assert_eq!((r_at(8), r_at(9)), (Some(Ternary::One), Some(Ternary::One)));
+    }
+
+    #[test]
+    fn a_register_without_a_clock_edge_ignores_its_data() {
+        // `hold` is clocked by an input held high and `low` by one held
+        // low: neither ever sees a rising edge, whatever `d` does.  `tie`
+        // is clocked by a constant 1.
+        let mut b = NetlistBuilder::new("no_edge");
+        let high = b.input("high");
+        let low = b.input("low");
+        let one = b.constant(true);
+        let d = b.input("d");
+        let hold = b.reg("hold", RegKind::Simple, d, high, None, None);
+        let stuck = b.reg("stuck", RegKind::Simple, d, low, None, None);
+        let tie = b.reg("tie", RegKind::Simple, d, one, None, None);
+        let x = b.xor("x", hold, stuck);
+        let y = b.or("y", x, tie);
+        b.mark_output(y);
+        let n = b.finish().expect("valid");
+        let step = |d| vec![("high", HI), ("low", LO), ("d", d)];
+        let (model, values) = run_both(&n, &[step(HI), step(LO), step(HI), step(LO), step(HI)]);
+        for t in 0..5 {
+            for name in ["hold", "stuck", "tie", "y"] {
+                assert_eq!(
+                    exact_at(&model, &values, t, name),
+                    Some(Ternary::X),
+                    "{name} at {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn steps_one_and_two_read_the_clock_shadow_from_the_all_x_rows() {
+        // At step 1 the shadow is row -1 (X): a clock high at step 0 gives
+        // an X edge, a low one none.  At step 2 the shadow is step 0.
+        let mut b = NetlistBuilder::new("shadow");
+        let c = b.input("c");
+        let clk = b.buf("clk", c);
+        let d = b.input("d");
+        let q = b.reg("q", RegKind::Simple, d, clk, None, None);
+        let nq = b.not("nq", q);
+        b.mark_output(nq);
+        let n = b.finish().expect("valid");
+        let (model, values) = run_both(
+            &n,
+            &[
+                vec![("c", HI), ("d", HI)],
+                vec![("c", LO), ("d", LO)],
+                vec![("c", HI), ("d", LO)],
+                vec![("c", LO)],
+            ],
+        );
+        assert_eq!(exact_at(&model, &values, 1, "q"), Some(Ternary::X));
+        assert_eq!(exact_at(&model, &values, 2, "q"), Some(Ternary::X));
+        assert_eq!(exact_at(&model, &values, 3, "q"), Some(Ternary::Zero));
+        assert_eq!(exact_at(&model, &values, 3, "nq"), Some(Ternary::One));
+        let (model, values) = run_both(
+            &n,
+            &[
+                vec![("c", LO), ("d", HI)],
+                vec![("c", HI), ("d", HI)],
+                vec![("c", LO), ("d", LO)],
+            ],
+        );
+        assert_eq!(exact_at(&model, &values, 1, "q"), Some(Ternary::X));
+        assert_eq!(exact_at(&model, &values, 2, "q"), Some(Ternary::One));
+        assert_eq!(exact_at(&model, &values, 2, "nq"), Some(Ternary::Zero));
+    }
 
     /// Every abstract value.
     fn all() -> Vec<Abs> {

@@ -18,9 +18,16 @@ use ssr_bdd::{BddManager, BddVec};
 
 use crate::formula::Formula;
 
+/// Declares the symbolic contents `mem{index}` of one memory word, as
+/// [`direct_memory_antecedent`] names them.
+pub fn memory_word(m: &mut BddManager, index: usize, width: usize) -> BddVec {
+    BddVec::new_input(m, &format!("mem{index}"), width)
+}
+
 /// Builds the *direct* (non-indexed) memory antecedent: a fresh symbolic
 /// variable per stored bit.  Word `i` of the memory `prefix` is asserted to
-/// hold the fresh vector `mem{i}` over the time interval `[from, to)`.
+/// hold the fresh vector [`memory_word`]`(i)` over the time interval
+/// `[from, to)`.
 ///
 /// Returns the formula together with the per-word symbolic vectors (needed
 /// to phrase the expected read data).
@@ -35,7 +42,7 @@ pub fn direct_memory_antecedent(
     let mut words = Vec::with_capacity(depth);
     let mut formula = Formula::True;
     for i in 0..depth {
-        let word = BddVec::new_input(m, &format!("mem{i}"), width);
+        let word = memory_word(m, i, width);
         let f = Formula::word_is(m, &format!("{prefix}_w{i}"), &word).from_to(from, to);
         formula = formula.and(f);
         words.push(word);
