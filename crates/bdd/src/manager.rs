@@ -423,7 +423,7 @@ impl BddManager {
     }
 
     /// Checks the installed wall-clock deadline *now* (the ITE recursion
-    /// probes it only every [`DEADLINE_PROBE_INTERVAL`] misses; checkers
+    /// probes it only every `DEADLINE_PROBE_INTERVAL` misses; checkers
     /// call this at their per-step safe points for a tighter bound).
     ///
     /// # Panics
@@ -1226,11 +1226,6 @@ impl BddManager {
     /// Returns `true` iff `f → g` is a tautology.
     pub fn implies_valid(&mut self, f: Bdd, g: Bdd) -> bool {
         self.implies(f, g).is_true()
-    }
-
-    /// Returns `true` iff `f` is satisfiable.
-    pub fn is_satisfiable(&self, f: Bdd) -> bool {
-        !f.is_false()
     }
 
     // ------------------------------------------------------------------

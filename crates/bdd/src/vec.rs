@@ -112,20 +112,6 @@ impl BddVec {
         }
     }
 
-    /// Concatenates `self` (low part) with `high` (high part).
-    pub fn concat(&self, high: &BddVec) -> BddVec {
-        let mut bits = self.bits.clone();
-        bits.extend_from_slice(&high.bits);
-        BddVec { bits }
-    }
-
-    /// Zero-extends (or truncates) to `width` bits.
-    pub fn zext(&self, width: usize) -> BddVec {
-        let mut bits = self.bits.clone();
-        bits.resize(width, Bdd::FALSE);
-        BddVec { bits }
-    }
-
     /// Sign-extends (or truncates) to `width` bits.
     pub fn sext(&self, width: usize) -> BddVec {
         let msb = self.bits.last().copied().unwrap_or(Bdd::FALSE);
@@ -357,34 +343,6 @@ impl BddVec {
     }
 }
 
-/// Builds a one-hot selector: `out[i]` is true iff `index == i`, for
-/// `i in 0..count`.  Used by the memory read/write port models.
-pub fn one_hot_decode(m: &mut BddManager, index: &BddVec, count: usize) -> Vec<Bdd> {
-    (0..count)
-        .map(|i| index.equals_constant(m, i as u64))
-        .collect()
-}
-
-/// Selects `words[index]`, i.e. a `count`-way multiplexer over equal-width
-/// words.  Out-of-range indices select an all-zero word.
-///
-/// # Panics
-/// Panics if the words do not all have the same width.
-pub fn select_word(m: &mut BddManager, index: &BddVec, words: &[BddVec]) -> BddVec {
-    assert!(!words.is_empty(), "cannot select from zero words");
-    let width = words[0].width();
-    assert!(
-        words.iter().all(|w| w.width() == width),
-        "all words must have the same width"
-    );
-    let mut acc = BddVec::zeros(width);
-    for (i, w) in words.iter().enumerate() {
-        let hit = index.equals_constant(m, i as u64);
-        acc = w.mux(m, hit, &acc).expect("same width");
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,38 +461,6 @@ mod tests {
         let asg0: Assignment = [(0, false)].into_iter().collect();
         assert_eq!(y.decode(&m, &asg1), Some(0xA));
         assert_eq!(y.decode(&m, &asg0), Some(0x5));
-
-        let idx = BddVec::new_input(&mut m, "idx", 2);
-        let words: Vec<BddVec> = (0..4)
-            .map(|i| BddVec::constant(&mut m, 10 + i, 8))
-            .collect();
-        let selected = select_word(&mut m, &idx, &words);
-        for i in 0..4u64 {
-            let mut asg = Assignment::new();
-            let vars = idx.support(&m);
-            asg.set(vars[0], i & 1 == 1);
-            asg.set(vars[1], i & 2 == 2);
-            assert_eq!(selected.decode(&m, &asg), Some(10 + i));
-        }
-    }
-
-    #[test]
-    fn one_hot_decoder() {
-        let mut m = BddManager::new();
-        let idx = BddVec::new_input(&mut m, "idx", 3);
-        let hot = one_hot_decode(&mut m, &idx, 8);
-        assert_eq!(hot.len(), 8);
-        // Exactly one line is hot for each concrete index.
-        let total = m.or_all(hot.iter().copied());
-        assert!(total.is_true());
-        for i in 0..8 {
-            for j in 0..8 {
-                if i != j {
-                    let both = m.and(hot[i], hot[j]);
-                    assert!(both.is_false());
-                }
-            }
-        }
     }
 
     #[test]
@@ -543,12 +469,8 @@ mod tests {
         let v = BddVec::constant(&mut m, 0b1011_0110, 8);
         assert_eq!(decode_const(&m, &v.slice(0, 4)), 0b0110);
         assert_eq!(decode_const(&m, &v.slice(4, 8)), 0b1011);
-        assert_eq!(decode_const(&m, &v.zext(12)), 0b1011_0110);
         let neg = BddVec::constant(&mut m, 0b1000, 4);
         assert_eq!(decode_const(&m, &neg.sext(8)), 0b1111_1000);
         assert_eq!(decode_const(&m, &v.shl_constant(2)), 0b1101_1000);
-        let lo = BddVec::constant(&mut m, 0x3, 4);
-        let hi = BddVec::constant(&mut m, 0xA, 4);
-        assert_eq!(decode_const(&m, &lo.concat(&hi)), 0xA3);
     }
 }

@@ -21,10 +21,6 @@ COMMANDS:
                engine as the verification oracle
     stats      Print the generated core's state classification, netlist
                census, retention-intent audit and area/leakage savings
-    bench      Run the zero-dependency wall-clock benchmark suite (BDD
-               kernel microbenchmarks + campaign workloads + the serve
-               closed loop) and emit an `ssr-bench-report/v1` JSON; or
-               diff two reports
     serve      Run the campaign-serving daemon: accept `ssr-serve/v1`
                submissions over TCP, queue them by priority, stream each
                job result back as it lands, and journal every request so
@@ -75,8 +71,8 @@ OPTIONS:
                                   config name (e.g. small+unsafe-reset-ifr)
                                   so resume/diff job identities stay
                                   per-design.                [default: ifr]
-    --json <PATH|->               Also write the campaign (or bench) report
-                                  as JSON to PATH (or stdout for `-`)
+    --json <PATH|->               Also write the campaign report as JSON
+                                  to PATH (or stdout for `-`)
     --quiet                       Suppress the result table
     --verbose                     Stream per-job progress to stderr
 
@@ -114,22 +110,6 @@ RESOURCE BUDGETS (campaign/check/submit):
     --deadline-ms <MS>            Per-job wall-clock deadline, re-anchored
                                   for the degradation retry
                                   (`budget_time`; inherently nondeterministic)
-
-BENCH OPTIONS:
-    --iterations <N>              Timed iterations per workload [default: 5]
-    --warmup <N>                  Untimed warmup iterations     [default: 1]
-    --workload <NAME|kernel|campaign|serve>
-                                  Select workloads; repeatable or
-                                  comma-separated.       [default: all]
-    --serve                       Shorthand for --workload serve: only the
-                                  closed-loop serving benchmark (client
-                                  fleet vs in-process daemon; reports
-                                  campaigns/sec and p50/p99 latency)
-    --clients <N>                 Serve bench: concurrent clients [default: 4]
-    --requests <N>                Serve bench: campaigns per client
-                                                                 [default: 2]
-    --diff <OLD.json> <NEW.json>  Compare two bench reports (per-workload
-                                  median deltas) instead of running
 
 SERVE OPTIONS (ssr serve):
     --addr <HOST:PORT>            Bind address; port 0 picks a free port
@@ -179,8 +159,6 @@ EXIT CODE:
     submit: 0 if every checked assertion held (or the control request
             succeeded), 1 on failures or a cancelled run, 2 on
             connection or protocol errors.
-    bench: 0 on success (including --diff), 2 on unknown workloads or
-           unreadable reports.
     minimise: 0 if the baseline (all-architectural) policy verifies;
               rejected exploration candidates are expected to fail and do
               not affect the exit code.
@@ -198,8 +176,6 @@ pub enum Action {
     Minimise,
     /// Core statistics, no checking.
     Stats,
-    /// The wall-clock benchmark suite (or a report diff).
-    Bench,
     /// The campaign-serving daemon.
     Serve,
     /// Submit to (or control) a running daemon.
@@ -236,13 +212,7 @@ pub struct Command {
     pub quiet: bool,
     /// Stream per-job progress to stderr.
     pub verbose: bool,
-    /// `bench`: timed iterations per workload.
-    pub iterations: u32,
-    /// `bench`: untimed warmup iterations per workload.
-    pub warmup: u32,
-    /// `bench`: workload filter (names or `kernel`/`campaign`); empty = all.
-    pub workloads: Vec<String>,
-    /// `bench --diff OLD NEW` / `ssr diff OLD NEW`: the two report paths.
+    /// `ssr diff OLD NEW`: the two report paths.
     pub diff: Option<(String, String)>,
     /// `campaign --resume`: path of the report/journal to resume from
     /// (`submit --resume`: server-side journal file name).
@@ -273,12 +243,6 @@ pub struct Command {
     pub shutdown: bool,
     /// `diff --canonical`: require canonical byte-identity.
     pub canonical: bool,
-    /// `bench --serve`: only the closed-loop serving workloads.
-    pub serve_only: bool,
-    /// `bench --clients`: serve-bench fleet size.
-    pub clients: usize,
-    /// `bench --requests`: serve-bench campaigns per client.
-    pub requests: usize,
     /// `--node-budget`: per-job live BDD node ceiling.
     pub node_budget: Option<u64>,
     /// `--step-budget`: per-job ITE recursion step ceiling.
@@ -356,7 +320,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         Some("check") => Action::Check,
         Some("minimise" | "minimize") => Action::Minimise,
         Some("stats") => Action::Stats,
-        Some("bench") => Action::Bench,
         Some("serve") => Action::Serve,
         Some("submit") => Action::Submit,
         Some("diff") => Action::Diff,
@@ -374,10 +337,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut json = None;
     let mut quiet = false;
     let mut verbose = false;
-    let mut iterations = 5u32;
-    let mut warmup = 1u32;
-    let mut workloads: Vec<String> = Vec::new();
-    let mut diff = None;
     let mut resume = None;
     let mut checkpoint = None;
     let mut limit = None;
@@ -392,9 +351,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut status = false;
     let mut shutdown = false;
     let mut canonical = false;
-    let mut serve_only = false;
-    let mut clients = 4usize;
-    let mut requests = 2usize;
     let mut node_budget = None;
     let mut step_budget = None;
     let mut deadline_ms = None;
@@ -445,29 +401,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             "--json" => json = Some(value("--json")?),
             "--quiet" => quiet = true,
             "--verbose" => verbose = true,
-            "--iterations" => {
-                let v = value("--iterations")?;
-                iterations = v
-                    .parse()
-                    .map_err(|_| format!("--iterations needs a number, got `{v}`"))?;
-            }
-            "--warmup" => {
-                let v = value("--warmup")?;
-                warmup = v
-                    .parse()
-                    .map_err(|_| format!("--warmup needs a number, got `{v}`"))?;
-            }
-            "--workload" => {
-                workloads.extend(value("--workload")?.split(',').map(|w| w.trim().to_owned()));
-            }
-            "--diff" => {
-                let old = value("--diff")?;
-                let new = it
-                    .next()
-                    .cloned()
-                    .ok_or("--diff needs two report paths: OLD.json NEW.json")?;
-                diff = Some((old, new));
-            }
             "--resume" => resume = Some(value("--resume")?),
             "--checkpoint" => checkpoint = Some(value("--checkpoint")?),
             "--addr" => addr = value("--addr")?,
@@ -505,23 +438,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             "--status" => status = true,
             "--shutdown" => shutdown = true,
             "--canonical" => canonical = true,
-            "--serve" => serve_only = true,
-            "--clients" => {
-                let v = value("--clients")?;
-                clients = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("--clients needs a number >= 1, got `{v}`"))?;
-            }
-            "--requests" => {
-                let v = value("--requests")?;
-                requests = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("--requests needs a number >= 1, got `{v}`"))?;
-            }
             "--limit" => {
                 let v = value("--limit")?;
                 limit = Some(
@@ -567,12 +483,14 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
     }
 
-    if action == Action::Diff {
+    let diff = if action == Action::Diff {
         match <[String; 2]>::try_from(positional) {
-            Ok([old, new]) => diff = Some((old, new)),
+            Ok([old, new]) => Some((old, new)),
             Err(_) => return Err("diff needs exactly two paths: OLD.json NEW.json".into()),
         }
-    }
+    } else {
+        None
+    };
 
     let configs = if config_names.is_empty() {
         vec![parse_config("small", control_path)?]
@@ -618,9 +536,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         json,
         quiet,
         verbose,
-        iterations,
-        warmup,
-        workloads,
         diff,
         resume,
         checkpoint,
@@ -636,9 +551,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         status,
         shutdown,
         canonical,
-        serve_only,
-        clients,
-        requests,
         node_budget,
         step_budget,
         deadline_ms,
@@ -723,47 +635,27 @@ mod tests {
         assert!(parse(&argv(&["explode"])).is_err());
         assert!(parse(&argv(&["campaign", "--frobnicate"])).is_err());
         assert!(parse(&argv(&["campaign", "--policy"])).is_err());
-    }
-
-    #[test]
-    fn bench_options_parse_with_defaults() {
-        let cmd = parse(&argv(&["bench"])).expect("parses");
-        assert_eq!(cmd.action, Action::Bench);
-        assert_eq!(cmd.iterations, 5);
-        assert_eq!(cmd.warmup, 1);
-        assert!(cmd.workloads.is_empty());
-        assert!(cmd.diff.is_none());
-
-        let cmd = parse(&argv(&[
-            "bench",
-            "--iterations",
-            "3",
-            "--warmup",
-            "0",
-            "--workload",
-            "kernel,campaign/default-assertion",
-            "--json",
-            "-",
-        ]))
-        .expect("parses");
-        assert_eq!(cmd.iterations, 3);
-        assert_eq!(cmd.warmup, 0);
+        // Removed commands and options fail as usage errors.
         assert_eq!(
-            cmd.workloads,
-            vec!["kernel".to_owned(), "campaign/default-assertion".to_owned()]
+            parse(&argv(&["bench"])).unwrap_err(),
+            "unknown command `bench`"
         );
-        assert_eq!(cmd.json.as_deref(), Some("-"));
-    }
-
-    #[test]
-    fn bench_diff_needs_two_paths() {
-        let cmd = parse(&argv(&["bench", "--diff", "old.json", "new.json"])).expect("parses");
-        assert_eq!(
-            cmd.diff,
-            Some(("old.json".to_owned(), "new.json".to_owned()))
-        );
-        assert!(parse(&argv(&["bench", "--diff", "old.json"])).is_err());
-        assert!(parse(&argv(&["bench", "--iterations", "many"])).is_err());
+        assert!(parse(&argv(&["bench", "--diff", "a", "b"])).is_err());
+        for flag in [
+            &["--iterations", "3"][..],
+            &["--warmup", "0"],
+            &["--workload", "kernel"],
+            &["--serve"],
+            &["--clients", "8"],
+            &["--requests", "3"],
+        ] {
+            let mut args = vec!["campaign"];
+            args.extend_from_slice(flag);
+            assert_eq!(
+                parse(&argv(&args)).unwrap_err(),
+                format!("unknown option `{}`", flag[0])
+            );
+        }
     }
 
     #[test]
@@ -787,7 +679,7 @@ mod tests {
         let cmd = parse(&argv(&["campaign", "--order", "sequential"])).expect("parses");
         assert_eq!(cmd.order, OrderPolicy::Sequential);
 
-        let cmd = parse(&argv(&["bench", "--order", "explicit(a[0];b[0])"])).expect("parses");
+        let cmd = parse(&argv(&["campaign", "--order", "explicit(a[0];b[0])"])).expect("parses");
         assert_eq!(
             cmd.order,
             OrderPolicy::Explicit(vec!["a[0]".into(), "b[0]".into()])
@@ -874,20 +766,6 @@ mod tests {
         let cmd = parse(&argv(&["diff", "--canonical", "a.json", "b.json"])).expect("parses");
         assert!(cmd.canonical);
         assert_eq!(cmd.diff, Some(("a.json".to_owned(), "b.json".to_owned())));
-
-        let cmd = parse(&argv(&[
-            "bench",
-            "--serve",
-            "--clients",
-            "8",
-            "--requests",
-            "3",
-        ]))
-        .expect("parses");
-        assert!(cmd.serve_only);
-        assert_eq!(cmd.clients, 8);
-        assert_eq!(cmd.requests, 3);
-        assert!(parse(&argv(&["bench", "--clients", "0"])).is_err());
     }
 
     #[test]

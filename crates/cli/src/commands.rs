@@ -25,7 +25,6 @@ pub fn run(cmd: Command) -> ExitCode {
         Action::Campaign | Action::Check => campaign(&cmd),
         Action::Minimise => minimise(&cmd),
         Action::Stats => core_stats(&cmd),
-        Action::Bench => bench(&cmd),
         Action::Diff => diff(&cmd),
         Action::Serve => serve(&cmd),
         Action::Submit => submit(&cmd),
@@ -291,82 +290,6 @@ fn diff(cmd: &Command) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
-    }
-}
-
-fn bench(cmd: &Command) -> ExitCode {
-    use ssr_bench::harness::{run_workloads, BenchOptions, BenchReport};
-
-    // Diff mode: compare two committed reports, no workloads run.
-    if let Some((old_path, new_path)) = &cmd.diff {
-        let load = |path: &str| -> Result<BenchReport, String> {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))
-        };
-        match (load(old_path), load(new_path)) {
-            (Ok(old), Ok(new)) => {
-                print!("{}", BenchReport::diff_table(&old, &new));
-                ExitCode::SUCCESS
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        }
-    } else {
-        let options = BenchOptions {
-            order: cmd.order.clone(),
-            serve_clients: cmd.clients,
-            serve_requests: cmd.requests,
-        };
-        // --serve is shorthand for --workload serve (the closed loop only).
-        let mut workloads = cmd.workloads.clone();
-        if cmd.serve_only && !workloads.iter().any(|w| w == "serve") {
-            workloads.push("serve".to_owned());
-        }
-        // The sequential preset is exponential for the 32-bit operand-pair
-        // suites the campaign (and serve) workloads run; unlike `check`
-        // there is no --suite filter here, so an unguarded run would simply
-        // hang.
-        let runs_campaigns = workloads.is_empty()
-            || workloads.iter().any(|w| {
-                w == "campaign"
-                    || w.starts_with("campaign/")
-                    || w == "serve"
-                    || w.starts_with("serve/")
-            });
-        if cmd.order == ssr_engine::OrderPolicy::Sequential && runs_campaigns {
-            eprintln!(
-                "error: --order sequential would make the campaign workloads' 32-bit \
-                 operand suites exponential (the ablation baseline); select kernel \
-                 workloads only (--workload kernel) or use `ssr check --suite ifr \
-                 --order sequential`"
-            );
-            return ExitCode::from(2);
-        }
-        let report = match run_workloads(&workloads, cmd.iterations, cmd.warmup, &options) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if !cmd.quiet {
-            print!("{}", report.render_table());
-        }
-        if let Some(target) = &cmd.json {
-            let text = report.to_json();
-            if target == "-" {
-                print!("{text}");
-            } else if let Err(e) = std::fs::write(target, &text) {
-                eprintln!("error: cannot write {target}: {e}");
-                return ExitCode::from(2);
-            } else if !cmd.quiet {
-                println!("JSON bench report written to {target}");
-            }
-        }
-        ExitCode::SUCCESS
     }
 }
 
@@ -646,8 +569,8 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
 }
 
 fn core_stats(cmd: &Command) -> ExitCode {
-    // Same hazard as `bench`: the sequential preset is exponential for the
-    // 32-bit operand-pair suites, and the kernel census compiles them.
+    // The sequential preset is exponential for the 32-bit operand-pair
+    // suites, and the kernel census compiles them.
     let pair_suites = cmd.suites.is_empty()
         || cmd
             .suites

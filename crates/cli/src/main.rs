@@ -13,8 +13,6 @@
 //! ssr check    --policy no-imem --suite two
 //! ssr minimise --jobs 8
 //! ssr stats    --config small --policy architectural
-//! ssr bench    --iterations 5 --json BENCH.json
-//! ssr bench    --diff BENCH_02.json BENCH.json
 //! ```
 
 #![forbid(unsafe_code)]

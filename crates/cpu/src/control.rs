@@ -117,18 +117,6 @@ impl AluFunction {
         }
     }
 
-    /// Decodes an encoding back to a function (unknown encodings read as
-    /// `And`, matching the synthesised don't-care choice).
-    pub fn from_encoding(bits: u8) -> AluFunction {
-        match bits & 0b111 {
-            0b001 => AluFunction::Or,
-            0b010 => AluFunction::Add,
-            0b110 => AluFunction::Sub,
-            0b111 => AluFunction::Slt,
-            _ => AluFunction::And,
-        }
-    }
-
     /// Applies the function to two 32-bit operands, returning
     /// `(result, zero_flag)`.
     pub fn apply(self, a: u32, b: u32) -> (u32, bool) {
@@ -220,14 +208,19 @@ mod tests {
 
     #[test]
     fn encoding_roundtrip() {
-        for f in [
+        // Five pairwise-distinct 3-bit codes, so the `ALUControl[2:0]` nets
+        // identify the function.
+        let codes = [
             AluFunction::And,
             AluFunction::Or,
             AluFunction::Add,
             AluFunction::Sub,
             AluFunction::Slt,
-        ] {
-            assert_eq!(AluFunction::from_encoding(f.encoding()), f);
+        ]
+        .map(AluFunction::encoding);
+        for (i, &code) in codes.iter().enumerate() {
+            assert!(code <= 0b111, "{code:#b} is wider than 3 bits");
+            assert!(!codes[..i].contains(&code), "{code:#b} is used twice");
         }
     }
 }

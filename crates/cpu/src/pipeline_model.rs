@@ -51,11 +51,6 @@ impl GenerationModel {
             .map(|g| g.bits)
             .sum()
     }
-
-    /// Total state bits.
-    pub fn total_bits(&self) -> usize {
-        self.architectural_bits() + self.micro_bits()
-    }
 }
 
 /// The architectural state shared by every generation: 32 general-purpose
@@ -205,7 +200,8 @@ mod tests {
     #[test]
     fn totals_add_up() {
         let g = generation(5);
-        assert_eq!(g.total_bits(), g.architectural_bits() + g.micro_bits());
+        let group_bits: usize = g.groups.iter().map(|group| group.bits).sum();
+        assert_eq!(g.architectural_bits() + g.micro_bits(), group_bits);
         assert_eq!(g.stages, 5);
     }
 

@@ -125,8 +125,8 @@ impl NetlistBuilder {
             return id;
         }
         let preferred = if value { "const_1" } else { "const_0" };
-        // Designs imported from BLIF may already use the preferred name for
-        // an ordinary signal; fall back to a generated one in that case.
+        // A caller may already have named an ordinary signal `const_0` or
+        // `const_1`; fall back to a generated name in that case.
         let name = if self.by_name.contains_key(preferred) {
             self.fresh_name(preferred)
         } else {
@@ -135,17 +135,6 @@ impl NetlistBuilder {
         let id = self.add_net(name, NetDriver::Constant(value));
         self.const_nets[slot] = Some(id);
         id
-    }
-
-    /// Declares a net with an explicit name that is driven by the Boolean
-    /// constant `value`.  Unlike [`NetlistBuilder::constant`] the net is not
-    /// shared; this exists for front-ends (such as the BLIF reader) where a
-    /// named signal is defined to be constant.
-    ///
-    /// # Panics
-    /// Panics if the name is already used.
-    pub fn named_constant(&mut self, name: impl Into<String>, value: bool) -> NetId {
-        self.add_net(name.into(), NetDriver::Constant(value))
     }
 
     /// A constant word of the given width holding `value` (LSB first).
@@ -369,11 +358,6 @@ impl NetlistBuilder {
         }
     }
 
-    /// Bitwise NOT of a word.
-    pub fn word_not(&mut self, a: &[NetId]) -> Vec<NetId> {
-        a.iter().map(|&bit| self.not_auto(bit)).collect()
-    }
-
     /// Bitwise AND of two equal-width words.
     ///
     /// # Errors
@@ -393,18 +377,6 @@ impl NetlistBuilder {
     pub fn word_or(&mut self, a: &[NetId], b: &[NetId]) -> Result<Vec<NetId>, NetlistError> {
         Self::check_widths(a, b)?;
         Ok(a.iter().zip(b).map(|(&x, &y)| self.or_auto(x, y)).collect())
-    }
-
-    /// Bitwise XOR of two equal-width words.
-    ///
-    /// # Errors
-    /// Returns [`NetlistError::WidthMismatch`] if the widths differ.
-    pub fn word_xor(&mut self, a: &[NetId], b: &[NetId]) -> Result<Vec<NetId>, NetlistError> {
-        Self::check_widths(a, b)?;
-        Ok(a.iter()
-            .zip(b)
-            .map(|(&x, &y)| self.xor_auto(x, y))
-            .collect())
     }
 
     /// Word-level 2-to-1 mux.
@@ -452,35 +424,6 @@ impl NetlistBuilder {
         Ok((sum, carry))
     }
 
-    /// Two's-complement subtraction `a - b`; returns `(difference, borrow_free)`.
-    ///
-    /// # Errors
-    /// Returns [`NetlistError::WidthMismatch`] if the widths differ.
-    pub fn word_sub(
-        &mut self,
-        a: &[NetId],
-        b: &[NetId],
-    ) -> Result<(Vec<NetId>, NetId), NetlistError> {
-        Self::check_widths(a, b)?;
-        let nb = self.word_not(b);
-        let one = self.constant(true);
-        self.word_add(a, &nb, Some(one))
-    }
-
-    /// Equality comparator over two equal-width words.
-    ///
-    /// # Errors
-    /// Returns [`NetlistError::WidthMismatch`] if the widths differ.
-    pub fn word_eq(&mut self, a: &[NetId], b: &[NetId]) -> Result<NetId, NetlistError> {
-        Self::check_widths(a, b)?;
-        let bits: Vec<NetId> = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| self.gate_auto(GateOp::Xnor, &[x, y]))
-            .collect();
-        Ok(self.and_reduce(&bits))
-    }
-
     /// Equality of a word against a constant.
     pub fn word_eq_const(&mut self, a: &[NetId], value: u64) -> NetId {
         let bits: Vec<NetId> = a
@@ -509,17 +452,6 @@ impl NetlistBuilder {
         out.truncate(width);
         while out.len() < width {
             out.push(msb);
-        }
-        out
-    }
-
-    /// Zero-extends a word to `width` bits (or truncates if narrower).
-    pub fn word_zext(&mut self, a: &[NetId], width: usize) -> Vec<NetId> {
-        let zero = self.constant(false);
-        let mut out = a.to_vec();
-        out.truncate(width);
-        while out.len() < width {
-            out.push(zero);
         }
         out
     }
@@ -732,8 +664,6 @@ mod tests {
         assert_eq!(sum.len(), 4);
         b.mark_word_output(&sum);
         b.mark_output(carry);
-        let eq = b.word_eq(&a, &c).expect("widths");
-        b.mark_output(eq);
         let n = b.finish().expect("valid");
         assert!(n.cell_count() > 10);
         assert!(n.validate().is_ok());
@@ -748,7 +678,7 @@ mod tests {
             b.word_add(&a, &c, None),
             Err(NetlistError::WidthMismatch { left: 4, right: 3 })
         ));
-        assert!(b.word_eq(&a, &c).is_err());
+        assert!(b.word_and(&a, &c).is_err());
         assert!(b.word_mux(a[0], &a, &c).is_err());
     }
 
@@ -757,7 +687,6 @@ mod tests {
         let mut b = NetlistBuilder::new("t");
         let a = b.word_input("a", 4);
         assert_eq!(b.word_sext(&a, 8).len(), 8);
-        assert_eq!(b.word_zext(&a, 8).len(), 8);
         assert_eq!(b.word_shl_const(&a, 2).len(), 4);
         assert_eq!(b.word_sext(&a, 2).len(), 2);
     }

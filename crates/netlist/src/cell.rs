@@ -52,8 +52,7 @@ impl GateOp {
         }
     }
 
-    /// Evaluates the gate over Booleans (used by the concrete simulator and
-    /// the BLIF writer's truth tables).
+    /// Evaluates the gate over Booleans (used by the concrete simulator).
     ///
     /// # Panics
     /// Panics if `inputs.len() != self.arity()`.
@@ -190,7 +189,7 @@ impl CellKind {
 /// A cell instance: a gate or register with its input nets and output net.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
-    /// Instance name (used for diagnostics and BLIF export).
+    /// Instance name (used for diagnostics).
     pub name: String,
     /// What the cell computes.
     pub kind: CellKind,

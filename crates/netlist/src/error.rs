@@ -1,16 +1,12 @@
-//! Error type for netlist construction, validation and BLIF parsing.
+//! Error type for netlist construction and validation.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while building, validating or parsing netlists.
+/// Errors produced while building or validating netlists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetlistError {
-    /// A net name was declared twice.
-    DuplicateNet(String),
-    /// A net was referenced that does not exist.
-    UnknownNet(String),
     /// A net has more than one driver.
     MultipleDrivers(String),
     /// A net is used but never driven (and is not a primary input).
@@ -27,13 +23,6 @@ pub enum NetlistError {
     /// The combinational part of the netlist contains a cycle through the
     /// named net.
     CombinationalLoop(String),
-    /// A BLIF parse error with line number and message.
-    BlifParse {
-        /// 1-based source line.
-        line: usize,
-        /// Human-readable message.
-        message: String,
-    },
     /// Widths of word-level operands disagree.
     WidthMismatch {
         /// Width of the left operand.
@@ -46,8 +35,6 @@ pub enum NetlistError {
 impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetlistError::DuplicateNet(n) => write!(f, "duplicate net name `{n}`"),
-            NetlistError::UnknownNet(n) => write!(f, "unknown net `{n}`"),
             NetlistError::MultipleDrivers(n) => write!(f, "net `{n}` has multiple drivers"),
             NetlistError::Undriven(n) => write!(f, "net `{n}` is used but never driven"),
             NetlistError::ArityMismatch {
@@ -60,9 +47,6 @@ impl fmt::Display for NetlistError {
             ),
             NetlistError::CombinationalLoop(n) => {
                 write!(f, "combinational loop through net `{n}`")
-            }
-            NetlistError::BlifParse { line, message } => {
-                write!(f, "BLIF parse error at line {line}: {message}")
             }
             NetlistError::WidthMismatch { left, right } => {
                 write!(f, "word width mismatch: {left} vs {right}")
@@ -80,16 +64,8 @@ mod tests {
     #[test]
     fn display_messages() {
         assert_eq!(
-            NetlistError::DuplicateNet("a".into()).to_string(),
-            "duplicate net name `a`"
-        );
-        assert_eq!(
-            NetlistError::BlifParse {
-                line: 3,
-                message: "bad token".into()
-            }
-            .to_string(),
-            "BLIF parse error at line 3: bad token"
+            NetlistError::MultipleDrivers("a".into()).to_string(),
+            "net `a` has multiple drivers"
         );
         assert_eq!(
             NetlistError::ArityMismatch {

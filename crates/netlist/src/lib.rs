@@ -10,13 +10,11 @@
 //!   (`NRET`, active low) controls on state cells — the emulated retention
 //!   register of Figure 1 of the paper is [`RegKind::Retention`];
 //! * a word-level [`builder::NetlistBuilder`] used by the CPU generator;
-//! * memory-array expansion ([`builder::MemoryPorts`]) into register words,
+//! * memory-array expansion ([`builder::MemoryConfig`]) into register words,
 //!   address decoders and read multiplexers — exactly what the paper's
 //!   synthesis flow produces for the 256×32 instruction memory;
-//! * structural analyses: topological levelisation and
+//! * structural analyses: topological ordering and
 //!   combinational-loop detection ([`topo`]);
-//! * a BLIF reader/writer ([`blif`]) so externally synthesised designs can
-//!   be imported and our generated cores exported;
 //! * area statistics ([`stats`]) used by the retention area/leakage model.
 //!
 //! ## Register semantics
@@ -46,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blif;
 pub mod builder;
 mod cell;
 mod error;

@@ -41,8 +41,7 @@ pub struct Net {
 
 /// A flat gate-level netlist.
 ///
-/// Construct through [`crate::builder::NetlistBuilder`] (preferred) or
-/// [`crate::blif::parse`].
+/// Construct through [`crate::builder::NetlistBuilder`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Netlist {
     name: String,
@@ -144,29 +143,6 @@ impl Netlist {
         self.cells().filter(|(_, c)| !c.kind.is_state())
     }
 
-    /// Nets whose name starts with `prefix`, sorted by the numeric suffix if
-    /// the names follow the `prefix[i]` convention and lexicographically
-    /// otherwise.  Useful for collecting the bits of a word.
-    pub fn nets_with_prefix(&self, prefix: &str) -> Vec<NetId> {
-        let mut matches: Vec<(NetId, &str)> = self
-            .nets()
-            .filter(|(_, n)| n.name.starts_with(prefix))
-            .map(|(id, n)| (id, n.name.as_str()))
-            .collect();
-        matches.sort_by(|a, b| {
-            let idx = |s: &str| -> Option<u64> {
-                let open = s.rfind('[')?;
-                let close = s.rfind(']')?;
-                s[open + 1..close].parse().ok()
-            };
-            match (idx(a.1), idx(b.1)) {
-                (Some(x), Some(y)) => x.cmp(&y),
-                _ => a.1.cmp(b.1),
-            }
-        });
-        matches.into_iter().map(|(id, _)| id).collect()
-    }
-
     /// The bits of the named word `name[0]`, `name[1]`, ..., LSB first.
     /// Returns an empty vector if no bits are found.
     pub fn word(&self, name: &str) -> Vec<NetId> {
@@ -181,9 +157,8 @@ impl Netlist {
     }
 
     /// Validates structural invariants: every cell has the right arity,
-    /// every used net is driven, no net has two drivers (guaranteed by
-    /// construction for builder-produced netlists, re-checked for imported
-    /// ones).
+    /// every used net is driven, no net has two drivers (the builder
+    /// guarantees these by construction; this re-checks them).
     ///
     /// # Errors
     /// Returns the first violation found.
@@ -279,8 +254,6 @@ mod tests {
         assert_eq!(bits.len(), 4);
         assert_eq!(n.net(bits[0]).name, "data[0]");
         assert_eq!(n.net(bits[3]).name, "data[3]");
-        let pref = n.nets_with_prefix("data[");
-        assert_eq!(pref, bits);
         assert!(n.word("missing").is_empty());
     }
 }

@@ -8,30 +8,21 @@ use crate::cell::CellId;
 use crate::error::NetlistError;
 use crate::netlist::{NetId, Netlist};
 
-/// A topological evaluation order of the combinational cells.
+/// No cell drives the net.
+const UNDRIVEN: u32 = u32::MAX;
+
+/// Computes a topological evaluation order of the combinational cells of
+/// `netlist`: Kahn's algorithm with a FIFO queue seeded with the source
+/// cells in id order.
 ///
 /// Register outputs, primary inputs and constants are treated as sources;
 /// the order lists every combinational cell such that all of a cell's
 /// combinational predecessors appear before it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvalOrder {
-    /// Combinational cells in dependency order.
-    pub comb_cells: Vec<CellId>,
-    /// Longest combinational path length, in gates ("logic depth").
-    pub depth: usize,
-}
-
-/// No cell drives the net.
-const UNDRIVEN: u32 = u32::MAX;
-
-/// Computes an evaluation order for the combinational part of `netlist`:
-/// Kahn's algorithm with a FIFO queue seeded with the source cells in id
-/// order.
 ///
 /// # Errors
 /// Returns [`NetlistError::CombinationalLoop`] naming a net on a cycle if
 /// the combinational logic is cyclic.
-pub fn eval_order(netlist: &Netlist) -> Result<EvalOrder, NetlistError> {
+pub fn eval_order(netlist: &Netlist) -> Result<Vec<CellId>, NetlistError> {
     let cells = netlist.cell_count();
     // The combinational cell driving each net, if any.
     let mut driver = vec![UNDRIVEN; netlist.net_count()];
@@ -70,17 +61,11 @@ pub fn eval_order(netlist: &Netlist) -> Result<EvalOrder, NetlistError> {
         .filter(|(id, _)| in_degree[id.index()] == 0)
         .map(|(id, _)| id)
         .collect();
-    let mut level = vec![0u32; cells];
-    for c in &order {
-        level[c.index()] = 1;
-    }
     let mut head = 0;
     while let Some(&c) = order.get(head) {
         head += 1;
-        let next = level[c.index()] + 1;
         for &s in &successors[first[c.index()] as usize..first[c.index() + 1] as usize] {
             let s = s as usize;
-            level[s] = level[s].max(next);
             in_degree[s] -= 1;
             if in_degree[s] == 0 {
                 order.push(CellId(s as u32));
@@ -96,11 +81,7 @@ pub fn eval_order(netlist: &Netlist) -> Result<EvalOrder, NetlistError> {
             &comb_driver,
         )));
     }
-    let depth = order.iter().map(|c| level[c.index()]).max().unwrap_or(0);
-    Ok(EvalOrder {
-        comb_cells: order,
-        depth: depth as usize,
-    })
+    Ok(order)
 }
 
 /// The name of a net on a combinational cycle, once Kahn's algorithm has
@@ -147,20 +128,15 @@ mod tests {
         b.mark_output(z);
         let n = b.finish().expect("valid");
         let order = eval_order(&n).expect("acyclic");
-        assert_eq!(order.comb_cells.len(), 3);
+        assert_eq!(order.len(), 3);
         let pos: Vec<usize> = ["x", "y", "z"]
             .iter()
             .map(|name| {
                 let net = n.find_net(name).unwrap();
-                order
-                    .comb_cells
-                    .iter()
-                    .position(|&c| n.cell(c).output == net)
-                    .unwrap()
+                order.iter().position(|&c| n.cell(c).output == net).unwrap()
             })
             .collect();
         assert!(pos[0] < pos[1] && pos[1] < pos[2]);
-        assert_eq!(order.depth, 3);
     }
 
     #[test]
@@ -176,7 +152,7 @@ mod tests {
         b.mark_output(q);
         let n = b.finish().expect("valid");
         let order = eval_order(&n).expect("registers break the cycle");
-        assert_eq!(order.comb_cells.len(), 1);
+        assert_eq!(order.len(), 1);
     }
 
     #[test]

@@ -129,18 +129,6 @@ impl CoreHarness {
         Self::word_over(m, &format!("Registers_w{index}"), value, from, to)
     }
 
-    /// Asserts that instruction-memory word `index` holds `value` over
-    /// `[from, to)`.
-    pub fn imem_word_is(
-        m: &mut BddManager,
-        index: usize,
-        value: &BddVec,
-        from: usize,
-        to: usize,
-    ) -> Formula {
-        Self::word_over(m, &format!("IMem_w{index}"), value, from, to)
-    }
-
     /// Asserts the instruction-memory word addressed by the word address
     /// `addr` (a [`BddVec`] as wide as the memory's address) holds `value`,
     /// using the symbolic-indexing style: only the addressed word is
@@ -183,17 +171,6 @@ impl CoreHarness {
             from,
             to,
         )
-    }
-
-    /// The word address (instruction index) corresponding to a byte-address
-    /// PC vector: bits `[2, 2 + imem_addr_bits)`.
-    pub fn pc_word_address(&self, pc: &BddVec) -> BddVec {
-        pc.slice(2, 2 + self.config.imem_addr_bits())
-    }
-
-    /// The data-memory word address corresponding to a byte address.
-    pub fn dmem_word_address(&self, byte_addr: &BddVec) -> BddVec {
-        byte_addr.slice(2, 2 + self.config.dmem_addr_bits())
     }
 
     /// Asserts the quiescent operating conditions the paper's Property I

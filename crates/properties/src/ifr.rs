@@ -13,8 +13,9 @@
 //! word is constrained) — the two antecedent styles compared by experiment
 //! E7.  The check-time comparison between the two styles and the absolute
 //! wall-clock of the 256-word configuration (the paper reports 10.83 s on a
-//! 2005-era laptop) are produced by the `ifr_property` and
-//! `symbolic_indexing` benches.
+//! 2005-era laptop) are measured by ssrbench's `ifr-paper` workload and by
+//! `ssr check --config paper --suite ifr --granularity assertion`, which
+//! runs each style as its own job.
 
 use ssr_bdd::{BddManager, BddVec};
 use ssr_cpu::ControlPath;

@@ -65,7 +65,7 @@ fn fetch_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> V
     // feed a 32-bit adder, so their declaration follows the harness's
     // order policy; under the default interleaved preset the carry chain
     // stays linear, under the sequential preset it is exponential (the
-    // ordering ablation of the `bdd_ops` bench).
+    // ordering ablation).
     {
         let (pc, offset) = harness.order().pair(m, "f2_pc", "f2_off", 32);
         if pick.next() {

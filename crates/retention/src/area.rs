@@ -102,8 +102,8 @@ pub fn savings(
         .collect()
 }
 
-/// Renders the savings table as aligned text (used by the bench harness and
-/// the `retention_exploration` example).
+/// Renders the savings table as aligned text (used by `ssr stats` and the
+/// `retention_exploration` example).
 pub fn render_table(rows: &[GenerationSavings]) -> String {
     let mut out = String::new();
     out.push_str(

@@ -166,23 +166,6 @@ impl SleepResumeSchedule {
         )
     }
 
-    /// A reference stimulus with the same number of active clock cycles but
-    /// *no* sleep/resume hand-shake: the clock simply keeps running and
-    /// `NRET`/`NRST` stay high.  Used as the "without retention detour" side
-    /// of the Figure-2 equivalence.
-    pub fn reference_formula(&self) -> Formula {
-        let cycles = self.pre_cycles + self.post_cycles;
-        let mut segments = Vec::new();
-        for c in 0..cycles {
-            segments.push(Segment::new(false, 2 * c, 2 * c + 1));
-            segments.push(Segment::new(true, 2 * c + 1, 2 * c + 2));
-        }
-        let depth = 2 * cycles + 1;
-        waveform(&self.nets.clock, &segments)
-            .and(waveform(&self.nets.nret, &[Segment::new(true, 0, depth)]))
-            .and(waveform(&self.nets.nrst, &[Segment::new(true, 0, depth)]))
-    }
-
     /// The time unit at which the commit of pre-sleep clock cycle `k`
     /// (0-based) becomes visible on the register outputs.
     pub fn pre_commit_visible_at(&self, k: usize) -> usize {
@@ -199,13 +182,6 @@ impl SleepResumeSchedule {
             self.post_cycles
         );
         self.resume_clock_start + 2 * k + 1
-    }
-
-    /// The time unit at which the commit of clock cycle `k` of the
-    /// *reference* (no-sleep) stimulus becomes visible.
-    pub fn reference_commit_visible_at(&self, k: usize) -> usize {
-        assert!(k < self.pre_cycles + self.post_cycles);
-        2 * k + 2
     }
 
     /// Time units during which the core is asleep (clock stopped and `NRET`
@@ -242,7 +218,6 @@ mod tests {
     fn formula_depths_are_consistent() {
         let s = SleepResumeSchedule::new(3, 2);
         assert_eq!(s.formula().depth(), s.depth);
-        assert_eq!(s.reference_formula().depth(), 2 * (3 + 2) + 1);
         assert_eq!(s.formula().nodes(), vec!["NRET", "NRST", "clock"]);
     }
 
@@ -253,7 +228,6 @@ mod tests {
         assert_eq!(s.pre_commit_visible_at(1), 4);
         assert_eq!(s.post_commit_visible_at(0), s.resume_clock_start + 1);
         assert_eq!(s.post_commit_visible_at(1), s.resume_clock_start + 3);
-        assert_eq!(s.reference_commit_visible_at(3), 8);
         let (a, b) = s.sleep_window();
         assert!(a < b);
     }

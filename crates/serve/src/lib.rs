@@ -16,8 +16,8 @@
 //! * [`server`] — [`Server`]: accept loop, per-connection protocol
 //!   handling, dispatchers, per-request [`persist`](ssr_engine::persist)
 //!   journals for crash durability, per-request cancellation;
-//! * [`client`] — [`Client`]: the blocking client `ssr submit` and the
-//!   serve benchmark use.
+//! * [`client`] — [`Client`]: the blocking client that `ssr submit` and
+//!   ssrbench's `served-small` workload use.
 //!
 //! Results served over the socket are byte-identical (canonically) to a
 //! local `ssr campaign` run of the same spec: the server runs the same

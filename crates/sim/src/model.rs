@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use ssr_netlist::topo::{eval_order, EvalOrder};
+use ssr_netlist::topo::eval_order;
 use ssr_netlist::{CellId, CellKind, NetId, Netlist, NetlistError, RegKind};
 
 /// A netlist together with the derived information both simulators need:
@@ -20,7 +20,7 @@ use ssr_netlist::{CellId, CellKind, NetId, Netlist, NetlistError, RegKind};
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     netlist: Arc<Netlist>,
-    order: EvalOrder,
+    comb_order: Vec<CellId>,
     state_cells: Vec<CellId>,
     /// Net `n` is read by the gates at `comb_order` positions
     /// `readers[reader_start[n]..reader_start[n + 1]]`, in increasing order.
@@ -69,7 +69,7 @@ impl CompiledModel {
     /// the combinational logic is cyclic.
     pub fn from_arc(netlist: Arc<Netlist>) -> Result<Self, NetlistError> {
         netlist.validate()?;
-        let order = eval_order(&netlist)?;
+        let comb_order = eval_order(&netlist)?;
         let state_cells: Vec<CellId> = netlist.state_cells().map(|(id, _)| id).collect();
         let registers = state_cells
             .iter()
@@ -93,7 +93,7 @@ impl CompiledModel {
         let nets = netlist.net_count();
         let mut gate_of = vec![NO_GATE; nets];
         let mut reader_start = vec![0u32; nets + 1];
-        for (position, &id) in order.comb_cells.iter().enumerate() {
+        for (position, &id) in comb_order.iter().enumerate() {
             let cell = netlist.cell(id);
             gate_of[cell.output.index()] = position as u32;
             for input in &cell.inputs {
@@ -105,7 +105,7 @@ impl CompiledModel {
         }
         let mut fill = reader_start.clone();
         let mut readers = vec![0u32; reader_start[nets] as usize];
-        for (position, &id) in order.comb_cells.iter().enumerate() {
+        for (position, &id) in comb_order.iter().enumerate() {
             for input in &netlist.cell(id).inputs {
                 let slot = &mut fill[input.index()];
                 readers[*slot as usize] = position as u32;
@@ -114,7 +114,7 @@ impl CompiledModel {
         }
         Ok(CompiledModel {
             netlist,
-            order,
+            comb_order,
             state_cells,
             reader_start,
             readers,
@@ -130,12 +130,7 @@ impl CompiledModel {
 
     /// Combinational cells in evaluation order.
     pub fn comb_order(&self) -> &[CellId] {
-        &self.order.comb_cells
-    }
-
-    /// Longest combinational path, in gates.
-    pub fn logic_depth(&self) -> usize {
-        self.order.depth
+        &self.comb_order
     }
 
     /// The state (register) cells, in netlist declaration order.  The index
@@ -189,7 +184,6 @@ mod tests {
         let model = CompiledModel::new(&n).expect("compiles");
         assert_eq!(model.state_bits(), 1);
         assert_eq!(model.comb_order().len(), 2);
-        assert_eq!(model.logic_depth(), 2);
         assert_eq!(model.netlist().name(), "t");
     }
 }

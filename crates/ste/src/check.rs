@@ -8,7 +8,7 @@ use ssr_sim::{CompiledModel, DemandPlan, SymSimulator, SymState};
 use ssr_ternary::{SymTernary, Ternary};
 
 use crate::error::SteError;
-use crate::formula::{Assertion, Formula};
+use crate::formula::Assertion;
 
 /// One violated consequent constraint in a counterexample.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,30 +87,6 @@ impl<'m> Ste<'m> {
     /// The model being checked.
     pub fn model(&self) -> &'m CompiledModel {
         self.model
-    }
-
-    /// Computes the defining trajectory of `antecedent` for `depth` time
-    /// units: the weakest run of the circuit consistent with the antecedent.
-    ///
-    /// # Errors
-    /// Returns [`SteError::UnknownNode`] if the formula mentions an unknown
-    /// node.
-    pub fn defining_trajectory(
-        &self,
-        m: &mut BddManager,
-        antecedent: &Formula,
-        depth: usize,
-    ) -> Result<Vec<SymState>, SteError> {
-        let seq = antecedent.defining_sequence(m, self.model.netlist(), depth)?;
-        let sim = SymSimulator::new(self.model);
-        // This entry point does not root the caller's handles, so the
-        // simulator must not garbage-collect under it: suspend any
-        // maintenance policy for the duration.
-        let saved = m.maintenance();
-        m.set_maintenance(None);
-        let trajectory = sim.run(m, &seq);
-        m.set_maintenance(saved);
-        Ok(trajectory)
     }
 
     /// Checks the assertion `A ⇒ C` against the model.
@@ -355,6 +331,7 @@ fn release_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formula::Formula;
     use crate::stimulus::{waveform, Segment};
     use ssr_bdd::{BddVec, MaintainSettings};
     use ssr_netlist::builder::NetlistBuilder;

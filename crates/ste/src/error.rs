@@ -9,13 +9,6 @@ use std::fmt;
 pub enum SteError {
     /// A formula references a circuit node that does not exist in the model.
     UnknownNode(String),
-    /// A word-level assertion had mismatched widths.
-    WidthMismatch {
-        /// Number of node bits.
-        nodes: usize,
-        /// Number of value bits.
-        values: usize,
-    },
     /// An inference rule's side condition failed.
     RuleViolation(String),
 }
@@ -24,12 +17,6 @@ impl fmt::Display for SteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SteError::UnknownNode(n) => write!(f, "formula references unknown circuit node `{n}`"),
-            SteError::WidthMismatch { nodes, values } => {
-                write!(
-                    f,
-                    "word assertion width mismatch: {nodes} nodes vs {values} value bits"
-                )
-            }
             SteError::RuleViolation(msg) => {
                 write!(f, "inference rule side condition failed: {msg}")
             }
@@ -49,12 +36,6 @@ mod tests {
             SteError::UnknownNode("pc".into()).to_string(),
             "formula references unknown circuit node `pc`"
         );
-        assert!(SteError::WidthMismatch {
-            nodes: 3,
-            values: 4
-        }
-        .to_string()
-        .contains("3 nodes vs 4"));
     }
 
     #[test]

@@ -109,35 +109,6 @@ pub fn raw_expected(
     result
 }
 
-/// The expected read data under symbolic indexing: if the read address
-/// equals the indexed address, the content is `data` (possibly overridden by
-/// a write); otherwise the value is unknown and the caller should not state
-/// anything about it.  Returns `(expected, known)` where `known` is the BDD
-/// condition under which the expectation applies.
-pub fn raw_expected_indexed(
-    m: &mut BddManager,
-    ra: &BddVec,
-    indexed_addr: &BddVec,
-    wa: &BddVec,
-    we: ssr_bdd::Bdd,
-    wd: &BddVec,
-    data: &BddVec,
-) -> (BddVec, ssr_bdd::Bdd) {
-    let write_hits_read = {
-        let eq = wa.equals(m, ra).expect("same width");
-        m.and(we, eq)
-    };
-    let original = data.clone();
-    let expected = wd.mux(m, write_hits_read, &original).expect("same width");
-    let known = {
-        // We know the original content only when the read address is the
-        // indexed one (or the location was just overwritten).
-        let indexed_hit = ra.equals(m, indexed_addr).expect("same width");
-        m.or(indexed_hit, write_hits_read)
-    };
-    (expected, known)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,24 +251,6 @@ mod tests {
 
     #[test]
     fn indexed_raw_expectation() {
-        let mut m = BddManager::new();
-        let indexed = BddVec::new_input(&mut m, "A", 2);
-        let data = BddVec::new_input(&mut m, "D", 4);
-        let ra = indexed.clone(); // read back the indexed address
-        let wa = BddVec::new_input(&mut m, "WA", 2);
-        let we = m.new_var("we");
-        let wd = BddVec::new_input(&mut m, "WD", 4);
-        let (expected, known) = raw_expected_indexed(&mut m, &ra, &indexed, &wa, we, &wd, &data);
-        // Reading the indexed address is always "known".
-        assert!(known.is_true());
-        // With the write disabled the expectation is exactly `data`.
-        let we_false = m.nliteral(m.var_by_name("we").unwrap());
-        for (bit, &b) in expected.bits().iter().enumerate() {
-            let under_no_write = m.and(we_false, b);
-            let data_bit = m.and(we_false, data.bit(bit));
-            assert_eq!(under_no_write, data_bit);
-        }
-
         // Read-after-write on real SRAM netlists under STE, indexed style.
         for depth in [8, 32, 128] {
             assert!(sram_raw_holds(depth, true), "indexed, depth {depth}");

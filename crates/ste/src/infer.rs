@@ -7,8 +7,8 @@
 //! derived assertion is guaranteed to hold whenever its premises do.
 //!
 //! The rules provided are the ones needed for the decomposition experiment
-//! (E10): conjunction, time shift, guard introduction, consequent weakening,
-//! antecedent strengthening and the cut/transitivity rule.
+//! (E10): conjunction, time shift, guard introduction and the
+//! cut/transitivity rule.
 
 use std::collections::HashMap;
 
@@ -88,43 +88,6 @@ pub fn time_shift(a: &Assertion, k: usize) -> Assertion {
 /// Guard-introduction rule: from `A ⇒ C` derive `(A when G) ⇒ (C when G)`.
 pub fn guard(a: &Assertion, g: ssr_bdd::Bdd) -> Assertion {
     Assertion::new(a.antecedent.clone().when(g), a.consequent.clone().when(g))
-}
-
-/// Consequent-weakening rule: from `A ⇒ C` and `[C'] ⊑ [C]` derive `A ⇒ C'`.
-///
-/// # Errors
-/// Returns [`SteError::RuleViolation`] if the side condition does not hold.
-pub fn weaken_consequent(
-    m: &mut BddManager,
-    netlist: &Netlist,
-    a: &Assertion,
-    weaker: &Formula,
-) -> Result<Assertion, SteError> {
-    if !sequence_leq(m, netlist, weaker, &a.consequent)? {
-        return Err(SteError::RuleViolation(
-            "weakened consequent is not below the original consequent".into(),
-        ));
-    }
-    Ok(Assertion::new(a.antecedent.clone(), weaker.clone()))
-}
-
-/// Antecedent-strengthening rule: from `A ⇒ C` and `[A] ⊑ [A']` derive
-/// `A' ⇒ C`.
-///
-/// # Errors
-/// Returns [`SteError::RuleViolation`] if the side condition does not hold.
-pub fn strengthen_antecedent(
-    m: &mut BddManager,
-    netlist: &Netlist,
-    a: &Assertion,
-    stronger: &Formula,
-) -> Result<Assertion, SteError> {
-    if !sequence_leq(m, netlist, &a.antecedent, stronger)? {
-        return Err(SteError::RuleViolation(
-            "strengthened antecedent does not dominate the original antecedent".into(),
-        ));
-    }
-    Ok(Assertion::new(stronger.clone(), a.consequent.clone()))
 }
 
 /// Cut (transitivity) rule: from `A1 ⇒ C1` and `A2 ⇒ C2` with
@@ -224,28 +187,6 @@ mod tests {
         // The side condition must reject an unjustified chain.
         let s3 = Assertion::new(Formula::is0("mid"), Formula::is0("out"));
         assert!(cut(&mut m, &n, &s1, &s3).is_err());
-    }
-
-    #[test]
-    fn weakening_and_strengthening() {
-        let n = chain();
-        let mut m = BddManager::new();
-        let a = Assertion::new(
-            Formula::is1("a"),
-            Formula::is1("mid").and(Formula::is1("out")),
-        );
-        // Weakening to just "out is 1" is allowed.
-        let weak = weaken_consequent(&mut m, &n, &a, &Formula::is1("out")).expect("weaker");
-        assert_eq!(weak.consequent, Formula::is1("out"));
-        // Weakening to something incomparable is rejected.
-        assert!(weaken_consequent(&mut m, &n, &a, &Formula::is0("out")).is_err());
-
-        // Strengthening the antecedent with extra constraints is allowed.
-        let stronger = Formula::is1("a").and(Formula::is1("mid"));
-        let s = strengthen_antecedent(&mut m, &n, &a, &stronger).expect("stronger");
-        assert_eq!(s.antecedent, stronger);
-        // Replacing the antecedent by something weaker is rejected.
-        assert!(strengthen_antecedent(&mut m, &n, &a, &Formula::True).is_err());
     }
 
     #[test]

@@ -33,9 +33,6 @@
 //!   | `1`   | 1  | 0  |
 //!   | `⊤`   | 0  | 0  |
 //!
-//! * [`SymTernaryVec`] — fixed-width vectors of symbolic ternary values used
-//!   by the word-level models.
-//!
 //! ## Example
 //!
 //! ```
@@ -58,8 +55,6 @@
 
 mod scalar;
 mod symbolic;
-mod vector;
 
 pub use scalar::Ternary;
 pub use symbolic::SymTernary;
-pub use vector::SymTernaryVec;
