@@ -521,7 +521,7 @@ impl BddManager {
 
     /// The decision variable of `f`, or `None` for terminals.
     pub fn var_of(&self, f: Bdd) -> Option<u32> {
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         if n.var == Node::TERMINAL_VAR {
             None
         } else {
@@ -537,7 +537,7 @@ impl BddManager {
     /// Panics if `f` is a terminal.
     pub fn lo(&self, f: Bdd) -> Bdd {
         assert!(!f.is_terminal(), "terminal nodes have no cofactors");
-        Bdd(self.nodes[f.index()].lo.0 ^ (f.0 & 1))
+        Bdd(self.node(f).lo.0 ^ (f.0 & 1))
     }
 
     /// High (`var = 1`) cofactor edge of `f`, with `f`'s complement
@@ -547,14 +547,29 @@ impl BddManager {
     /// Panics if `f` is a terminal.
     pub fn hi(&self, f: Bdd) -> Bdd {
         assert!(!f.is_terminal(), "terminal nodes have no cofactors");
-        Bdd(self.nodes[f.index()].hi.0 ^ (f.0 & 1))
+        Bdd(self.node(f).hi.0 ^ (f.0 & 1))
     }
 
     /// The level of `f`'s root variable, which is its index
     /// (`Node::TERMINAL_VAR`, which sorts last, for terminals).
     #[inline]
     fn level(&self, f: Bdd) -> u32 {
-        self.nodes[f.index()].var
+        self.node(f).var
+    }
+
+    /// The node behind `f`.  In builds with debug assertions every slot a
+    /// collection frees carries [`Node::FREED_VAR`] until an allocation
+    /// reuses it, so reading through a handle that missed its root panics
+    /// here, naming the slot, instead of reading whatever the slot holds.
+    #[inline]
+    fn node(&self, f: Bdd) -> Node {
+        let n = self.nodes[f.index()];
+        debug_assert!(
+            n.var != Node::FREED_VAR,
+            "stale BDD handle: slot {} was freed by a collection",
+            f.index()
+        );
+        n
     }
 
     #[inline]
@@ -704,7 +719,7 @@ impl BddManager {
         let mut stack = vec![f.regular()];
         while let Some(n) = stack.pop() {
             if seen.insert(n) && !n.is_terminal() {
-                let node = self.nodes[n.index()];
+                let node = self.node(n);
                 stack.push(node.lo.regular());
                 stack.push(node.hi.regular());
             }
@@ -787,7 +802,10 @@ impl BddManager {
     ///
     /// Handles not reachable from a root are dangling afterwards; callers
     /// must [`BddManager::protect`]/[`BddManager::root`] everything they
-    /// intend to keep.  Declared variables survive (their literal nodes are
+    /// intend to keep.  In builds with debug assertions every freed slot is
+    /// marked until an allocation reuses it, and any operation that reads
+    /// a node through a dangling handle in that window panics, naming the
+    /// slot.  Declared variables survive (their literal nodes are
     /// rebuilt on demand), and reclaimed slots are reused in a
     /// deterministic (descending-index) order, so a given operation
     /// sequence still reproduces identical handles and statistics.
@@ -806,7 +824,7 @@ impl BddManager {
                 continue;
             }
             marked[index] = true;
-            let node = self.nodes[index];
+            let node = self.node(f);
             if !marked[node.lo.index()] {
                 stack.push(node.lo);
             }
@@ -835,6 +853,9 @@ impl BddManager {
         for (index, &live) in marked.iter().enumerate().skip(1) {
             if !live {
                 self.free.push(index as u32);
+                if cfg!(debug_assertions) {
+                    self.nodes[index].var = Node::FREED_VAR;
+                }
             }
         }
         let live_before = self.live;
@@ -1133,7 +1154,7 @@ impl BddManager {
     /// terminal split into itself.
     #[inline]
     fn split(&self, f: Bdd) -> (u32, Bdd, Bdd) {
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         (n.var, Bdd(n.lo.0 ^ c), Bdd(n.hi.0 ^ c))
     }
@@ -1244,7 +1265,7 @@ impl BddManager {
             if cur.is_false() {
                 return Some(false);
             }
-            let n = self.nodes[cur.index()];
+            let n = self.node(cur);
             let c = cur.0 & 1;
             match assignment.get(n.var) {
                 Some(true) => cur = Bdd(n.hi.0 ^ c),
@@ -1287,7 +1308,7 @@ impl BddManager {
         if let Some(&r) = cache.get(&f) {
             return r;
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let result = if n.var > var {
             // Variable does not appear in this subgraph.
@@ -1341,7 +1362,7 @@ impl BddManager {
         if let Some(&r) = cache.get(&f) {
             return r;
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let lo = self.quantify_rec(Bdd(n.lo.0 ^ c), vars, existential, cache);
         let hi = self.quantify_rec(Bdd(n.hi.0 ^ c), vars, existential, cache);
@@ -1373,7 +1394,7 @@ impl BddManager {
         if let Some(&r) = cache.get(&f) {
             return r;
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let result = if n.var == var {
             self.ite(g, Bdd(n.hi.0 ^ c), Bdd(n.lo.0 ^ c))
@@ -1418,7 +1439,7 @@ impl BddManager {
         if let Some(&r) = cache.get(&f) {
             return r;
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let lo = self.rename_rec(Bdd(n.lo.0 ^ c), mapping, cache);
         let hi = self.rename_rec(Bdd(n.hi.0 ^ c), mapping, cache);
@@ -1444,7 +1465,7 @@ impl BddManager {
             if n.is_terminal() || !seen.insert(n) {
                 continue;
             }
-            let node = self.nodes[n.index()];
+            let node = self.node(n);
             vars.insert(node.var);
             stack.push(node.lo.regular());
             stack.push(node.hi.regular());
@@ -1487,7 +1508,7 @@ impl BddManager {
         if let Some(&r) = cache.get(&f) {
             return r;
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let lo = self.sat_fraction(Bdd(n.lo.0 ^ c), cache);
         let hi = self.sat_fraction(Bdd(n.hi.0 ^ c), cache);
@@ -1505,7 +1526,7 @@ impl BddManager {
         let mut asg = Assignment::new();
         let mut cur = f;
         while !cur.is_terminal() {
-            let n = self.nodes[cur.index()];
+            let n = self.node(cur);
             let c = cur.0 & 1;
             let hi = Bdd(n.hi.0 ^ c);
             if hi.is_false() {

@@ -115,6 +115,10 @@ const _: () = assert!(std::mem::size_of::<Node>() == 16);
 
 impl Node {
     pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
+    /// The variable a collection writes into every slot it frees, in
+    /// builds with debug assertions, so that reading a node through a
+    /// handle that missed its root fails loudly (`BddManager::node`).
+    pub(crate) const FREED_VAR: u32 = u32::MAX - 1;
 
     pub(crate) fn terminal() -> Node {
         Node {

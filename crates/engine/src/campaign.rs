@@ -1028,7 +1028,7 @@ mod tests {
                 })
                 .collect()
         };
-        for (job, node_budget) in [(suite_job, peak / 4), (beq, 8000)] {
+        for (job, node_budget) in [(suite_job, peak / 3), (beq, 8000)] {
             let unlimited = run_job(&job);
             assert!(unlimited.error.is_none());
             let budget = JobBudget {

@@ -3,7 +3,6 @@
 
 use crate::job::JobSpec;
 use crate::json::{Json, JsonError};
-use ssr_properties::Suite;
 
 /// Outcome of one checked assertion inside a job.
 #[derive(Debug, Clone, PartialEq)]
@@ -558,14 +557,10 @@ pub fn job_identity(spec: &JobSpec) -> (String, String, String, String, String) 
     )
 }
 
-/// Convenience: the suite a serialised job named, if it parses back.
-pub fn suite_of(result: &JobResult) -> Option<Suite> {
-    Suite::parse(&result.suite)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssr_properties::Suite;
 
     fn sample_report() -> CampaignReport {
         CampaignReport {
@@ -762,7 +757,10 @@ mod tests {
     #[test]
     fn suite_names_parse_back() {
         let report = sample_report();
-        assert_eq!(suite_of(&report.jobs[0]), Some(Suite::PropertyTwo));
-        assert_eq!(suite_of(&report.jobs[1]), Some(Suite::Ifr));
+        assert_eq!(
+            Suite::parse(&report.jobs[0].suite),
+            Some(Suite::PropertyTwo)
+        );
+        assert_eq!(Suite::parse(&report.jobs[1].suite), Some(Suite::Ifr));
     }
 }

@@ -65,6 +65,9 @@ impl Client {
             }
             match TcpStream::connect(&addr) {
                 Ok(writer) => {
+                    // Each request is one small line: without this the
+                    // kernel holds it back until the peer's delayed ACK.
+                    writer.set_nodelay(true)?;
                     let reader = BufReader::new(writer.try_clone()?);
                     return Ok(Client { reader, writer });
                 }
@@ -77,8 +80,7 @@ impl Client {
 
     fn send_line(&mut self, line: &str) -> Result<(), String> {
         self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
+            .write_all(format!("{line}\n").as_bytes())
             .and_then(|()| self.writer.flush())
             .map_err(|e| format!("connection lost while sending: {e}"))
     }

@@ -171,10 +171,10 @@ struct SinkGuard<'a>(std::sync::MutexGuard<'a, TcpStream>);
 
 impl SinkGuard<'_> {
     fn send(&mut self, response: &Json) -> bool {
-        let line = response.render();
+        let mut line = response.render();
+        line.push('\n');
         self.0
             .write_all(line.as_bytes())
-            .and_then(|()| self.0.write_all(b"\n"))
             .and_then(|()| self.0.flush())
             .is_ok()
     }
@@ -424,7 +424,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // Socket-level hardening.  The write timeout bounds how long a
     // dispatcher can be held by a client that stopped reading; the read
     // timeout doubles as the idle-reap poll tick (a timed-out read is the
-    // only moment this thread can notice it has been abandoned).
+    // only moment this thread can notice it has been abandoned).  Every
+    // response is one small line, which Nagle's algorithm would hold back
+    // until the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     if shared.write_timeout_ms > 0 {
         let _ = stream.set_write_timeout(Some(Duration::from_millis(shared.write_timeout_ms)));
     }

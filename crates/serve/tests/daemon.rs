@@ -450,3 +450,24 @@ fn a_full_queue_rejects_submits_and_priorities_order_the_backlog() {
     server.join();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn status_round_trips_on_one_connection_do_not_wait_for_delayed_acks() {
+    // Each request and each response is one small line.  Written in two
+    // pieces, or held back by Nagle's algorithm, every round trip would
+    // wait out the peer's delayed ACK (~40 ms on Linux): 20 of them would
+    // take the better part of a second.
+    let (server, dir) = spawn("status-latency", |_| {});
+    let mut client = connect(&server);
+    let start = Instant::now();
+    for _ in 0..20 {
+        client.status().expect("status");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 status round trips took {elapsed:?}"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

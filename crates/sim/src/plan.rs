@@ -227,7 +227,7 @@ struct RegInputs {
 /// How the planned step sets one net at one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Action {
-    /// Not demanded and not exact: stays X.
+    /// Not demanded and not exact, or exact X: stays X.
     Idle,
     /// The circuit part is this constant (the whole value, for an exact
     /// net); the antecedent's drives are joined on top.
@@ -691,12 +691,13 @@ impl Walk<'_> {
     }
 
     /// Fixes step `t`'s codes once nothing can demand more there: exact
-    /// nets take their constant, undemanded ones stay X, and driven nets
-    /// are flagged for the reuse rule.
+    /// nets take their constant, undemanded ones and exact X ones (X either
+    /// way) stay X, and driven nets are flagged for the reuse rule.
     fn settle(&mut self, t: usize, drive: &[(NetId, SymTernary)]) {
         let row = t * self.nets..(t + 1) * self.nets;
         for (code, value) in self.codes[row.clone()].iter_mut().zip(&self.values[row]) {
             *code = match value.exact() {
+                Some(Ternary::X) => 0,
                 Some(c) => const_code(c),
                 None if *code & DEMANDED != 0 => *code & !DEMANDED,
                 None => 0,

@@ -31,15 +31,11 @@ impl SymState {
         self.nodes[id.index()]
     }
 
-    /// All node values, indexed by net id.
-    pub fn nodes(&self) -> &[SymTernary] {
-        &self.nodes
-    }
-
-    /// The clock shadow (clock value one step earlier) of the state cell
-    /// with the given state index.
-    pub fn shadow_clk(&self, state_index: usize) -> SymTernary {
-        self.shadow_clk[state_index]
+    /// Every value the state holds: each net's, then each state cell's
+    /// clock shadow (its clock one step earlier).  A collection that must
+    /// keep the state usable roots exactly these.
+    pub fn values(&self) -> impl Iterator<Item = &SymTernary> {
+        self.nodes.iter().chain(&self.shadow_clk)
     }
 }
 
@@ -92,9 +88,11 @@ impl<'m> SymSimulator<'m> {
     /// other net stays `X`.  A demanded gate that was computed, and not
     /// driven, at `t-1` and whose inputs all carry the same BDD handles as
     /// in `prev` takes its previous value instead of being re-evaluated:
-    /// handles are canonical, so equal inputs mean an equal output.  That
-    /// needs `prev` to stay valid (protected, under a collecting policy)
-    /// until this step returns.
+    /// handles are canonical, so equal inputs mean an equal output.  The
+    /// step reads `prev` until it returns, so its own safe points (see
+    /// `propagate`) root `prev` next to the state under construction; the
+    /// caller only has to hand in a `prev` that no collection since it was
+    /// computed has freed.
     ///
     /// Every net the plan's verdict reads — the driven nets and the
     /// consequent's — carries exactly the BDD [`SymSimulator::step`]
@@ -183,7 +181,7 @@ impl<'m> SymSimulator<'m> {
         let q_prev = prev.node(cell.output);
         let d_prev = prev.node(cell.reg_data());
         let clk_prev = prev.node(cell.reg_clock());
-        let clk_shadow = prev.shadow_clk(state_index);
+        let clk_shadow = prev.shadow_clk[state_index];
 
         // Rising edge seen now: clock was 1 at t-1 and 0 at t-2.
         let rising = {
@@ -233,8 +231,9 @@ impl<'m> SymSimulator<'m> {
     ///
     /// When the manager has a maintenance policy installed and a pass is
     /// due, the gate loop declares a safe point: the whole working state —
-    /// every net value computed so far plus `extra` (the clock shadows of
-    /// the state under construction) — goes into a scoped root set and
+    /// every net value computed so far, `extra` (the clock shadows of the
+    /// state under construction) and `prev` (whose values the reuse rule
+    /// still reads) — goes into a scoped root set and
     /// [`BddManager::maintain`] runs there.  This is what keeps the peak
     /// down *inside* one time step, where the big-memory configurations
     /// allocate most of their nodes; callers that enable maintenance must
@@ -274,20 +273,27 @@ impl<'m> SymSimulator<'m> {
             let out = cell.output.index();
             nodes[out] = nodes[out].join(m, &value);
             if maintaining && m.maintenance_due() {
-                Self::maintenance_point(m, nodes, extra);
+                Self::maintenance_point(m, nodes, extra, prev);
             }
         }
     }
 
     /// The out-of-line safe point of the gate loop: roots the working
-    /// state and runs the due maintenance pass.  `#[cold]` keeps the
-    /// rooting loops out of `propagate`'s hot body — the common case is
-    /// maintenance disabled or not due.
+    /// state and `prev` (its nets and clock shadows) and runs the due
+    /// maintenance pass.  `#[cold]` keeps the rooting loops out of
+    /// `propagate`'s hot body — the common case is maintenance disabled or
+    /// not due.
     #[cold]
     #[inline(never)]
-    fn maintenance_point(m: &mut BddManager, nodes: &[SymTernary], extra: &[SymTernary]) {
+    fn maintenance_point(
+        m: &mut BddManager,
+        nodes: &[SymTernary],
+        extra: &[SymTernary],
+        prev: Option<&SymState>,
+    ) {
         m.push_root_frame();
-        for v in nodes.iter().chain(extra) {
+        let before = prev.into_iter().flat_map(SymState::values);
+        for v in nodes.iter().chain(extra).chain(before) {
             m.root(v.hi());
             m.root(v.lo());
         }

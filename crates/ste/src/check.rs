@@ -96,17 +96,25 @@ impl<'m> Ste<'m> {
     /// simulation would ([`SymSimulator::planned_step`]), and a gate whose
     /// inputs did not change since the previous step keeps its value.
     ///
-    /// The trajectory is streamed: only the newest state stays protected
-    /// (its predecessor is released once the successor is computed), and
-    /// the point-wise `⊑` conditions that are not trivially true are kept
-    /// as a partition list, conjoined at the end smallest first.  The
+    /// The trajectory is streamed: only the newest state is kept, and the
+    /// point-wise `⊑` conditions that are not trivially true are kept as a
+    /// partition list, conjoined at the end smallest first.  The
     /// assertion's guards and its antecedent/consequent constraints stay
     /// rooted throughout.
+    ///
+    /// States are rooted only where a collection runs: the end of each
+    /// step roots the newest state in a scoped frame when
+    /// [`BddManager::maintenance_due`] says a pass is due, runs it and
+    /// drops the frame, and the simulator's safe points inside a step root
+    /// the state under construction together with its predecessor.  Every
+    /// collection thus keeps the newest state (and, inside a step, the one
+    /// before) and frees the older ones, while a step with no collection
+    /// pays nothing for rooting.
     ///
     /// The checker never installs a maintenance policy; it honours the one
     /// the manager has ([`BddManager::set_maintenance`]).  With a policy,
     /// the simulator and the checker's per-step safe points may
-    /// garbage-collect the released states, so peak memory
+    /// garbage-collect the superseded states, so peak memory
     /// stays bounded by the working set rather than the trajectory.  With
     /// none, nothing is freed and every handle the caller holds stays
     /// valid.  The verdict is the same either way.  After a check under a
@@ -125,7 +133,6 @@ impl<'m> Ste<'m> {
         let start = Instant::now();
         let netlist = self.model.netlist();
         let depth = assertion.depth();
-        let state_bits = self.model.state_bits();
 
         // A job whose deadline already lapsed (e.g. on a later assertion
         // of a long suite) gives up before elaborating anything new.
@@ -163,10 +170,6 @@ impl<'m> Ste<'m> {
             // makes unwinding safe.
             m.check_deadline();
             let state = sim.planned_step(m, prev.as_ref(), drive, &plan, t);
-            protect_state(m, &state, state_bits);
-            if let Some(p) = prev.take() {
-                release_state(m, &p, state_bits);
-            }
             // Antecedent consistency: a ⊤ on any antecedent-driven node
             // means the stimulus contradicts the circuit (or itself) for
             // those assignments.
@@ -193,11 +196,10 @@ impl<'m> Ste<'m> {
                     violated.push((t, net, required, actual));
                 }
             }
-            m.maintain();
+            if m.maintenance_due() {
+                collect_keeping(m, &state);
+            }
             prev = Some(state);
-        }
-        if let Some(p) = prev.take() {
-            release_state(m, &p, state_bits);
         }
 
         // Conjoin the partition frames smallest first (ties by handle, so
@@ -301,31 +303,18 @@ fn counterexample(
     })
 }
 
-/// Protects a trajectory state's node and shadow-clock rails (refcounts,
-/// so nesting with root frames is safe).
-fn protect_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
-    for value in state.nodes() {
-        m.protect(value.hi());
-        m.protect(value.lo());
+/// The end-of-step safe point: runs the due maintenance pass with the
+/// newest state's node and shadow-clock rails rooted in a scoped frame.
+#[cold]
+#[inline(never)]
+fn collect_keeping(m: &mut BddManager, state: &SymState) {
+    m.push_root_frame();
+    for value in state.values() {
+        m.root(value.hi());
+        m.root(value.lo());
     }
-    for index in 0..state_bits {
-        let shadow = state.shadow_clk(index);
-        m.protect(shadow.hi());
-        m.protect(shadow.lo());
-    }
-}
-
-/// Undoes [`protect_state`] once the successor state is protected.
-fn release_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
-    for value in state.nodes() {
-        m.release(value.hi());
-        m.release(value.lo());
-    }
-    for index in 0..state_bits {
-        let shadow = state.shadow_clk(index);
-        m.release(shadow.hi());
-        m.release(shadow.lo());
-    }
+    m.maintain();
+    m.pop_root_frame();
 }
 
 #[cfg(test)]
@@ -719,10 +708,157 @@ mod tests {
         );
     }
 
+    /// Checks the assertion `build` makes on a fresh manager, once with no
+    /// maintenance policy and once per GC threshold from 1 to that run's
+    /// peak live count, and requires every run's verdict and
+    /// counterexample to equal the unmaintained run's.
+    ///
+    /// A fresh manager's first collection fires at the first safe point
+    /// whose live count reaches the threshold, and nothing is freed before
+    /// it, so the sweep makes the first collection land in turn at every
+    /// safe point where the live count is a new maximum.
+    fn agrees_wherever_the_first_collection_lands(
+        model: &CompiledModel,
+        build: impl Fn(&mut BddManager) -> Assertion,
+    ) {
+        let run = |maintenance: Option<MaintainSettings>| {
+            let mut m = BddManager::new();
+            m.set_maintenance(maintenance);
+            let assertion = build(&mut m);
+            let report = Ste::new(model).check(&mut m, &assertion).expect("checks");
+            (report.holds, report.counterexample, m.stats())
+        };
+        let (holds, counterexample, stats) = run(None);
+        let mut collected = false;
+        for gc_threshold in 1..=stats.peak_live_nodes {
+            let (h, c, s) = run(Some(MaintainSettings { gc_threshold }));
+            collected |= s.gc_passes > 0;
+            assert_eq!(
+                (h, &c),
+                (holds, &counterexample),
+                "first collection at {gc_threshold} live nodes"
+            );
+        }
+        assert!(collected, "the sweep collected");
+    }
+
+    #[test]
+    fn a_collection_inside_a_step_keeps_the_previous_values_the_reuse_rule_reads() {
+        // `q` captures the symbolic word `v` at the edge seen at step 2 and
+        // then holds it, so from step 3 on every gate of the XOR tree over
+        // `q` is reused, and until the tree is reached the previous state
+        // is the only reference to its values.  `j = f ∧ g` comes first in
+        // evaluation order and, over fresh variables at every step and
+        // read only through the weak claim `j is 0 when ¬f`, allocates a
+        // new node there: a collection can land after it and before the
+        // reused tree.  `out` reads the tree's root through a fresh `e` at
+        // every step, so the consequent roots a different function and
+        // never the tree's values.
+        let mut b = NetlistBuilder::new("reuse");
+        let clk = b.input("clock");
+        let f = b.input("f");
+        let g = b.input("g");
+        b.and("j", f, g);
+        let d = b.word_input("d", 4);
+        let e = b.input("e");
+        let q = b.word_reg("q", RegKind::Simple, &d, clk, None, None);
+        let mut level = q;
+        while level.len() > 1 {
+            level = level.chunks(2).map(|p| b.xor_auto(p[0], p[1])).collect();
+        }
+        let out = b.xor("out", level[0], e);
+        b.mark_output(out);
+        let n = b.finish().expect("valid");
+        let model = CompiledModel::new(&n).expect("compiles");
+        let depth = 7;
+        agrees_wherever_the_first_collection_lands(&model, |m| {
+            let v = BddVec::new_input(m, "v", 4);
+            let parity = v
+                .bits()
+                .iter()
+                .fold(Bdd::FALSE, |acc, &bit| m.xor(acc, bit));
+            let edge = waveform(
+                "clock",
+                &[
+                    Segment::new(false, 0, 1),
+                    Segment::new(true, 1, 2),
+                    Segment::new(false, 2, depth),
+                ],
+            );
+            let mut a = edge.and(Formula::word_is(m, "d", &v).from_to(0, 2));
+            let mut c = Formula::True;
+            for t in 2..depth {
+                let ft = m.new_var(format!("f{t}"));
+                let gt = m.new_var(format!("g{t}"));
+                let et = m.new_var(format!("e{t}"));
+                a = a
+                    .and(Formula::is_bdd(m, "f", ft).delay(t))
+                    .and(Formula::is_bdd(m, "g", gt).delay(t))
+                    .and(Formula::is_bdd(m, "e", et).delay(t));
+                let expected = m.xor(parity, et);
+                c = c
+                    .and(Formula::is0("j").when(ft.negate()).delay(t))
+                    .and(Formula::is_bdd(m, "out", expected).delay(t));
+            }
+            Assertion::named("reuse", a, c)
+        });
+    }
+
+    #[test]
+    fn a_collection_at_the_end_of_a_step_keeps_the_newest_state() {
+        // `y = a ⊕ b` is computed at step 1 and read back at step 2 by
+        // the register `r`, which then holds it; `z = r ⊕ w` reads it
+        // through a fresh `w` at every step, so nothing but the state of
+        // step 1 refers to `y`'s value at the end of that step.  A
+        // conflicting drive on `c` makes the checker allocate after the
+        // step's last gate (the antecedent-conflict BDD), so the end-of-step
+        // safe point can be where a collection lands.
+        let mut b = NetlistBuilder::new("end_of_step");
+        let clk = b.input("clock");
+        let a_in = b.input("a");
+        let b_in = b.input("b");
+        b.input("c");
+        let w = b.input("w");
+        let y = b.xor("y", a_in, b_in);
+        let r = b.reg("r", RegKind::Simple, y, clk, None, None);
+        let z = b.xor("z", r, w);
+        b.mark_output(z);
+        let n = b.finish().expect("valid");
+        let model = CompiledModel::new(&n).expect("compiles");
+        let depth = 6;
+        agrees_wherever_the_first_collection_lands(&model, |m| {
+            let v: Vec<Bdd> = (0..4).map(|i| m.new_var(format!("v{i}"))).collect();
+            let y = m.xor(v[0], v[1]);
+            let edge = waveform(
+                "clock",
+                &[
+                    Segment::new(false, 0, 1),
+                    Segment::new(true, 1, 2),
+                    Segment::new(false, 2, depth),
+                ],
+            );
+            let mut a = edge
+                .and(Formula::is_bdd(m, "a", v[0]).from_to(0, 2))
+                .and(Formula::is_bdd(m, "b", v[1]).from_to(0, 2))
+                .and(Formula::is_bdd(m, "c", v[2]).delay(1))
+                .and(Formula::is_bdd(m, "c", v[3]).delay(1));
+            let mut c = Formula::True;
+            for t in 2..depth {
+                let wt = m.new_var(format!("w{t}"));
+                a = a.and(Formula::is_bdd(m, "w", wt).delay(t));
+                let expected = m.xor(y, wt);
+                c = c.and(Formula::is_bdd(m, "z", expected).delay(t));
+            }
+            Assertion::named("end_of_step", a, c)
+        });
+    }
+
     #[test]
     fn collected_checks_keep_peak_live_nodes_flat_in_trajectory_depth() {
         // Under a GC policy only the newest state is live across a step,
-        // so checking four times as deep must not need more memory.
+        // so checking four times as deep must not need more memory.  Both
+        // depths are past the first few collections, whose peaks are
+        // taken before the run reaches its steady state.
         let n = counter(64);
         let model = CompiledModel::new(&n).expect("compiles");
         let peak = |depth: usize| {
@@ -740,7 +876,7 @@ mod tests {
             assert!(stats.gc_passes > 0, "depth {depth} collected");
             stats.peak_live_nodes
         };
-        let (shallow, deep) = (peak(32), peak(128));
+        let (shallow, deep) = (peak(128), peak(512));
         assert!(
             deep <= shallow + shallow / 4,
             "peak live grew with depth: {shallow} -> {deep}"
@@ -754,7 +890,7 @@ mod tests {
         let n = counter(64);
         let model = CompiledModel::new(&n).expect("compiles");
         let mut m = BddManager::new();
-        let report = check_counter(&mut m, &model, 128);
+        let report = check_counter(&mut m, &model, 512);
         assert!(report.holds);
         assert!(m.maintenance().is_none(), "no policy was installed");
         let stats = m.stats();

@@ -39,15 +39,6 @@ impl Ternary {
         }
     }
 
-    /// The Boolean value, if this is `Zero` or `One`.
-    pub fn to_bool(self) -> Option<bool> {
-        match self {
-            Ternary::Zero => Some(false),
-            Ternary::One => Some(true),
-            _ => None,
-        }
-    }
-
     /// Returns `true` if this is the unknown value `X`.
     pub fn is_x(self) -> bool {
         self == Ternary::X
@@ -219,10 +210,10 @@ mod tests {
             for b in [false, true] {
                 let ta = Ternary::from_bool(a);
                 let tb = Ternary::from_bool(b);
-                assert_eq!(ta.and(tb).to_bool(), Some(a && b));
-                assert_eq!(ta.or(tb).to_bool(), Some(a || b));
-                assert_eq!(ta.xor(tb).to_bool(), Some(a ^ b));
-                assert_eq!(ta.not().to_bool(), Some(!a));
+                assert_eq!(ta.and(tb), Ternary::from_bool(a && b));
+                assert_eq!(ta.or(tb), Ternary::from_bool(a || b));
+                assert_eq!(ta.xor(tb), Ternary::from_bool(a ^ b));
+                assert_eq!(ta.not(), Ternary::from_bool(!a));
             }
         }
     }

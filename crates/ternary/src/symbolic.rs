@@ -163,6 +163,13 @@ impl SymTernary {
         m.xor(self.hi, self.lo)
     }
 
+    /// `true` when the value is `0` or `1` under every assignment, i.e.
+    /// `lo == ¬hi`: one handle comparison, since negation is a complement
+    /// edge and handles are canonical.
+    fn boolean_everywhere(&self) -> bool {
+        self.lo == self.hi.negate()
+    }
+
     // ------------------------------------------------------------------
     // Lattice operations
     // ------------------------------------------------------------------
@@ -225,7 +232,27 @@ impl SymTernary {
     }
 
     /// Ternary exclusive-or.
+    ///
+    /// With `a = self` and `b = other`, in general
+    /// `hi = (a.hi ∧ b.lo) ∨ (a.lo ∧ b.hi)` and
+    /// `lo = (a.lo ∧ b.lo) ∨ (a.hi ∧ b.hi)`.  When `b` is Boolean
+    /// everywhere (`b.lo = ¬b.hi`) these are one ITE per rail,
+    /// `hi = ite(b.hi, a.lo, a.hi)` and `lo = ite(b.hi, a.hi, a.lo)`, and
+    /// likewise with the roles of `a` and `b` swapped.  Both forms compute
+    /// the same functions, so the same canonical handles.
     pub fn xor(&self, m: &mut BddManager, other: &SymTernary) -> SymTernary {
+        if other.boolean_everywhere() {
+            return SymTernary {
+                hi: m.ite(other.hi, self.lo, self.hi),
+                lo: m.ite(other.hi, self.hi, self.lo),
+            };
+        }
+        if self.boolean_everywhere() {
+            return SymTernary {
+                hi: m.ite(self.hi, other.lo, other.hi),
+                lo: m.ite(self.hi, other.hi, other.lo),
+            };
+        }
         let h1 = m.and(self.hi, other.lo);
         let h2 = m.and(self.lo, other.hi);
         let l1 = m.and(self.lo, other.lo);
@@ -257,7 +284,19 @@ impl SymTernary {
     /// (`sel` may be `0` and `b` may be `1`); symmetrically for `0`.  When
     /// `sel` is `X` and both branches agree on a Boolean value the output is
     /// that value.
+    ///
+    /// When `sel` is Boolean everywhere (`sel.lo = ¬sel.hi`), the rails
+    /// `(sel.hi ∧ a.hi) ∨ (sel.lo ∧ b.hi)` and `(sel.hi ∧ a.lo) ∨
+    /// (sel.lo ∧ b.lo)` are one ITE each, `ite(sel.hi, a.hi, b.hi)` and
+    /// `ite(sel.hi, a.lo, b.lo)`: the same functions, so the same
+    /// canonical handles.
     pub fn mux(m: &mut BddManager, sel: &SymTernary, a: &SymTernary, b: &SymTernary) -> SymTernary {
+        if sel.boolean_everywhere() {
+            return SymTernary {
+                hi: m.ite(sel.hi, a.hi, b.hi),
+                lo: m.ite(sel.hi, a.lo, b.lo),
+            };
+        }
         let h1 = m.and(sel.hi, a.hi);
         let h2 = m.and(sel.lo, b.hi);
         let l1 = m.and(sel.hi, a.lo);
