@@ -63,10 +63,10 @@
 //!   hit/miss/normalisation counters, the live/peak node counts and the
 //!   GC counters.
 //! * Variable order: the declaration order — a variable's index is its
-//!   level — with the static presets in [`order::OrderPolicy`]
-//!   (interleaved | sequential | reverse | explicit) naming how word-level
-//!   operands are declared.  Automatic GC at caller-declared safe points
-//!   is configured with [`BddManager::set_maintenance`]
+//!   level.  Word-level operands that meet in an adder or comparator are
+//!   declared interleaved bit by bit ([`BddVec::new_interleaved_pair`]).
+//!   Automatic GC at caller-declared safe points is configured with
+//!   [`BddManager::set_maintenance`]
 //!   ([`MaintainSettings`]) and driven by [`BddManager::maintain`]; it
 //!   fires once the live count has doubled since the last pass (capped
 //!   under an installed node budget).
@@ -85,12 +85,14 @@ mod error;
 pub mod hash;
 mod manager;
 mod node;
-pub mod order;
 pub mod vec;
 
 pub use error::{BddError, BudgetKind};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use manager::{Assignment, BddManager, BddStats, BudgetSettings, MaintainSettings};
 pub use node::Bdd;
-pub use order::OrderPolicy;
 pub use vec::BddVec;
+
+/// Names no choice (there is one variable order); kept only because `ssrbench` names it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OrderPolicy;

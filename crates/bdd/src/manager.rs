@@ -92,8 +92,7 @@ impl fmt::Display for Assignment {
     }
 }
 
-/// Aggregate statistics about a manager, useful for benchmarking and for the
-/// variable-ordering ablation experiment.
+/// Aggregate statistics about a manager, useful for benchmarking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BddStats {
     /// Total arena slots (including both terminals and free slots awaiting

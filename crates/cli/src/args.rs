@@ -2,9 +2,7 @@
 //! no `clap`).
 
 use ssr_cpu::ControlPath;
-use ssr_engine::{
-    named_policies, policy_by_name, Granularity, NamedConfig, NamedPolicy, OrderPolicy, Suite,
-};
+use ssr_engine::{named_policies, policy_by_name, Granularity, NamedConfig, NamedPolicy, Suite};
 
 /// The usage text shown on `ssr help` and on parse errors.
 pub const USAGE: &str = "\
@@ -52,19 +50,6 @@ OPTIONS:
                                   Job granularity: whole suites, or one job
                                   per proof obligation.  [default: suite for
                                   campaign/check, assertion for minimise]
-    --order <PRESET>              Static variable-order preset the property
-                                  suites compile under: interleaved
-                                  (default), sequential, reverse, or
-                                  explicit(name;name;...) — listed variable
-                                  names are declared first, unmatched names
-                                  are ignored (check with `ssr stats`).
-                                  Part of the job
-                                  identity (reports gain an order= field),
-                                  so resume never mixes verdicts across
-                                  orders.  Caution: sequential is the
-                                  ablation baseline and is exponential for
-                                  32-bit operand suites (one/two); use it
-                                  with --suite ifr.
     --control-path <ifr|combinational|unsafe>
                                   Control-path variant of the generated
                                   core.  Non-default variants tag the
@@ -143,7 +128,7 @@ SUBMIT OPTIONS (ssr submit):
     --status                      Print the daemon's request table instead
                                   of submitting
     --shutdown                    Stop the daemon instead of submitting
-    Campaign shape flags (--config/--policy/--suite/--granularity/--order)
+    Campaign shape flags (--config/--policy/--suite/--granularity)
     choose what to submit;
     --json/--quiet control output like `ssr campaign`.
 
@@ -204,8 +189,6 @@ pub struct Command {
     /// default otherwise: `suite` for campaigns, `assertion` for the
     /// minimisation oracle).
     pub granularity: Option<Granularity>,
-    /// Variable-order preset (`--order`).
-    pub order: OrderPolicy,
     /// Where to write the JSON report (`-` = stdout).
     pub json: Option<String>,
     /// Suppress the table.
@@ -271,7 +254,7 @@ fn parse_config(text: &str, control_path: ControlPath) -> Result<NamedConfig, St
     named.config.control_path = control_path;
     // A non-default control path is a different hardware design: tag the
     // config *name* so it is visible in reports and — crucially — part of
-    // the (config, policy, suite, part, order) identity that `--resume` and
+    // the (config, policy, suite, part) identity that `--resume` and
     // `ssr diff` match jobs on.  Without the tag, a journal checkpointed
     // under `--control-path unsafe` would resume under the default path
     // and silently reuse verdicts from the wrong design.
@@ -332,7 +315,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut suites: Vec<Suite> = Vec::new();
     let mut jobs = 0usize;
     let mut granularity: Option<Granularity> = None;
-    let mut order = OrderPolicy::Interleaved;
     let mut control_path = ControlPath::RefreshingIfr;
     let mut json = None;
     let mut quiet = false;
@@ -379,15 +361,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 granularity = Some(
                     Granularity::parse(&v).ok_or_else(|| format!("unknown granularity `{v}`"))?,
                 );
-            }
-            "--order" => {
-                let v = value("--order")?;
-                order = OrderPolicy::parse(&v).ok_or_else(|| {
-                    format!(
-                        "unknown order `{v}` (try interleaved, sequential, reverse or \
-                         explicit(name;...))"
-                    )
-                })?;
             }
             "--control-path" => {
                 let v = value("--control-path")?;
@@ -532,7 +505,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         suites,
         jobs,
         granularity,
-        order,
         json,
         quiet,
         verbose,
@@ -648,6 +620,9 @@ mod tests {
             &["--serve"],
             &["--clients", "8"],
             &["--requests", "3"],
+            &["--order", "reverse"],
+            &["--reorder"],
+            &["--max-growth", "1.5"],
         ] {
             let mut args = vec!["campaign"];
             args.extend_from_slice(flag);
@@ -669,26 +644,6 @@ mod tests {
         assert!(parse(&argv(&["diff", "old.json"])).is_err());
         assert!(parse(&argv(&["diff", "a.json", "b.json", "c.json"])).is_err());
         assert!(parse(&argv(&["diff", "--frobnicate", "a", "b"])).is_err());
-    }
-
-    #[test]
-    fn ordering_flags_parse_with_defaults() {
-        let cmd = parse(&argv(&["campaign"])).expect("parses");
-        assert_eq!(cmd.order, OrderPolicy::Interleaved);
-
-        let cmd = parse(&argv(&["campaign", "--order", "sequential"])).expect("parses");
-        assert_eq!(cmd.order, OrderPolicy::Sequential);
-
-        let cmd = parse(&argv(&["campaign", "--order", "explicit(a[0];b[0])"])).expect("parses");
-        assert_eq!(
-            cmd.order,
-            OrderPolicy::Explicit(vec!["a[0]".into(), "b[0]".into()])
-        );
-
-        assert!(parse(&argv(&["campaign", "--order", "bogus"])).is_err());
-        // The dynamic-reordering flags are gone: unknown options now.
-        assert!(parse(&argv(&["campaign", "--reorder"])).is_err());
-        assert!(parse(&argv(&["campaign", "--max-growth", "1.5"])).is_err());
     }
 
     #[test]

@@ -45,7 +45,6 @@ fn spec_from_flags(cmd: &Command) -> CampaignSpec {
         policies: cmd.policies.clone(),
         suites,
         granularity: cmd.granularity.unwrap_or(Granularity::Suite),
-        order: cmd.order.clone(),
         threads: cmd.jobs,
         budget: JobBudget {
             node_budget: cmd.node_budget,
@@ -429,13 +428,11 @@ fn minimise(cmd: &Command) -> ExitCode {
     let mut oracle = EngineOracle::property_two(base, cmd.jobs);
     // `minimise` explores policies itself.  The flags still shape each
     // oracle query: --granularity overrides the oracle's default
-    // obligation-sharding, an explicit --suite widens/narrows the
-    // acceptance criterion beyond Property II, and --order picks the
-    // variable order per query.
+    // obligation-sharding, and an explicit --suite widens/narrows the
+    // acceptance criterion beyond Property II.
     if let Some(granularity) = cmd.granularity {
         oracle.granularity = granularity;
     }
-    oracle.order = cmd.order.clone();
     if !cmd.suites.is_empty() {
         oracle.suites = cmd.suites.clone();
     }
@@ -528,7 +525,7 @@ fn minimise(cmd: &Command) -> ExitCode {
 }
 
 /// The `ssr stats` kernel census: compiles every applicable suite's
-/// assertions for the (config × policy × order) into one arena and
+/// assertions for the (config × policy) into one arena and
 /// reports the manager's statistics alongside the netlist ones.
 fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConfig) {
     // Acquire from the process-wide pool (as the campaign engine does), so
@@ -549,9 +546,8 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
     let s = m.stats();
     let (complemented, unique_nodes) = m.complement_edge_census();
     println!(
-        "  kernel (order={}, {} assertions compiled): {} live / {} peak nodes (arena {}), \
-         {} vars",
-        cmd.order, built, s.live_nodes, s.peak_live_nodes, s.nodes_allocated, s.variables,
+        "  kernel ({} assertions compiled): {} live / {} peak nodes (arena {}), {} vars",
+        built, s.live_nodes, s.peak_live_nodes, s.nodes_allocated, s.variables,
     );
     println!(
         "    complement edges: {complemented}/{unique_nodes} unique nodes carry a \
@@ -569,27 +565,12 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
 }
 
 fn core_stats(cmd: &Command) -> ExitCode {
-    // The sequential preset is exponential for the 32-bit operand-pair
-    // suites, and the kernel census compiles them.
-    let pair_suites = cmd.suites.is_empty()
-        || cmd
-            .suites
-            .iter()
-            .any(|s| !matches!(s, ssr_engine::Suite::Ifr));
-    if cmd.order == ssr_engine::OrderPolicy::Sequential && pair_suites {
-        eprintln!(
-            "error: --order sequential would make the kernel census's 32-bit operand \
-             suites exponential (the ablation baseline); add --suite ifr to census the \
-             pair-free suite"
-        );
-        return ExitCode::from(2);
-    }
     let mut ok = true;
     for named in &cmd.configs {
         for policy in &cmd.policies {
             let mut config = named.config;
             config.retention = policy.policy;
-            let harness = match CoreHarness::with_order(config, cmd.order.clone()) {
+            let harness = match CoreHarness::new(config) {
                 Ok(h) => h,
                 Err(e) => {
                     eprintln!("error: config `{}`: {e:?}", named.name);

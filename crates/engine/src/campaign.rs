@@ -28,7 +28,7 @@ use ssr_properties::{CoreHarness, Suite};
 use ssr_ste::CheckReport;
 
 use crate::job::{
-    enumerate_jobs_with, Granularity, JobBudget, JobPart, JobSpec, NamedConfig, NamedPolicy,
+    enumerate_jobs, Granularity, JobBudget, JobPart, JobSpec, NamedConfig, NamedPolicy,
 };
 use crate::persist::{plan_resume, Checkpoint};
 use crate::pool::ManagerPool;
@@ -134,25 +134,24 @@ impl std::fmt::Debug for RunHooks<'_> {
 #[derive(Debug)]
 pub struct SharedHarness {
     config: ssr_cpu::CoreConfig,
-    order: OrderPolicy,
     cell: std::sync::OnceLock<Result<CoreHarness, HarnessError>>,
 }
 
 impl SharedHarness {
-    /// Creates an uncompiled context for `config` under the given variable
-    /// order (cheap; nothing is generated until [`SharedHarness::get`]).
-    pub fn new(config: ssr_cpu::CoreConfig, order: OrderPolicy) -> Self {
+    /// Creates an uncompiled context for `config` (cheap; nothing is
+    /// generated until [`SharedHarness::get`]).
+    pub fn new(config: ssr_cpu::CoreConfig) -> Self {
         SharedHarness {
             config,
-            order,
             cell: std::sync::OnceLock::new(),
         }
     }
 
     /// Eagerly builds the harness for `config`, capturing generation errors
     /// and panics as the error record every referencing job will carry.
-    pub fn build(config: ssr_cpu::CoreConfig, order: OrderPolicy) -> Self {
-        let ctx = Self::new(config, order);
+    /// `_order` is ignored; it stays only because `ssrbench` passes it.
+    pub fn build(config: ssr_cpu::CoreConfig, _order: OrderPolicy) -> Self {
+        let ctx = Self::new(config);
         let _ = ctx.get();
         ctx
     }
@@ -163,7 +162,7 @@ impl SharedHarness {
         self.cell
             .get_or_init(|| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    CoreHarness::with_order(self.config, self.order.clone())
+                    CoreHarness::new(self.config)
                 }))
                 .map_err(|payload| HarnessError::Panicked(panic_message(&payload)))
                 .and_then(|r| r.map_err(|e| HarnessError::Generation(format!("{e:?}"))))
@@ -177,18 +176,14 @@ impl SharedHarness {
 /// same combination get clones of one `Arc`.  Contexts are created
 /// uncompiled; workers trigger the (per-combination, once-only) build.
 fn shared_harnesses(jobs: &[JobSpec]) -> Vec<Arc<SharedHarness>> {
-    #[allow(clippy::type_complexity)]
-    let mut built: Vec<(ssr_cpu::CoreConfig, OrderPolicy, Arc<SharedHarness>)> = Vec::new();
+    let mut built: Vec<(ssr_cpu::CoreConfig, Arc<SharedHarness>)> = Vec::new();
     jobs.iter()
         .map(|job| {
-            if let Some((_, _, ctx)) = built
-                .iter()
-                .find(|(config, order, _)| *config == job.config && *order == job.order)
-            {
+            if let Some((_, ctx)) = built.iter().find(|(config, _)| *config == job.config) {
                 return Arc::clone(ctx);
             }
-            let ctx = Arc::new(SharedHarness::new(job.config, job.order.clone()));
-            built.push((job.config, job.order.clone(), Arc::clone(&ctx)));
+            let ctx = Arc::new(SharedHarness::new(job.config));
+            built.push((job.config, Arc::clone(&ctx)));
             ctx
         })
         .collect()
@@ -206,10 +201,6 @@ pub struct CampaignSpec {
     pub suites: Vec<Suite>,
     /// Job granularity.
     pub granularity: Granularity,
-    /// Variable-order preset every job's model compiles under.  Part of
-    /// the job identity, so `--resume`/`ssr diff` never mix verdicts
-    /// across orders.
-    pub order: OrderPolicy,
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
     /// Per-job resource ceilings (node/step/deadline); the default is
@@ -231,7 +222,6 @@ impl CampaignSpec {
             policies: crate::job::named_policies(),
             suites: Suite::ALL.to_vec(),
             granularity: Granularity::Suite,
-            order: OrderPolicy::Interleaved,
             threads: 0,
             budget: JobBudget::default(),
             verbose: false,
@@ -240,12 +230,11 @@ impl CampaignSpec {
 
     /// The jobs this campaign expands to, in deterministic order.
     pub fn jobs(&self) -> Vec<JobSpec> {
-        enumerate_jobs_with(
+        enumerate_jobs(
             &self.configs,
             &self.policies,
             &self.suites,
             self.granularity,
-            &self.order,
         )
     }
 
@@ -290,7 +279,7 @@ impl CampaignSpec {
     ///
     /// * `prior` — recorded results from an earlier (partial) run of the
     ///   same campaign.  Each is reused — not re-run — iff the job at its
-    ///   recorded id carries the same (config, policy, suite, part, order)
+    ///   recorded id carries the same (config, policy, suite, part)
     ///   identity; mismatches are ignored and re-run.  Because job
     ///   execution is deterministic, the merged report's
     ///   [`CampaignReport::canonical_json`] is byte-identical to an
@@ -552,14 +541,13 @@ fn panicked_job(spec: &JobSpec, payload: &(dyn std::any::Any + Send)) -> JobResu
 
 /// A result skeleton for `spec` with no assertions checked yet.
 fn empty_result(spec: &JobSpec) -> JobResult {
-    let (config_name, policy_name, suite, part, order) = crate::report::job_identity(spec);
+    let (config_name, policy_name, suite, part) = crate::report::job_identity(spec);
     JobResult {
         job_id: spec.id as u64,
         config_name,
         policy_name,
         suite,
         part,
-        order,
         assertions: Vec::new(),
         holds: false,
         bdd_nodes: 0,
@@ -578,7 +566,7 @@ fn empty_result(spec: &JobSpec) -> JobResult {
 /// [`run_job_with`] for one-off checks; campaigns share harnesses and
 /// recycle managers instead.
 pub fn run_job(spec: &JobSpec) -> JobResult {
-    let context = SharedHarness::build(spec.config, spec.order.clone());
+    let context = SharedHarness::new(spec.config);
     let mut m = BddManager::new();
     run_job_with(spec, context.get(), &mut m)
 }
@@ -677,7 +665,6 @@ mod tests {
             ],
             suites: vec![Suite::PropertyTwo],
             granularity,
-            order: OrderPolicy::Interleaved,
             threads,
             budget: JobBudget::default(),
             verbose: false,
@@ -688,9 +675,8 @@ mod tests {
     fn scheduling_is_deterministic_across_thread_counts() {
         let sequential = tiny_spec(1, Granularity::Suite).run();
         let parallel = tiny_spec(4, Granularity::Suite).run();
-        assert_eq!(sequential.fingerprint(), parallel.fingerprint());
         // The canonical artifact zeroes scheduling metadata, so it is
-        // byte-identical across thread counts too.
+        // byte-identical across thread counts.
         assert_eq!(sequential.canonical_json(), parallel.canonical_json());
         // The architectural policy holds, the none policy does not.
         assert!(sequential.jobs[0].holds);
@@ -744,7 +730,6 @@ mod tests {
             policies: vec![policy_by_name("architectural").expect("named")],
             suites: vec![Suite::PropertyTwo],
             granularity: Granularity::Suite,
-            order: OrderPolicy::Interleaved,
             threads: 2,
             budget: JobBudget::default(),
             verbose: false,
@@ -963,7 +948,7 @@ mod tests {
     #[test]
     fn harness_errors_are_structured() {
         // `sized(12)` is not a power of two; the generator panics (caught).
-        let ctx = SharedHarness::build(NamedConfig::sized(12).config, OrderPolicy::Interleaved);
+        let ctx = SharedHarness::new(NamedConfig::sized(12).config);
         let err = ctx.get().expect_err("the build must fail");
         assert_eq!(err.code(), "panicked");
         assert!(err.to_string().starts_with("job panicked: "), "{err}");
@@ -1005,10 +990,13 @@ mod tests {
     /// exhausts, but the doubled retry fits inside, recovers the job — and
     /// the retry reports exactly what an unbudgeted run reports, every
     /// assertion field `canonical()` keeps (counterexamples included).
+    ///
+    /// The budget is searched, not fixed: starting from one the first
+    /// attempt fits in, it halves until the first attempt exhausts, so the
+    /// retry runs at the last budget a first attempt completed under.
     #[test]
     fn the_degradation_retry_recovers_jobs_the_raw_run_exhausts() {
         let suite_job = tiny_spec(1, Granularity::Suite).jobs().remove(0);
-        let peak = run_job(&suite_job).peak_live_nodes;
         // The small core's `no-pc` Property II obligation #6
         // (`equivalence_beq`) fails by design, so the retry must reproduce
         // its counterexample too.
@@ -1028,23 +1016,32 @@ mod tests {
                 })
                 .collect()
         };
-        for (job, node_budget) in [(suite_job, peak / 3), (beq, 8000)] {
+        let nodes = |node_budget| JobBudget {
+            node_budget: Some(node_budget),
+            ..JobBudget::default()
+        };
+        for job in [suite_job, beq] {
             let unlimited = run_job(&job);
             assert!(unlimited.error.is_none());
-            let budget = JobBudget {
-                node_budget: Some(node_budget),
-                ..JobBudget::default()
-            };
-            let harness = SharedHarness::build(job.config, job.order.clone());
+            let harness = SharedHarness::new(job.config);
             let mut manager = BddManager::new();
-            let (result, exhausted) = run_governed(&job, harness.get(), &mut manager, budget);
-            assert!(
-                exhausted,
-                "the first attempt must exhaust {node_budget} nodes"
-            );
+            // A power of two, so that halving and the retry's doubling
+            // are exact.
+            let mut fits = unlimited.peak_live_nodes.next_power_of_two();
+            let (_, exhausted) = run_governed(&job, harness.get(), &mut manager, nodes(fits));
+            assert!(!exhausted, "the first attempt fits in {fits} nodes");
+            let result = loop {
+                assert!(fits > 1, "no budget made the first attempt exhaust");
+                let (result, exhausted) =
+                    run_governed(&job, harness.get(), &mut manager, nodes(fits / 2));
+                if exhausted {
+                    break result;
+                }
+                fits /= 2;
+            };
             assert!(
                 result.error.is_none(),
-                "the retry should recover this job, got {:?}",
+                "the retry at {fits} nodes should recover this job, got {:?}",
                 result.error
             );
             assert_eq!(result.holds, unlimited.holds);

@@ -16,13 +16,6 @@ use std::fmt::Write as _;
 use crate::report::{CampaignReport, JobResult};
 
 /// The identity a job is matched on across reports.
-///
-/// Deliberately *excludes* the variable-order preset: diffing a campaign
-/// against the same campaign at another order is exactly the
-/// ordering-ablation gate — verdicts must agree across orders,
-/// so matching them makes the gate stricter, never looser.  Resume is the
-/// opposite trade and does validate the order (see
-/// [`crate::report::job_identity`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct JobKey {
     /// Core configuration name.
@@ -348,7 +341,6 @@ mod tests {
             policy_name: policy.into(),
             suite: "property-two".into(),
             part: "suite".into(),
-            order: "interleaved".into(),
             assertions: vec![AssertionOutcome {
                 name: "survive_pc".into(),
                 holds,

@@ -259,9 +259,7 @@ pub struct JobSpec {
     pub suite: Suite,
     /// Whole suite or a single obligation.
     pub part: JobPart,
-    /// The static variable-order preset the job's model compiles under.
-    /// Part of the job identity (`order=` in reports), so resumed runs can
-    /// never reuse a verdict computed under a different order.
+    /// Names no choice (there is one variable order); kept only because `ssrbench` reads it.
     pub order: OrderPolicy,
 }
 
@@ -284,32 +282,12 @@ impl JobSpec {
 /// Enumerates the jobs of the (configs × policies × suites) product in a
 /// deterministic order: configs outermost, then policies, then suites, then
 /// (at assertion granularity) assertion index.  Inapplicable combinations
-/// (IFR suite × combinational control path) are skipped.  Every job
-/// compiles under the default interleaved order; use
-/// [`enumerate_jobs_with`] to pick a preset.
+/// (IFR suite × combinational control path) are skipped.
 pub fn enumerate_jobs(
     configs: &[NamedConfig],
     policies: &[NamedPolicy],
     suites: &[Suite],
     granularity: Granularity,
-) -> Vec<JobSpec> {
-    enumerate_jobs_with(
-        configs,
-        policies,
-        suites,
-        granularity,
-        &OrderPolicy::Interleaved,
-    )
-}
-
-/// [`enumerate_jobs`] with an explicit variable-order preset stamped onto
-/// every job.
-pub fn enumerate_jobs_with(
-    configs: &[NamedConfig],
-    policies: &[NamedPolicy],
-    suites: &[Suite],
-    granularity: Granularity,
-    order: &OrderPolicy,
 ) -> Vec<JobSpec> {
     let mut out = Vec::new();
     for named_config in configs {
@@ -334,7 +312,7 @@ pub fn enumerate_jobs_with(
                         policy_name: named_policy.name.clone(),
                         suite,
                         part,
-                        order: order.clone(),
+                        order: OrderPolicy,
                     });
                 }
             }

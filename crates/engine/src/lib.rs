@@ -48,7 +48,6 @@
 //!     policies: vec![ssr_engine::policy_by_name("architectural").unwrap()],
 //!     suites: vec![Suite::PropertyTwo],
 //!     granularity: Granularity::Suite,
-//!     order: ssr_engine::OrderPolicy::Interleaved,
 //!     threads: 2,
 //!     budget: ssr_engine::JobBudget::default(),
 //!     verbose: false,
@@ -75,8 +74,8 @@ pub use campaign::{
 };
 pub use diff::{JobKey, ReportDiff, Verdict, VerdictChange};
 pub use job::{
-    enumerate_jobs, enumerate_jobs_with, named_policies, policy_by_name, policy_name, Granularity,
-    JobBudget, JobPart, JobSpec, NamedConfig, NamedPolicy,
+    enumerate_jobs, named_policies, policy_by_name, policy_name, Granularity, JobBudget, JobPart,
+    JobSpec, NamedConfig, NamedPolicy,
 };
 pub use oracle::{minimise_with_engine, EngineOracle, MinimisationOutcome, MinimisationStep};
 pub use persist::{load_partial, plan_resume, Checkpoint, PartialCampaign, ResumePlan};
@@ -84,8 +83,7 @@ pub use pool::{ManagerPool, PoolStats};
 pub use report::{AssertionOutcome, CampaignReport, JobResult};
 pub use spec::{spec_from_json, spec_to_json};
 
-// Re-exported so engine users can name suites, ordering policies and
-// resource budgets without depending on `ssr-properties`/`ssr-bdd`
-// directly.
-pub use ssr_bdd::{BudgetKind, BudgetSettings, MaintainSettings, OrderPolicy};
+// Re-exported so engine users can name suites and resource budgets
+// without depending on `ssr-properties`/`ssr-bdd` directly.
+pub use ssr_bdd::{BudgetKind, BudgetSettings, MaintainSettings};
 pub use ssr_properties::Suite;

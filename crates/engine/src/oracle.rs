@@ -9,7 +9,6 @@
 
 use std::cell::RefCell;
 
-use ssr_bdd::OrderPolicy;
 use ssr_cpu::RetentionPolicy;
 use ssr_properties::Suite;
 use ssr_retention::selection::{minimise, SelectionStep};
@@ -33,8 +32,6 @@ pub struct EngineOracle {
     /// Job granularity per query.  [`Granularity::Assertion`] lets the pool
     /// parallelise inside the single-policy campaign each query runs.
     pub granularity: Granularity,
-    /// Variable-order preset each query's models compile under.
-    pub order: OrderPolicy,
 }
 
 impl EngineOracle {
@@ -46,7 +43,6 @@ impl EngineOracle {
             suites: vec![Suite::PropertyTwo],
             threads,
             granularity: Granularity::Assertion,
-            order: OrderPolicy::Interleaved,
         }
     }
 
@@ -60,7 +56,6 @@ impl EngineOracle {
             }],
             suites: self.suites.clone(),
             granularity: self.granularity,
-            order: self.order.clone(),
             threads: self.threads,
             budget: JobBudget::default(),
             verbose: false,
@@ -163,7 +158,6 @@ mod tests {
             suites: vec![Suite::PropertyOne, Suite::Ifr],
             threads: 1,
             granularity: Granularity::Suite,
-            order: OrderPolicy::Interleaved,
         };
         let mut no_pc = ssr_cpu::RetentionPolicy::architectural();
         no_pc.pc = false;

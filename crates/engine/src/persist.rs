@@ -14,7 +14,7 @@
 //! `ssr-campaign-report/v1` document or a (possibly truncated) journal —
 //! and [`plan_resume`] matches the recorded results against a fresh
 //! deterministic job enumeration.  Matching validates the full job
-//! *identity* (config, policy, suite, part and order at the recorded id),
+//! *identity* (config, policy, suite and part at the recorded id),
 //! not just the index, so a resume file from a different campaign shape can
 //! never silently stand in for work that was not done: mismatches are
 //! counted as stale and re-run.
@@ -382,7 +382,7 @@ impl ResumePlan {
 /// Matches `prior` results against the deterministic enumeration `jobs`.
 ///
 /// A recorded result is reused only when the job at its recorded id exists
-/// *and* carries the same (config, policy, suite, part, order) identity —
+/// *and* carries the same (config, policy, suite, part) identity —
 /// resuming validates what the work was, not merely where it sat in the
 /// list.
 pub fn plan_resume(jobs: &[JobSpec], prior: &[JobResult]) -> ResumePlan {
@@ -398,7 +398,6 @@ pub fn plan_resume(jobs: &[JobSpec], prior: &[JobResult]) -> ResumePlan {
                     result.policy_name.clone(),
                     result.suite.clone(),
                     result.part.clone(),
-                    result.order.clone(),
                 )
         });
         if matches {
@@ -430,7 +429,6 @@ mod tests {
             policy_name: policy.into(),
             suite: "property-two".into(),
             part: part.into(),
-            order: "interleaved".into(),
             assertions: vec![],
             holds: true,
             bdd_nodes: 10,

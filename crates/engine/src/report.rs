@@ -35,9 +35,6 @@ pub struct JobResult {
     pub suite: String,
     /// `"suite"` for a whole-suite job, `"#i"` for obligation `i`.
     pub part: String,
-    /// Variable-order preset the job compiled under (part of the job
-    /// identity; pre-ordering reports parse as `"interleaved"`).
-    pub order: String,
     /// Per-assertion outcomes, in suite order.
     pub assertions: Vec<AssertionOutcome>,
     /// `true` if every assertion held.
@@ -87,7 +84,6 @@ impl JobResult {
             ("policy", Json::Str(self.policy_name.clone())),
             ("suite", Json::Str(self.suite.clone())),
             ("part", Json::Str(self.part.clone())),
-            ("order", Json::Str(self.order.clone())),
             (
                 "assertions",
                 Json::Arr(
@@ -191,16 +187,10 @@ impl JobResult {
             policy_name: str_field("policy")?,
             suite: str_field("suite")?,
             part: str_field("part")?,
-            // Ordering-layer fields: absent in pre-ordering reports, parsed
-            // leniently so old v1 artifacts still load (and resume against
-            // the default order).
-            order: v
-                .get("order")
-                .and_then(Json::as_str)
-                .unwrap_or("interleaved")
-                .to_owned(),
-            // A `partitioning` key (written while the checker had
-            // selectable strategies) is ignored, whatever its value.
+            // An `order` key (written while the variable order was
+            // selectable) and a `partitioning` key (written while the
+            // checker had selectable strategies) are ignored, whatever
+            // their values.
             assertions,
             holds: v
                 .get("holds")
@@ -312,65 +302,10 @@ impl CampaignReport {
         report
     }
 
-    /// The verdict-only content of the report: per job, its identity and
-    /// every assertion's (name, holds, vacuous) triple.  Unlike
-    /// [`CampaignReport::canonical_json`] this excludes all kernel
-    /// telemetry, so it is the right equality for order-invariance checks —
-    /// two campaigns over different variable orders must produce equal
-    /// verdicts even though their node counts differ.
-    #[allow(clippy::type_complexity)]
-    pub fn verdicts(
-        &self,
-    ) -> Vec<(
-        String,
-        String,
-        String,
-        String,
-        bool,
-        Vec<(String, bool, bool)>,
-    )> {
-        self.jobs
-            .iter()
-            .map(|j| {
-                (
-                    j.config_name.clone(),
-                    j.policy_name.clone(),
-                    j.suite.clone(),
-                    j.part.clone(),
-                    j.holds,
-                    j.assertions
-                        .iter()
-                        .map(|a| (a.name.clone(), a.holds, a.vacuous))
-                        .collect(),
-                )
-            })
-            .collect()
-    }
-
     /// [`CampaignReport::canonical`] serialised to JSON — the byte-stable
     /// form used for determinism checks and report diffing.
     pub fn canonical_json(&self) -> String {
         self.canonical().to_json()
-    }
-
-    /// The scheduling-independent content of the report (everything except
-    /// timing and BDD-arena telemetry).  Two runs of the same campaign at
-    /// different thread counts must produce equal fingerprints.
-    pub fn fingerprint(&self) -> Vec<(u64, String, String, String, String, bool, usize)> {
-        self.jobs
-            .iter()
-            .map(|j| {
-                (
-                    j.job_id,
-                    j.config_name.clone(),
-                    j.policy_name.clone(),
-                    j.suite.clone(),
-                    j.part.clone(),
-                    j.holds,
-                    j.passed(),
-                )
-            })
-            .collect()
     }
 
     /// The report as a JSON value (schema `ssr-campaign-report/v1`).
@@ -441,13 +376,12 @@ impl CampaignReport {
 
     /// Renders the human-readable result table.
     pub fn render_table(&self) -> String {
-        let mut rows: Vec<[String; 10]> = vec![[
+        let mut rows: Vec<[String; 9]> = vec![[
             "job".into(),
             "config".into(),
             "policy".into(),
             "suite".into(),
             "part".into(),
-            "order".into(),
             "holds".into(),
             "bdd nodes".into(),
             "peak live".into(),
@@ -466,14 +400,13 @@ impl CampaignReport {
                 j.policy_name.clone(),
                 j.suite.clone(),
                 j.part.clone(),
-                j.order.clone(),
                 verdict,
                 j.bdd_nodes.to_string(),
                 j.peak_live_nodes.to_string(),
                 j.wall_ms.to_string(),
             ]);
         }
-        let mut widths = [0usize; 10];
+        let mut widths = [0usize; 9];
         for row in &rows {
             for (w, cell) in widths.iter_mut().zip(row) {
                 *w = (*w).max(cell.len());
@@ -486,7 +419,7 @@ impl CampaignReport {
                     out.push_str("  ");
                 }
                 // Right-align the numeric columns.
-                if matches!(col, 0 | 7 | 8 | 9) {
+                if matches!(col, 0 | 6 | 7 | 8) {
                     out.push_str(&" ".repeat(width - cell.len()));
                     out.push_str(cell);
                 } else {
@@ -543,17 +476,13 @@ impl CampaignReport {
 
 /// Builds the table/JSON identity of a job from its spec (shared by the
 /// executor, the resume planner and the tests): (config, policy, suite,
-/// part, order).  The order preset is part of the identity: a record
-/// computed under one variable order must never stand in for a job
-/// scheduled under another (verdicts would match across orders, but the
-/// telemetry would silently mix).
-pub fn job_identity(spec: &JobSpec) -> (String, String, String, String, String) {
+/// part).
+pub fn job_identity(spec: &JobSpec) -> (String, String, String, String) {
     (
         spec.config_name.clone(),
         spec.policy_name.clone(),
         spec.suite.name().to_owned(),
         spec.part.render(),
-        spec.order.name(),
     )
 }
 
@@ -574,7 +503,6 @@ mod tests {
                     policy_name: "architectural".into(),
                     suite: "property-two".into(),
                     part: "suite".into(),
-                    order: "interleaved".into(),
                     assertions: vec![
                         AssertionOutcome {
                             name: "survive_pc".into(),
@@ -609,7 +537,6 @@ mod tests {
                     policy_name: "none".into(),
                     suite: "ifr".into(),
                     part: "#1".into(),
-                    order: "sequential".into(),
                     assertions: vec![],
                     holds: false,
                     bdd_nodes: 0,
@@ -638,13 +565,13 @@ mod tests {
     fn with_partitioning_keys(text: &str, strategies: [&str; 2]) -> String {
         let [first, second] = strategies;
         text.replacen(
-            "\"order\": \"interleaved\",",
-            &format!("\"order\": \"interleaved\", \"partitioning\": \"{first}\","),
+            "\"part\": \"suite\",",
+            &format!("\"part\": \"suite\", \"partitioning\": \"{first}\","),
             1,
         )
         .replacen(
-            "\"order\": \"sequential\",",
-            &format!("\"order\": \"sequential\", \"partitioning\": \"{second}\","),
+            "\"part\": \"#1\",",
+            &format!("\"part\": \"#1\", \"partitioning\": \"{second}\","),
             1,
         )
     }

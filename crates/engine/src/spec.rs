@@ -3,14 +3,12 @@
 //!
 //! The spec names things instead of embedding them — configurations by
 //! their registry name (`small`/`paper`/`d<N>`), retention policies and
-//! suites by their stable names, the variable order by its
-//! [`OrderPolicy::name`] rendering — so a request is small, auditable and
+//! suites by their stable names — so a request is small, auditable and
 //! can never smuggle a configuration the server's generator would not
 //! build itself.  Execution parameters that are the *server's* business
 //! (worker threads, verbosity) are clamped or ignored server-side; the
 //! parser here only validates shape.
 
-use ssr_bdd::OrderPolicy;
 use ssr_properties::Suite;
 
 use crate::campaign::CampaignSpec;
@@ -41,7 +39,6 @@ pub fn spec_to_json(spec: &CampaignSpec) -> Json {
             names(spec.suites.iter().map(|s| s.name().to_owned()).collect()),
         ),
         ("granularity", Json::Str(spec.granularity.name().into())),
-        ("order", Json::Str(spec.order.name())),
         ("threads", Json::Num(spec.threads as f64)),
     ];
     let budgets = [
@@ -61,7 +58,7 @@ pub fn spec_to_json(spec: &CampaignSpec) -> Json {
 ///
 /// # Errors
 /// Returns a human-readable message naming the first unknown config,
-/// policy, suite, granularity or order — the server echoes it verbatim in
+/// policy, suite or granularity — the server echoes it verbatim in
 /// its protocol `error` response.
 pub fn spec_from_json(v: &Json) -> Result<CampaignSpec, String> {
     let name_list = |key: &str| -> Result<Vec<String>, String> {
@@ -100,11 +97,8 @@ pub fn spec_from_json(v: &Json) -> Result<CampaignSpec, String> {
         }
         None => Granularity::Suite,
     };
-    let order = match v.get("order").and_then(Json::as_str) {
-        Some(text) => OrderPolicy::parse(text).ok_or_else(|| format!("unknown order `{text}`"))?,
-        None => OrderPolicy::Interleaved,
-    };
-    // A `partitioning` key (sent while the checker had selectable
+    // An `order` key (sent while the variable order was selectable), a
+    // `partitioning` key (sent while the checker had selectable
     // strategies) and the `reorder`/`max_growth` pair (sent while the
     // kernel could sift) are ignored, whatever their values.
     let threads = v
@@ -123,7 +117,6 @@ pub fn spec_from_json(v: &Json) -> Result<CampaignSpec, String> {
         policies,
         suites,
         granularity,
-        order,
         threads,
         budget,
         verbose: false,
@@ -141,7 +134,6 @@ mod tests {
             policies: named_policies(),
             suites: Suite::ALL.to_vec(),
             granularity: Granularity::Assertion,
-            order: OrderPolicy::Reverse,
             threads: 2,
             budget: JobBudget {
                 node_budget: Some(1 << 20),
@@ -203,7 +195,6 @@ mod tests {
         ]);
         let spec = spec_from_json(&minimal).expect("parses");
         assert_eq!(spec.granularity, Granularity::Suite);
-        assert_eq!(spec.order, OrderPolicy::Interleaved);
         assert_eq!(spec.threads, 0);
         assert!(
             spec.budget.is_unlimited(),
@@ -214,6 +205,7 @@ mod tests {
         // wire form drops them.
         let mut old = minimal.clone();
         if let Json::Obj(map) = &mut old {
+            map.insert("order".into(), Json::Str("reverse".into()));
             map.insert("partitioning".into(), Json::Str("sideways".into()));
             map.insert("reorder".into(), Json::Bool(true));
             map.insert("max_growth".into(), Json::Num(1.5));
@@ -221,7 +213,7 @@ mod tests {
         let parsed = spec_from_json(&old).expect("old wire objects parse");
         assert_eq!(parsed, spec);
         let wire = spec_to_json(&parsed);
-        for key in ["partitioning", "reorder", "max_growth"] {
+        for key in ["order", "partitioning", "reorder", "max_growth"] {
             assert!(wire.get(key).is_none(), "`{key}` is not written back");
         }
     }

@@ -167,11 +167,9 @@ impl NetlistBuilder {
     /// match the gate arity.
     pub fn gate(&mut self, name: impl Into<String>, op: GateOp, inputs: &[NetId]) -> NetId {
         assert_eq!(inputs.len(), op.arity(), "gate arity mismatch for {op}");
-        let name = name.into();
-        let out = self.add_net(name.clone(), NetDriver::Undriven);
+        let out = self.add_net(name.into(), NetDriver::Undriven);
         let cell_id = CellId(self.cells.len() as u32);
         self.cells.push(Cell {
-            name,
             kind: CellKind::Gate(op),
             inputs: inputs.to_vec(),
             output: out,
@@ -297,7 +295,6 @@ impl NetlistBuilder {
         nrst: Option<NetId>,
         nret: Option<NetId>,
     ) -> NetId {
-        let name = name.into();
         let mut inputs = vec![d, clk];
         match kind {
             RegKind::Simple => {
@@ -315,10 +312,9 @@ impl NetlistBuilder {
                 inputs.push(nret.expect("Retention register needs an NRET net"));
             }
         }
-        let out = self.add_net(name.clone(), NetDriver::Undriven);
+        let out = self.add_net(name.into(), NetDriver::Undriven);
         let cell_id = CellId(self.cells.len() as u32);
         self.cells.push(Cell {
-            name,
             kind: CellKind::Reg(kind),
             inputs,
             output: out,

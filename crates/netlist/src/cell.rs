@@ -187,10 +187,9 @@ impl CellKind {
 }
 
 /// A cell instance: a gate or register with its input nets and output net.
+/// A cell has no name of its own; diagnostics name its output net.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
-    /// Instance name (used for diagnostics).
-    pub name: String,
     /// What the cell computes.
     pub kind: CellKind,
     /// Input nets in the order required by [`CellKind::arity`].
@@ -281,7 +280,6 @@ mod tests {
     #[test]
     fn cell_accessors() {
         let cell = Cell {
-            name: "r0".to_owned(),
             kind: CellKind::Reg(RegKind::Retention { reset_value: false }),
             inputs: vec![NetId(10), NetId(11), NetId(12), NetId(13)],
             output: NetId(14),
@@ -294,7 +292,6 @@ mod tests {
         assert_eq!(cell.kind.arity(), 4);
 
         let gate = Cell {
-            name: "g0".to_owned(),
             kind: CellKind::Gate(GateOp::And),
             inputs: vec![NetId(1), NetId(2)],
             output: NetId(3),

@@ -13,7 +13,7 @@ pub enum NetlistError {
     Undriven(String),
     /// A cell was constructed with the wrong number of inputs.
     ArityMismatch {
-        /// The cell instance name.
+        /// The name of the cell's output net.
         cell: String,
         /// Number of inputs expected for its kind.
         expected: usize,

@@ -168,7 +168,7 @@ impl Netlist {
             let expected = cell.kind.arity();
             if cell.inputs.len() != expected {
                 return Err(NetlistError::ArityMismatch {
-                    cell: cell.name.clone(),
+                    cell: self.net(cell.output).name.clone(),
                     expected,
                     found: cell.inputs.len(),
                 });

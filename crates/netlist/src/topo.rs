@@ -174,16 +174,15 @@ mod tests {
             net("y", NetDriver::Cell(CellId(2))),
             net("z", NetDriver::Cell(CellId(0))),
         ];
-        let gate = |name: &str, op, inputs: &[u32], output| Cell {
-            name: name.into(),
+        let gate = |op, inputs: &[u32], output| Cell {
             kind: CellKind::Gate(op),
             inputs: inputs.iter().map(|&i| NetId(i)).collect(),
             output: NetId(output),
         };
         let cells = vec![
-            gate("z", GateOp::Not, &[1], 3),
-            gate("x", GateOp::And, &[0, 2], 1),
-            gate("y", GateOp::Not, &[1], 2),
+            gate(GateOp::Not, &[1], 3),
+            gate(GateOp::And, &[0, 2], 1),
+            gate(GateOp::Not, &[1], 2),
         ];
         let by_name: HashMap<String, NetId> = nets
             .iter()

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use ssr_bdd::{BddManager, BddVec, OrderPolicy};
+use ssr_bdd::{BddManager, BddVec};
 use ssr_cpu::{build_core, CoreConfig};
 use ssr_netlist::{Netlist, NetlistError};
 use ssr_sim::CompiledModel;
@@ -16,51 +16,26 @@ use ssr_ste::{Assertion, CheckReport, Formula, Ste, SteError};
 /// exactly once, at construction; both are immutable afterwards, so a
 /// harness wrapped in an [`Arc`] can be shared across campaign jobs and
 /// worker threads without recompiling anything per assertion.
-///
-/// The harness also carries the static variable-[`OrderPolicy`] the
-/// property suites declare their symbolic words under — part of a campaign
-/// job's identity, so two harnesses for the same core at different orders
-/// are different compilations.
 #[derive(Debug)]
 pub struct CoreHarness {
     config: CoreConfig,
-    order: OrderPolicy,
     model: CompiledModel,
 }
 
 impl CoreHarness {
-    /// Generates the core for `config` and compiles its model, using the
-    /// default interleaved variable order.
+    /// Generates the core for `config` and compiles its model.
     ///
     /// # Errors
     /// Returns a [`NetlistError`] if generation fails (a generator bug).
     pub fn new(config: CoreConfig) -> Result<Self, NetlistError> {
-        Self::with_order(config, OrderPolicy::Interleaved)
-    }
-
-    /// Generates the core for `config`, compiling the property suites'
-    /// symbolic words under the given variable-order preset.
-    ///
-    /// # Errors
-    /// Returns a [`NetlistError`] if generation fails (a generator bug).
-    pub fn with_order(config: CoreConfig, order: OrderPolicy) -> Result<Self, NetlistError> {
         let netlist = Arc::new(build_core(&config)?);
         let model = CompiledModel::from_arc(netlist).expect("generated cores always compile");
-        Ok(CoreHarness {
-            config,
-            order,
-            model,
-        })
+        Ok(CoreHarness { config, model })
     }
 
     /// The configuration the core was generated from.
     pub fn config(&self) -> &CoreConfig {
         &self.config
-    }
-
-    /// The variable-order preset the property suites compile under.
-    pub fn order(&self) -> &OrderPolicy {
-        &self.order
     }
 
     /// The generated netlist.

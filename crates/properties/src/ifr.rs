@@ -70,7 +70,7 @@ fn declare(harness: &CoreHarness, m: &mut BddManager, style: AntecedentStyle) {
             }
         }
         AntecedentStyle::Indexed => {
-            indexed_word(harness, m);
+            indexed_word(m);
         }
     }
 }
@@ -80,15 +80,15 @@ fn declare(harness: &CoreHarness, m: &mut BddManager, style: AntecedentStyle) {
 fn ports(harness: &CoreHarness, m: &mut BddManager) -> (BddVec, BddVec, BddVec) {
     let addr_bits = harness.config().imem_addr_bits();
     (
-        harness.order().word(m, "ifr_ra", addr_bits),
-        harness.order().word(m, "ifr_wa", addr_bits),
-        harness.order().word(m, "ifr_wd", 32),
+        BddVec::new_input(m, "ifr_ra", addr_bits),
+        BddVec::new_input(m, "ifr_wa", addr_bits),
+        BddVec::new_input(m, "ifr_wd", 32),
     )
 }
 
 /// The indexed style's symbolic contents of the addressed word.
-fn indexed_word(harness: &CoreHarness, m: &mut BddManager) -> BddVec {
-    harness.order().word(m, "ifr_mem", 32)
+fn indexed_word(m: &mut BddManager) -> BddVec {
+    BddVec::new_input(m, "ifr_mem", 32)
 }
 
 /// Builds the instruction-memory / IFR read-after-write property.
@@ -135,7 +135,7 @@ pub fn assertion(harness: &CoreHarness, m: &mut BddManager, style: AntecedentSty
             (formula, raw)
         }
         AntecedentStyle::Indexed => {
-            let data = indexed_word(harness, m);
+            let data = indexed_word(m);
             let formula = harness.imem_indexed_is(m, &read_word, &data, 0, 1);
             let write_hits_read = write_word.equals(m, &read_word).expect("width");
             let raw = write_data.mux(m, write_hits_read, &data).expect("width");

@@ -31,8 +31,8 @@ pub(crate) fn build(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) 
     out.extend(fetch_picked(harness, m, pick));
     out.extend(decode_picked(harness, m, pick));
     out.extend(control_picked(harness, m, pick));
-    out.extend(execute_picked(harness, m, pick));
-    out.extend(write_back_picked(harness, m, pick));
+    out.extend(execute_picked(m, pick));
+    out.extend(write_back_picked(m, pick));
     out
 }
 
@@ -48,7 +48,7 @@ fn fetch_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> V
     // F1: sequential PC update — for a non-branch instruction the PC becomes
     // PC + 4 after one clock cycle.
     {
-        let pc = harness.order().word(m, "f1_pc", 32);
+        let pc = BddVec::new_input(m, "f1_pc", 32);
         if pick.next() {
             let a = CoreHarness::nominal_controls(3)
                 .and(clock("clock", 0, 1))
@@ -62,12 +62,10 @@ fn fetch_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> V
 
     // F2: branch target — with a taken `beq` the PC becomes
     // PC + 4 + (sign-extended offset << 2).  The PC and offset operands
-    // feed a 32-bit adder, so their declaration follows the harness's
-    // order policy; under the default interleaved preset the carry chain
-    // stays linear, under the sequential preset it is exponential (the
-    // ordering ablation).
+    // feed a 32-bit adder; interleave their variables or the carry
+    // chain's BDD is exponential.
     {
-        let (pc, offset) = harness.order().pair(m, "f2_pc", "f2_off", 32);
+        let (pc, offset) = BddVec::new_interleaved_pair(m, "f2_pc", "f2_off", 32);
         if pick.next() {
             let a = CoreHarness::nominal_controls(3)
                 .and(clock("clock", 0, 1))
@@ -100,8 +98,8 @@ fn decode_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> 
         ("decode_read_port_1", 21usize, "ReadData1"),
         ("decode_read_port_2", 16usize, "ReadData2"),
     ] {
-        let addr = harness.order().word(m, &format!("{name}_addr"), reg_bits);
-        let data = harness.order().word(m, &format!("{name}_data"), 32);
+        let addr = BddVec::new_input(m, &format!("{name}_addr"), reg_bits);
+        let data = BddVec::new_input(m, &format!("{name}_data"), 32);
         if !pick.next() {
             continue;
         }
@@ -125,7 +123,7 @@ fn decode_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> 
 
     // D3: sign extension of the 16-bit immediate.
     {
-        let imm = harness.order().word(m, "d3_imm", 16);
+        let imm = BddVec::new_input(m, "d3_imm", 16);
         if pick.next() {
             let mut field = Formula::True;
             for (bit, &b) in imm.bits().iter().enumerate() {
@@ -143,7 +141,7 @@ fn decode_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> 
         ("decode_write_register_rtype", true, 11usize),
         ("decode_write_register_load", false, 16usize),
     ] {
-        let addr = harness.order().word(m, &format!("{name}_addr"), reg_bits);
+        let addr = BddVec::new_input(m, &format!("{name}_addr"), reg_bits);
         if !pick.next() {
             continue;
         }
@@ -164,8 +162,8 @@ fn decode_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> 
 
     // D6: a register-bank write commits on the clock edge.
     {
-        let addr = harness.order().word(m, "d6_addr", reg_bits);
-        let data = harness.order().word(m, "d6_data", 32);
+        let addr = BddVec::new_input(m, "d6_addr", reg_bits);
+        let data = BddVec::new_input(m, "d6_data", 32);
         if pick.next() {
             let a = CoreHarness::nominal_controls(3)
                 .and(clock("clock", 0, 1))
@@ -272,7 +270,7 @@ fn control_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) ->
 
     // C5: unimplemented opcodes drive no commits.
     {
-        let op = harness.order().word(m, "c5_op", 6);
+        let op = BddVec::new_input(m, "c5_op", 6);
         if pick.next() {
             let known = [0u64, OP_LW as u64, OP_SW as u64, OP_BEQ as u64];
             let mut is_known = ssr_bdd::Bdd::FALSE;
@@ -316,7 +314,7 @@ fn control_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) ->
     ];
     let output_net = ["RegWrite", "MemWrite", "Branch", "ALUSrc", "MemRead"];
     for (i, (name, expected_fn)) in symbolic_outputs.iter().enumerate() {
-        let op = harness.order().word(m, &format!("{name}_op"), 6);
+        let op = BddVec::new_input(m, &format!("{name}_op"), 6);
         if !pick.next() {
             continue;
         }
@@ -329,7 +327,7 @@ fn control_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) ->
     // C11: the ALU-control table for R-type functs.  (The ALUOp encoding
     // itself is already checked per opcode by C1–C4.)
     {
-        let funct = harness.order().word(m, "c11_funct", 6);
+        let funct = BddVec::new_input(m, "c11_funct", 6);
         if pick.next() {
             let mut field = Formula::True;
             for (bit, &b) in funct.bits().iter().enumerate() {
@@ -354,11 +352,11 @@ fn control_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) ->
 }
 
 /// The six execute-unit assertions.
-pub fn execute(harness: &CoreHarness, m: &mut BddManager) -> Vec<Assertion> {
-    execute_picked(harness, m, &mut Pick::all())
+pub fn execute(m: &mut BddManager) -> Vec<Assertion> {
+    execute_picked(m, &mut Pick::all())
 }
 
-fn execute_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
+fn execute_picked(m: &mut BddManager, pick: &mut Pick) -> Vec<Assertion> {
     let mut out = Vec::new();
 
     let alu_cases: [(&str, u64); 5] = [
@@ -370,9 +368,7 @@ fn execute_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) ->
     ];
     for (name, ctrl) in alu_cases {
         let (a_vec, b_vec) =
-            harness
-                .order()
-                .pair(m, &format!("{name}_a"), &format!("{name}_b"), 32);
+            BddVec::new_interleaved_pair(m, &format!("{name}_a"), &format!("{name}_b"), 32);
         if !pick.next() {
             continue;
         }
@@ -399,7 +395,7 @@ fn execute_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) ->
 
     // E6: the Zero flag is exactly the equality of the subtraction operands.
     {
-        let (a_vec, b_vec) = harness.order().pair(m, "e6_a", "e6_b", 32);
+        let (a_vec, b_vec) = BddVec::new_interleaved_pair(m, "e6_a", "e6_b", 32);
         if pick.next() {
             let antecedent = CoreHarness::nominal_controls(1)
                 .and(Formula::is0("ALUSrc"))
@@ -415,17 +411,13 @@ fn execute_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) ->
 }
 
 /// The single write-back assertion.
-pub fn write_back(harness: &CoreHarness, m: &mut BddManager) -> Assertion {
-    write_back_picked(harness, m, &mut Pick::all()).expect("every assertion is picked")
+pub fn write_back(m: &mut BddManager) -> Assertion {
+    write_back_picked(m, &mut Pick::all()).expect("every assertion is picked")
 }
 
-fn write_back_picked(
-    harness: &CoreHarness,
-    m: &mut BddManager,
-    pick: &mut Pick,
-) -> Option<Assertion> {
-    let mem_data = harness.order().word(m, "wb_mem", 32);
-    let alu_data = harness.order().word(m, "wb_alu", 32);
+fn write_back_picked(m: &mut BddManager, pick: &mut Pick) -> Option<Assertion> {
+    let mem_data = BddVec::new_input(m, "wb_mem", 32);
+    let alu_data = BddVec::new_input(m, "wb_alu", 32);
     let sel = m.declare("wb_sel");
     if !pick.next() {
         return None;
@@ -453,7 +445,7 @@ mod tests {
         assert_eq!(fetch(&harness, &mut m).len(), 2);
         assert_eq!(decode(&harness, &mut m).len(), 6);
         assert_eq!(control(&harness, &mut m).len(), 11);
-        assert_eq!(execute(&harness, &mut m).len(), 6);
+        assert_eq!(execute(&mut m).len(), 6);
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn survival_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -
 
     // PC survives.
     {
-        let pc = harness.order().word(m, "sv_pc", 32);
+        let pc = BddVec::new_input(m, "sv_pc", 32);
         if pick.next() {
             let a = s
                 .formula()
@@ -66,10 +66,8 @@ fn survival_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -
 
     // An indexed instruction-memory word survives.
     {
-        let addr = harness
-            .order()
-            .word(m, "sv_imem_addr", harness.config().imem_addr_bits());
-        let data = harness.order().word(m, "sv_imem_data", 32);
+        let addr = BddVec::new_input(m, "sv_imem_addr", harness.config().imem_addr_bits());
+        let data = BddVec::new_input(m, "sv_imem_data", 32);
         if pick.next() {
             let a = s
                 .formula()
@@ -90,7 +88,7 @@ fn survival_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -
 
     // Register 1 survives.
     {
-        let value = harness.order().word(m, "sv_reg", 32);
+        let value = BddVec::new_input(m, "sv_reg", 32);
         if pick.next() {
             let a = s
                 .formula()
@@ -103,10 +101,8 @@ fn survival_picked(harness: &CoreHarness, m: &mut BddManager, pick: &mut Pick) -
 
     // An indexed data-memory word survives.
     {
-        let addr = harness
-            .order()
-            .word(m, "sv_dmem_addr", harness.config().dmem_addr_bits());
-        let data = harness.order().word(m, "sv_dmem_data", 32);
+        let addr = BddVec::new_input(m, "sv_dmem_addr", harness.config().dmem_addr_bits());
+        let data = BddVec::new_input(m, "sv_dmem_data", 32);
         if pick.next() {
             let a = s
                 .formula()
@@ -141,7 +137,7 @@ fn aligned_address(word_addr: &BddVec) -> BddVec {
 /// assertion's [`present_state`].
 fn pc_word(harness: &CoreHarness, m: &mut BddManager, tag: &str) -> BddVec {
     let addr_bits = harness.config().imem_addr_bits();
-    harness.order().word(m, &format!("{tag}_pcw"), addr_bits)
+    BddVec::new_input(m, &format!("{tag}_pcw"), addr_bits)
 }
 
 /// The present state shared by every equivalence assertion: a symbolic,
@@ -205,7 +201,7 @@ fn equivalence_picked(
         let present = picked.then(|| present_state(harness, m, &word_addr, instr, &s));
         // The register operands meet in the 32-bit ALU adder; interleave
         // their variables or the carry chain's BDD is exponential.
-        let (v1, v2) = harness.order().pair(m, "eq_add_r1", "eq_add_r2", 32);
+        let (v1, v2) = BddVec::new_interleaved_pair(m, "eq_add_r1", "eq_add_r2", 32);
         if let Some((base, pc)) = present {
             let a = base
                 .and(CoreHarness::register_is(m, 1, &v1, 0, 1))
@@ -234,8 +230,8 @@ fn equivalence_picked(
         let word_addr = pc_word(harness, m, "eq_sw");
         let present = picked.then(|| present_state(harness, m, &word_addr, instr, &s));
         let dmem_bits = harness.config().dmem_addr_bits();
-        let base_word = harness.order().word(m, "eq_sw_addr", dmem_bits);
-        let stored = harness.order().word(m, "eq_sw_data", 32);
+        let base_word = BddVec::new_input(m, "eq_sw_addr", dmem_bits);
+        let stored = BddVec::new_input(m, "eq_sw_data", 32);
         if let Some((base, pc)) = present {
             let base_addr = aligned_address(&base_word);
             let a = base
@@ -267,9 +263,9 @@ fn equivalence_picked(
         let picked = pick.next();
         let word_addr = pc_word(harness, m, "eq_beq");
         let present = picked.then(|| present_state(harness, m, &word_addr, instr, &s));
-        // The operands meet in the ALU's equality comparator; interleaved
-        // ordering keeps it linear (sequential ordering is exponential).
-        let (v1, v2) = harness.order().pair(m, "eq_beq_r1", "eq_beq_r2", 32);
+        // The operands meet in the ALU's equality comparator; interleaving
+        // them keeps it linear (one word after the other is exponential).
+        let (v1, v2) = BddVec::new_interleaved_pair(m, "eq_beq_r1", "eq_beq_r2", 32);
         if let Some((base, pc)) = present {
             let a = base
                 .and(CoreHarness::register_is(m, 1, &v1, 0, 1))
@@ -299,8 +295,8 @@ fn equivalence_picked(
         let word_addr = pc_word(harness, m, "eq_lw");
         let present = picked.then(|| present_state(harness, m, &word_addr, instr, &s));
         let dmem_bits = harness.config().dmem_addr_bits();
-        let base_word = harness.order().word(m, "eq_lw_addr", dmem_bits);
-        let loaded = harness.order().word(m, "eq_lw_data", 32);
+        let base_word = BddVec::new_input(m, "eq_lw_addr", dmem_bits);
+        let loaded = BddVec::new_input(m, "eq_lw_data", 32);
         if let Some((base, pc)) = present {
             let base_addr = aligned_address(&base_word);
             let a = base

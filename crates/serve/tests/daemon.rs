@@ -5,9 +5,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use ssr_engine::{
-    policy_by_name, CampaignSpec, Granularity, JobBudget, NamedConfig, OrderPolicy, Suite,
-};
+use ssr_engine::{policy_by_name, CampaignSpec, Granularity, JobBudget, NamedConfig, Suite};
 use ssr_serve::{Client, Server, ServerConfig};
 
 /// A fresh per-test journal directory under the system temp dir.
@@ -40,7 +38,6 @@ fn quick_spec() -> CampaignSpec {
         policies: vec![policy_by_name("architectural").expect("named")],
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Suite,
-        order: OrderPolicy::Interleaved,
         threads: 1,
         budget: JobBudget::default(),
         verbose: false,

@@ -854,14 +854,66 @@ mod tests {
     }
 
     #[test]
+    fn a_collection_before_a_consequent_step_keeps_its_conjoined_guards() {
+        // `out is 1 when g when h` at the last step is the constraint
+        // `(TRUE, ¬(g ∧ h))`: `g` and `h` are rooted as guards, but their
+        // conjunction is a fresh BDD that nothing but the consequent's
+        // defining sequence refers to, and every step before the last one
+        // has a safe point where a collection can land.
+        let n = and_gate();
+        let model = CompiledModel::new(&n).expect("compiles");
+        let depth = 4;
+        agrees_wherever_the_first_collection_lands(&model, |m| {
+            let v = m.new_var("v");
+            let g = m.new_var("g");
+            let h = m.new_var("h");
+            let a = Formula::is1("a")
+                .and(Formula::is_bdd(m, "b", v))
+                .from_to(0, depth);
+            let c = Formula::is1("out").when(g).when(h).delay(depth - 1);
+            Assertion::named("nested_guards", a, c)
+        });
+    }
+
+    #[test]
+    fn a_collection_after_a_violation_keeps_its_partition_frame() {
+        // `out is 0 when g` fails at step 1, where `out = x1 ∧ y1`: its
+        // condition `¬(g ∧ x1 ∧ y1)` is a fresh BDD that only the
+        // partition list refers to.  The inputs take fresh variables at
+        // every step and the weak claim `out is 0 when ¬x` reads `out` at
+        // every other step, so the gate allocates at each of them and a
+        // collection can land between the violation and the final
+        // conjunction.
+        let n = and_gate();
+        let model = CompiledModel::new(&n).expect("compiles");
+        let depth = 6;
+        agrees_wherever_the_first_collection_lands(&model, |m| {
+            let g = m.new_var("g");
+            let mut a = Formula::True;
+            let mut c = Formula::True;
+            for t in 0..depth {
+                let x = m.new_var(format!("x{t}"));
+                let y = m.new_var(format!("y{t}"));
+                a = a
+                    .and(Formula::is_bdd(m, "a", x).delay(t))
+                    .and(Formula::is_bdd(m, "b", y).delay(t));
+                let guard = if t == 1 { g } else { x.negate() };
+                c = c.and(Formula::is0("out").when(guard).delay(t));
+            }
+            Assertion::named("early_violation", a, c)
+        });
+    }
+
+    #[test]
     fn collected_checks_keep_peak_live_nodes_flat_in_trajectory_depth() {
         // Under a GC policy only the newest state is live across a step,
-        // so checking four times as deep must not need more memory.  Both
-        // depths are past the first few collections, whose peaks are
-        // taken before the run reaches its steady state.
+        // so checking four times as deep must not need more memory.  The
+        // shallow depth is the first, doubling from 128, whose run has
+        // already collected twice: the first collection's peak is taken
+        // before the run reaches its steady state.
         let n = counter(64);
         let model = CompiledModel::new(&n).expect("compiles");
-        let peak = |depth: usize| {
+        let run = |depth: usize| {
             let mut m = BddManager::new();
             m.set_maintenance(Some(MaintainSettings {
                 gc_threshold: 1 << 10,
@@ -872,29 +924,49 @@ mod tests {
                 report.constraints_checked, 128,
                 "`q is v + n` is two rails a bit"
             );
-            let stats = m.stats();
-            assert!(stats.gc_passes > 0, "depth {depth} collected");
-            stats.peak_live_nodes
+            m.stats()
         };
-        let (shallow, deep) = (peak(128), peak(512));
+        let mut shallow = 128;
+        let stats = loop {
+            let stats = run(shallow);
+            if stats.gc_passes >= 2 {
+                break stats;
+            }
+            assert!(shallow < 128 << 5, "depth {shallow} collected < 2 times");
+            shallow *= 2;
+        };
+        let (shallow_peak, deep_peak) = (stats.peak_live_nodes, run(4 * shallow).peak_live_nodes);
         assert!(
-            deep <= shallow + shallow / 4,
-            "peak live grew with depth: {shallow} -> {deep}"
+            deep_peak <= shallow_peak + shallow_peak / 4,
+            "peak live grew with depth: {shallow_peak} at {shallow} -> {deep_peak} at {}",
+            4 * shallow
         );
     }
 
     #[test]
     fn check_never_installs_a_maintenance_policy() {
-        // A check that allocates well past the default GC threshold still
-        // frees nothing when the caller installed no policy.
+        // A check that allocates past the default GC threshold still frees
+        // nothing when the caller installed no policy.  The depth doubles
+        // until the check allocates that much.
         let n = counter(64);
         let model = CompiledModel::new(&n).expect("compiles");
-        let mut m = BddManager::new();
-        let report = check_counter(&mut m, &model, 512);
-        assert!(report.holds);
-        assert!(m.maintenance().is_none(), "no policy was installed");
-        let stats = m.stats();
-        assert!(stats.nodes_allocated > MaintainSettings::default().gc_threshold);
-        assert_eq!(stats.gc_passes, 0);
+        let threshold = MaintainSettings::default().gc_threshold;
+        let mut depth = 128;
+        loop {
+            let mut m = BddManager::new();
+            let report = check_counter(&mut m, &model, depth);
+            assert!(report.holds);
+            assert!(m.maintenance().is_none(), "no policy was installed");
+            let stats = m.stats();
+            assert_eq!(stats.gc_passes, 0, "depth {depth}");
+            if stats.nodes_allocated > threshold {
+                break;
+            }
+            assert!(
+                depth < 128 << 6,
+                "depth {depth} allocated under {threshold} nodes"
+            );
+            depth *= 2;
+        }
     }
 }

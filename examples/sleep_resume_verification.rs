@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         policies: vec![ssr::engine::policy_by_name("architectural").expect("named policy")],
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Assertion,
-        order: ssr_engine::OrderPolicy::Interleaved,
         threads: 0, // one worker per CPU
         budget: JobBudget::default(),
         verbose: false,

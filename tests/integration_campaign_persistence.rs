@@ -4,11 +4,15 @@
 //! resumes, and must produce a report whose canonical JSON is
 //! byte-identical to an uninterrupted run.  The diff layer then gates the
 //! pair: fresh vs resumed shows no verdict regression, while a doctored
-//! report does.
+//! report does.  Reports and journals from older writers, carrying keys
+//! the current writer no longer emits, resume and diff the same way.
 
 use std::path::PathBuf;
 
-use ssr::engine::persist::{load_partial, plan_resume, Checkpoint, Fault, FaultPlan};
+use ssr::engine::json::Json;
+use ssr::engine::persist::{
+    load_partial, plan_resume, Checkpoint, Fault, FaultPlan, JOURNAL_SCHEMA,
+};
 use ssr::engine::{
     CampaignReport, CampaignSpec, Granularity, JobBudget, NamedConfig, ReportDiff, Suite,
 };
@@ -22,7 +26,6 @@ fn spec(threads: usize) -> CampaignSpec {
         ],
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Suite,
-        order: ssr_engine::OrderPolicy::Interleaved,
         threads,
         budget: JobBudget::default(),
         verbose: false,
@@ -179,4 +182,129 @@ fn diff_gates_a_doctored_verdict() {
     let diff = ReportDiff::between(&fresh, &doctored);
     assert!(diff.has_regressions(), "holds -> FAILS must gate");
     assert!(!ReportDiff::between(&doctored, &fresh).has_regressions());
+}
+
+#[test]
+fn artifacts_from_older_writers_resume_and_diff_clean() {
+    // Artifacts from older writers, simulated from a real run:
+    // * a report and a journal written while the variable order was
+    //   selectable carry an `order` key on every job, which the parser
+    //   must ignore whatever its value: verdicts do not depend on the
+    //   order, and `canonical()` zeroes the kernel telemetry that does;
+    // * a report and a journal written while the warm-start store existed
+    //   carry nonzero `store_hits`/`store_misses` counters, which the
+    //   parser must ignore;
+    // * a report and a journal written while the checker had selectable
+    //   strategies carry a `partitioning` key on every job, which the
+    //   parser must ignore whatever its value;
+    // * a report and a journal written while the kernel could sift carry
+    //   `reorder_passes` and `sift_ms` on every job and, in the journal
+    //   header, `"reorder": true`, which the parser must ignore.
+    // Each must load, resume to the fresh run's canonical report, and
+    // diff clean against it.
+    let campaign = CampaignSpec {
+        suites: vec![Suite::PropertyTwo],
+        ..spec(1)
+    };
+    let report = campaign.run();
+    let (order_report, order_journal) = written_with(&report, false, |i| {
+        let order = if i % 2 == 0 {
+            "reverse"
+        } else {
+            "explicit(eq_add_r2[0];eq_add_r1[0])"
+        };
+        vec![("order", Json::Str(order.into()))]
+    });
+    // The store-era writer added `store_hits` or `store_misses` to a job
+    // only when nonzero, so every job here carries exactly one of the two.
+    let (store_report, store_journal) = written_with(&report, false, |i| {
+        let key = if i % 2 == 0 {
+            "store_hits"
+        } else {
+            "store_misses"
+        };
+        vec![(key, Json::Num(1.0))]
+    });
+    let (strategy_report, strategy_journal) = written_with(&report, false, |i| {
+        let strategy = if i % 2 == 0 {
+            "monolithic"
+        } else {
+            "conjunctive"
+        };
+        vec![("partitioning", Json::Str(strategy.into()))]
+    });
+    let (sift_report, sift_journal) = written_with(&report, true, |i| {
+        vec![
+            ("reorder_passes", Json::Num((i + 1) as f64)),
+            ("sift_ms", Json::Num(3.0)),
+        ]
+    });
+    for (what, text) in [
+        ("ordering-era report", order_report),
+        ("ordering-era journal", order_journal),
+        ("store-era report", store_report),
+        ("store-era journal", store_journal),
+        ("partitioning-era report", strategy_report),
+        ("partitioning-era journal", strategy_journal),
+        ("reorder-era report", sift_report),
+        ("reorder-era journal", sift_journal),
+    ] {
+        let partial = load_partial(&text).unwrap_or_else(|e| panic!("{what} loads: {e}"));
+        let plan = plan_resume(&campaign.jobs(), &partial.jobs);
+        assert!(plan.complete(), "{what}: every legacy verdict is reusable");
+        assert_eq!(plan.stale, 0, "{what}");
+        let resumed = campaign.run_with(&partial.jobs, None, None);
+        assert_eq!(resumed.canonical_json(), report.canonical_json(), "{what}");
+        let diff = ReportDiff::between(&partial.into_report(), &report);
+        assert!(!diff.has_regressions(), "{what}");
+        assert_eq!(diff.matched, report.jobs.len(), "{what}");
+    }
+}
+
+/// The report and the journal of `report` as an older writer emitted
+/// them, with the fields `extra(i)` added to job `i` and the journal
+/// header's `reorder` flag (written by every journal writer from the
+/// ordering layer until sifting was removed) set to `reorder`.
+fn written_with(
+    report: &CampaignReport,
+    reorder: bool,
+    extra: impl Fn(usize) -> Vec<(&'static str, Json)>,
+) -> (String, String) {
+    let jobs: Vec<Json> = report
+        .jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let mut line = job.to_json();
+            if let Json::Obj(fields) = &mut line {
+                for (key, value) in extra(i) {
+                    fields.insert(key.to_owned(), value);
+                }
+            }
+            line
+        })
+        .collect();
+    let mut doc = report.json_value();
+    if let Json::Obj(fields) = &mut doc {
+        fields.insert("jobs".to_owned(), Json::Arr(jobs.clone()));
+    }
+    let header = Json::obj([
+        ("schema", Json::Str(JOURNAL_SCHEMA.into())),
+        ("granularity", Json::Str(report.granularity.clone())),
+        ("total_jobs", Json::Num(report.jobs.len() as f64)),
+        ("reorder", Json::Bool(reorder)),
+    ]);
+    let journal: String = std::iter::once(&header)
+        .chain(&jobs)
+        .map(|line| line.render() + "\n")
+        .collect();
+    let doc = doc.render_pretty();
+    for (i, job) in jobs.iter().enumerate() {
+        for (key, value) in extra(i) {
+            assert_eq!(job.get(key), Some(&value));
+            let field = format!("\"{key}\"");
+            assert!(doc.contains(&field) && journal.contains(&field));
+        }
+    }
+    (doc, journal)
 }

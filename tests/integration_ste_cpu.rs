@@ -29,7 +29,7 @@ fn property_one_smoke_across_configurations() {
             let harness = CoreHarness::new(cfg).expect("core generates");
             let mut m = BddManager::new();
             let mut suite = property_one::control(&harness, &mut m);
-            suite.extend(property_one::execute(&harness, &mut m));
+            suite.extend(property_one::execute(&mut m));
             let reports = harness.check_all(&mut m, &suite).expect("checks");
             for r in &reports {
                 assert!(
