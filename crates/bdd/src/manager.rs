@@ -576,6 +576,18 @@ impl BddManager {
         if lo == hi {
             return lo;
         }
+        // The ordering invariant: each child is a terminal (which sorts
+        // last) or decides a later variable.  A slot reused into a cycle
+        // then fails here, in builds with debug assertions, instead of
+        // sending a later recursion round the cycle until the stack
+        // overflows.
+        for child in [lo, hi] {
+            debug_assert!(
+                self.level(child) > var,
+                "BDD ordering violated: a node on variable {var} would have a child on variable {}",
+                self.level(child)
+            );
+        }
         // Canonical form: a node's low edge is never complemented.  When the
         // requested low edge is, strip the polarity from both children and
         // complement the returned handle instead — every function keeps
@@ -1619,6 +1631,26 @@ mod tests {
         let b = m.new_var("b");
         let c = m.new_var("c");
         (m, a, b, c)
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "BDD ordering violated: a node on variable 1 would have a child on variable 1"
+    )]
+    fn mk_node_rejects_a_child_at_its_own_variable() {
+        let (mut m, _, b, _) = setup();
+        m.mk_node(1, Bdd::FALSE, b);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "BDD ordering violated: a node on variable 2 would have a child on variable 0"
+    )]
+    fn mk_node_rejects_a_child_above_its_variable() {
+        let (mut m, a, _, _) = setup();
+        m.mk_node(2, a, Bdd::TRUE);
     }
 
     #[test]

@@ -68,7 +68,14 @@ CAMPAIGN PERSISTENCE:
                                   against the enumeration, never just its
                                   index) and run only the remainder; the
                                   merged report is byte-identical (canonical
-                                  form) to an uninterrupted run
+                                  form) to an uninterrupted run when this
+                                  binary wrote the file.  Identity ignores
+                                  the `order` key of older binaries, so a
+                                  job recorded under `--order reverse` or
+                                  `explicit(...)` is reused with that
+                                  order's counterexamples (same verdicts;
+                                  22 of the small product's 33 failing
+                                  assertions differ from a fresh run)
     --checkpoint <PATH>           Append each finished job to this journal
                                   (schema ssr-campaign-journal/v1) so an
                                   interrupted run stays resumable.  Default:

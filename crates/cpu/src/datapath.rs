@@ -517,4 +517,36 @@ mod tests {
         assert!(n.find_net("IMem_w255[31]").is_some());
         assert!(n.state_cells().count() > 256 * 32);
     }
+
+    /// The name index answers for every net of the small and paper cores:
+    /// each name resolves to its own net, names no net has resolve to
+    /// nothing, and every word (found from its bit 0) reads back the bits
+    /// `p[0]`, `p[1]`, ... in order.
+    #[test]
+    fn the_name_index_resolves_every_net() {
+        for cfg in [CoreConfig::small_test(), CoreConfig::paper()] {
+            let n = build_core(&cfg).expect("generates");
+            for (id, net) in n.nets() {
+                assert_eq!(n.find_net(net.name), Some(id), "`{}`", net.name);
+            }
+            for name in ["", "PC", "PC[32]", "pc[0]", "IMem_w256[0]", "no such net"] {
+                assert_eq!(n.find_net(name), None, "`{name}`");
+            }
+            assert_eq!(n.word("PC").len(), 32);
+            let mut words = 0;
+            for (_, net) in n.nets() {
+                let Some(prefix) = net.name.strip_suffix("[0]") else {
+                    continue;
+                };
+                let bits = n.word(prefix);
+                for (i, &bit) in bits.iter().enumerate() {
+                    assert_eq!(n.net(bit).name, format!("{prefix}[{i}]"));
+                }
+                let past = format!("{prefix}[{}]", bits.len());
+                assert_eq!(n.find_net(&past), None, "`{past}`");
+                words += 1;
+            }
+            assert!(words > cfg.imem_depth, "{words} words");
+        }
+    }
 }

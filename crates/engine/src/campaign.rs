@@ -2,11 +2,13 @@
 //!
 //! Two layers of reuse keep per-job overhead off the hot path:
 //!
-//! * **Shared compilation.**  Jobs with the same (config × policy) share one
-//!   [`Arc`]ed [`CoreHarness`] — the netlist is generated and the model
-//!   compiled once per combination, not once per assertion job (the
-//!   "cross-job caching" ROADMAP item).  Contexts are built up front on the
-//!   calling thread, in enumeration order, so reports stay deterministic.
+//! * **Shared compilation.**  Pending jobs with the same (config × policy)
+//!   share one [`Arc`]ed [`CoreHarness`] — the netlist is generated and the
+//!   model compiled once per combination, not once per assertion job, by
+//!   the first worker that needs it.  Each pending job holds the handle
+//!   only until it completes, so a harness is freed when the last job of
+//!   its combination finishes; jobs a resume reuses or a limit cuts hold
+//!   none and build none.
 //! * **Recycled arenas.**  Each worker leases one [`BddManager`] from the
 //!   process-wide [`ManagerPool`] and `reset()`s it between jobs: arenas are
 //!   single-threaded by construction, never cross a thread boundary, and
@@ -130,7 +132,8 @@ impl std::fmt::Debug for RunHooks<'_> {
 /// combination builds it, workers needing *different* combinations compile
 /// in parallel, and workers needing the same one block on the single build.
 /// `SharedHarness::build` is deterministic per configuration, so build
-/// order cannot perturb results.
+/// order cannot perturb results.  A campaign drops a combination's harness
+/// once the last of its jobs completes.
 #[derive(Debug)]
 pub struct SharedHarness {
     config: ssr_cpu::CoreConfig,
@@ -171,20 +174,49 @@ impl SharedHarness {
     }
 }
 
-/// One shared context per job, deduplicated by the full configuration (the
+/// A job a campaign still has to run: its position in the enumeration
+/// and, until a worker claims it, its combination's harness.
+struct PendingJob {
+    index: usize,
+    harness: Mutex<Option<Arc<SharedHarness>>>,
+}
+
+impl PendingJob {
+    /// Takes the job's harness handle; the claiming worker drops it once
+    /// the job completes.
+    fn claim(&self) -> Arc<SharedHarness> {
+        self.harness
+            .lock()
+            .expect("pending job poisoned")
+            .take()
+            .expect("a pending job is claimed once")
+    }
+}
+
+/// The jobs at `pending` (positions in `jobs`), each with a handle on its
+/// combination's harness, deduplicated by the full configuration (the
 /// retention policy is already folded in by the enumeration): jobs of the
-/// same combination get clones of one `Arc`.  Contexts are created
+/// same combination get clones of one `Arc`.  Harnesses are created
 /// uncompiled; workers trigger the (per-combination, once-only) build.
-fn shared_harnesses(jobs: &[JobSpec]) -> Vec<Arc<SharedHarness>> {
+/// Jobs not in `pending` get no handle, so their harness is never built.
+fn pending_jobs(jobs: &[JobSpec], pending: &[usize]) -> Vec<PendingJob> {
     let mut built: Vec<(ssr_cpu::CoreConfig, Arc<SharedHarness>)> = Vec::new();
-    jobs.iter()
-        .map(|job| {
-            if let Some((_, ctx)) = built.iter().find(|(config, _)| *config == job.config) {
-                return Arc::clone(ctx);
+    pending
+        .iter()
+        .map(|&index| {
+            let config = jobs[index].config;
+            let harness = match built.iter().find(|(c, _)| *c == config) {
+                Some((_, harness)) => Arc::clone(harness),
+                None => {
+                    let harness = Arc::new(SharedHarness::new(config));
+                    built.push((config, Arc::clone(&harness)));
+                    harness
+                }
+            };
+            PendingJob {
+                index,
+                harness: Mutex::new(Some(harness)),
             }
-            let ctx = Arc::new(SharedHarness::new(job.config));
-            built.push((job.config, Arc::clone(&ctx)));
-            ctx
         })
         .collect()
 }
@@ -283,7 +315,12 @@ impl CampaignSpec {
     ///   identity; mismatches are ignored and re-run.  Because job
     ///   execution is deterministic, the merged report's
     ///   [`CampaignReport::canonical_json`] is byte-identical to an
-    ///   uninterrupted run's.
+    ///   uninterrupted run's when `prior` came from this binary.  Identity
+    ///   ignores the `order` key that older binaries recorded, so a result
+    ///   written under a non-interleaved `--order` is reused with that
+    ///   order's counterexample witnesses (same verdicts): on the
+    ///   small-core product, 22 of the 33 failing assertions then name
+    ///   other failing bits than a fresh run.
     /// * `checkpoint` — a journal that receives every result (reused ones
     ///   up front, fresh ones as workers finish), so the run is resumable
     ///   from the instant it dies.  Journal I/O errors are reported to
@@ -325,16 +362,9 @@ impl CampaignSpec {
         if let Some(limit) = limit {
             pending.truncate(limit);
         }
+        let pending = pending_jobs(&jobs, &pending);
         let threads = self.effective_threads(pending.len());
 
-        // One lazily-compiled context per (config × policy), shared across
-        // all of that combination's jobs: the first worker to need a
-        // combination builds it once, and workers on distinct combinations
-        // compile in parallel.
-        let contexts = shared_harnesses(&jobs);
-        let pool = ManagerPool::global();
-
-        let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         for (index, result) in plan.reused {
             record_checkpoint(checkpoint, &result);
@@ -343,7 +373,37 @@ impl CampaignSpec {
             }
             *slots[index].lock().expect("result slot poisoned") = Some(result);
         }
+        self.run_pending(&jobs, &pending, threads, &slots, checkpoint, hooks);
 
+        CampaignReport {
+            threads: threads as u64,
+            granularity: self.granularity.name().to_owned(),
+            // With a `limit`, unvisited slots stay empty and the report is
+            // partial (job ids keep their enumeration values, so a later
+            // resume still validates identities).
+            jobs: slots
+                .into_iter()
+                .filter_map(|slot| slot.into_inner().expect("result slot poisoned"))
+                .collect(),
+            total_wall_ms: started.elapsed().as_millis() as u64,
+        }
+    }
+
+    /// Runs `pending` on `threads` workers, storing each result in its
+    /// job's slot.  A worker holds a job's harness handle from the moment
+    /// it claims the job until the job completes, and drops it before
+    /// reporting the result.
+    fn run_pending(
+        &self,
+        jobs: &[JobSpec],
+        pending: &[PendingJob],
+        threads: usize,
+        slots: &[Mutex<Option<JobResult>>],
+        checkpoint: Option<&Checkpoint>,
+        hooks: RunHooks<'_>,
+    ) {
+        let pool = ManagerPool::global();
+        let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
@@ -357,7 +417,8 @@ impl CampaignSpec {
                             break;
                         }
                         let at = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&index) = pending.get(at) else { break };
+                        let Some(job) = pending.get(at) else { break };
+                        let (index, harness) = (job.index, job.claim());
                         let spec = &jobs[index];
                         if self.verbose {
                             eprintln!(
@@ -371,7 +432,8 @@ impl CampaignSpec {
                             );
                         }
                         let (result, exhausted) =
-                            run_governed(spec, contexts[index].get(), &mut manager, self.budget);
+                            run_governed(spec, harness.get(), &mut manager, self.budget);
+                        drop(harness);
                         if exhausted {
                             // Telemetry for `ssr stats`: this lease tripped
                             // a budget (whether or not the retry recovered)
@@ -398,19 +460,6 @@ impl CampaignSpec {
                 });
             }
         });
-
-        CampaignReport {
-            threads: threads as u64,
-            granularity: self.granularity.name().to_owned(),
-            // With a `limit`, unvisited slots stay empty and the report is
-            // partial (job ids keep their enumeration values, so a later
-            // resume still validates identities).
-            jobs: slots
-                .into_iter()
-                .filter_map(|slot| slot.into_inner().expect("result slot poisoned"))
-                .collect(),
-            total_wall_ms: started.elapsed().as_millis() as u64,
-        }
     }
 }
 
@@ -797,13 +846,90 @@ mod tests {
     fn shared_harnesses_deduplicate_per_config_policy() {
         let spec = tiny_spec(1, Granularity::Assertion);
         let jobs = spec.jobs();
-        let contexts = shared_harnesses(&jobs);
-        assert_eq!(contexts.len(), jobs.len());
+        let all: Vec<usize> = (0..jobs.len()).collect();
+        let pending = pending_jobs(&jobs, &all);
+        assert_eq!(pending.len(), jobs.len());
         // Two policies × one suite at assertion granularity: every job of a
         // policy points at the same context.
-        let distinct: std::collections::BTreeSet<usize> =
-            contexts.iter().map(|c| Arc::as_ptr(c) as usize).collect();
+        let distinct: std::collections::BTreeSet<usize> = pending
+            .iter()
+            .map(|job| Arc::as_ptr(&job.claim()) as usize)
+            .collect();
         assert_eq!(distinct.len(), 2, "one harness per (config × policy)");
+    }
+
+    /// With one worker over two policies, the first combination's harness
+    /// is freed once its last job finishes (its handle is dropped before
+    /// the job's result is reported), so before the second combination's
+    /// first job starts; the second's is freed with its own last job.
+    #[test]
+    fn a_harness_is_freed_once_its_last_job_finishes() {
+        let spec = tiny_spec(1, Granularity::Assertion);
+        let jobs = spec.jobs();
+        let all: Vec<usize> = (0..jobs.len()).collect();
+        let pending = pending_jobs(&jobs, &all);
+        let weak = |at: usize| {
+            let handle = pending[at].harness.lock().expect("not poisoned");
+            Arc::downgrade(handle.as_ref().expect("unclaimed"))
+        };
+        let second = jobs
+            .iter()
+            .position(|job| job.policy_name != jobs[0].policy_name)
+            .expect("two policies");
+        let (first_harness, second_harness) = (weak(0), weak(second));
+        // Per completion, in order: the job and whether each harness lives.
+        let seen = Mutex::new(Vec::new());
+        let on_job = |r: &JobResult| {
+            let alive = (
+                first_harness.strong_count() > 0,
+                second_harness.strong_count() > 0,
+            );
+            seen.lock()
+                .expect("not poisoned")
+                .push((r.job_id as usize, alive));
+        };
+        let hooks = RunHooks {
+            on_job: Some(&on_job),
+            ..RunHooks::default()
+        };
+        let slots: Vec<_> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        spec.run_pending(&jobs, &pending, 1, &slots, None, hooks);
+        let seen = seen.into_inner().expect("not poisoned");
+        assert_eq!(seen.len(), jobs.len(), "every job completed");
+        for (id, (first_alive, second_alive)) in seen {
+            assert_eq!(first_alive, id + 1 < second, "first harness after job {id}");
+            assert_eq!(
+                second_alive,
+                id + 1 < jobs.len(),
+                "second harness after job {id}"
+            );
+        }
+        assert!(slots
+            .iter()
+            .all(|slot| slot.lock().expect("not poisoned").is_some()));
+    }
+
+    /// Jobs a resume reuses hold no harness and build none: a resume of
+    /// the first combination's results hands out only the second's, and a
+    /// complete resume creates no harness at all.
+    #[test]
+    fn reused_jobs_hold_no_harness() {
+        let spec = tiny_spec(1, Granularity::Assertion);
+        let jobs = spec.jobs();
+        let fresh = spec.run();
+        let second = jobs
+            .iter()
+            .position(|job| job.policy_name != jobs[0].policy_name)
+            .expect("two policies");
+        let plan = plan_resume(&jobs, &fresh.jobs[..second]);
+        assert_eq!(plan.pending, (second..jobs.len()).collect::<Vec<_>>());
+        for job in pending_jobs(&jobs, &plan.pending) {
+            let harness = job.claim();
+            assert_eq!(harness.config, jobs[second].config);
+            assert!(harness.cell.get().is_none(), "nothing built up front");
+        }
+        let complete = plan_resume(&jobs, &fresh.jobs);
+        assert!(pending_jobs(&jobs, &complete.pending).is_empty());
     }
 
     /// The campaign reports a positive ITE hit rate on the real workload

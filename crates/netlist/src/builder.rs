@@ -6,11 +6,11 @@
 //! decoders and read multiplexers — the same structure the paper obtains by
 //! synthesising the RTL to BLIF.
 
-use std::collections::HashMap;
+use std::fmt;
 
-use crate::cell::{Cell, CellId, CellKind, GateOp, RegKind};
+use crate::cell::{CellKind, GateOp, RegKind};
 use crate::error::NetlistError;
-use crate::netlist::{Net, NetDriver, NetId, Netlist};
+use crate::netlist::{NetDriver, NetId, Netlist};
 
 /// A memory write port: word-level address, data and a write-enable.
 #[derive(Debug, Clone)]
@@ -52,14 +52,13 @@ pub struct MemoryConfig {
 /// because they indicate a programming error in a generator, not a runtime
 /// condition.  Structural problems (undriven nets, arity violations) are
 /// reported by [`NetlistBuilder::finish`].
+///
+/// The builder fills the netlist's flat arrays directly: names are written
+/// into its arena (generated ones without an intermediate `String`) and
+/// each cell's inputs are appended to its one input array.
 #[derive(Debug)]
 pub struct NetlistBuilder {
-    name: String,
-    nets: Vec<Net>,
-    cells: Vec<Cell>,
-    inputs: Vec<NetId>,
-    outputs: Vec<NetId>,
-    by_name: HashMap<String, NetId>,
+    netlist: Netlist,
     gensym: u64,
     const_nets: [Option<NetId>; 2],
 }
@@ -68,34 +67,26 @@ impl NetlistBuilder {
     /// Creates a builder for a design called `name`.
     pub fn new(name: impl Into<String>) -> Self {
         NetlistBuilder {
-            name: name.into(),
-            nets: Vec::new(),
-            cells: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            by_name: HashMap::new(),
+            netlist: Netlist::new(name.into()),
             gensym: 0,
             const_nets: [None, None],
         }
     }
 
-    fn add_net(&mut self, name: String, driver: NetDriver) -> NetId {
-        assert!(
-            !self.by_name.contains_key(&name),
-            "duplicate net name `{name}`"
-        );
-        let id = NetId(self.nets.len() as u32);
-        self.by_name.insert(name.clone(), id);
-        self.nets.push(Net { name, driver });
-        id
+    fn add_net(&mut self, name: impl fmt::Display, driver: NetDriver) -> NetId {
+        match self.netlist.add_net(&name, driver) {
+            Ok(id) => id,
+            Err(_) => panic!("duplicate net name `{name}`"),
+        }
     }
 
-    fn fresh_name(&mut self, hint: &str) -> String {
+    /// Adds a net named `{hint}${n}` for the first `n` not yet taken.
+    fn add_fresh_net(&mut self, hint: &str, driver: NetDriver) -> NetId {
         loop {
-            let name = format!("{hint}${}", self.gensym);
+            let n = self.gensym;
             self.gensym += 1;
-            if !self.by_name.contains_key(&name) {
-                return name;
+            if let Ok(id) = self.netlist.add_net(format_args!("{hint}${n}"), driver) {
+                return id;
             }
         }
     }
@@ -105,15 +96,19 @@ impl NetlistBuilder {
     /// # Panics
     /// Panics if the name is already used.
     pub fn input(&mut self, name: impl Into<String>) -> NetId {
-        let id = self.add_net(name.into(), NetDriver::Input);
-        self.inputs.push(id);
+        self.input_named(name.into())
+    }
+
+    fn input_named(&mut self, name: impl fmt::Display) -> NetId {
+        let id = self.add_net(name, NetDriver::Input);
+        self.netlist.push_input(id);
         id
     }
 
     /// Declares a word of primary inputs `prefix[0]..prefix[width-1]`.
     pub fn word_input(&mut self, prefix: &str, width: usize) -> Vec<NetId> {
         (0..width)
-            .map(|i| self.input(format!("{prefix}[{i}]")))
+            .map(|i| self.input_named(format_args!("{prefix}[{i}]")))
             .collect()
     }
 
@@ -125,14 +120,13 @@ impl NetlistBuilder {
             return id;
         }
         let preferred = if value { "const_1" } else { "const_0" };
+        let driver = NetDriver::Constant(value);
         // A caller may already have named an ordinary signal `const_0` or
         // `const_1`; fall back to a generated name in that case.
-        let name = if self.by_name.contains_key(preferred) {
-            self.fresh_name(preferred)
-        } else {
-            preferred.to_owned()
+        let id = match self.netlist.add_net(preferred, driver) {
+            Ok(id) => id,
+            Err(_) => self.add_fresh_net(preferred, driver),
         };
-        let id = self.add_net(name, NetDriver::Constant(value));
         self.const_nets[slot] = Some(id);
         id
     }
@@ -146,7 +140,7 @@ impl NetlistBuilder {
 
     /// Marks `net` as a primary output.
     pub fn mark_output(&mut self, net: NetId) {
-        self.outputs.push(net);
+        self.netlist.push_output(net);
     }
 
     /// Marks every bit of a word as a primary output.
@@ -166,22 +160,22 @@ impl NetlistBuilder {
     /// Panics if the name is already used or the number of inputs does not
     /// match the gate arity.
     pub fn gate(&mut self, name: impl Into<String>, op: GateOp, inputs: &[NetId]) -> NetId {
+        self.gate_named(name.into(), op, inputs)
+    }
+
+    fn gate_named(&mut self, name: impl fmt::Display, op: GateOp, inputs: &[NetId]) -> NetId {
         assert_eq!(inputs.len(), op.arity(), "gate arity mismatch for {op}");
-        let out = self.add_net(name.into(), NetDriver::Undriven);
-        let cell_id = CellId(self.cells.len() as u32);
-        self.cells.push(Cell {
-            kind: CellKind::Gate(op),
-            inputs: inputs.to_vec(),
-            output: out,
-        });
-        self.nets[out.index()].driver = NetDriver::Cell(cell_id);
+        let out = self.add_net(name, NetDriver::Undriven);
+        self.netlist.add_cell(CellKind::Gate(op), inputs, out);
         out
     }
 
     /// Gate with an auto-generated output name.
     pub fn gate_auto(&mut self, op: GateOp, inputs: &[NetId]) -> NetId {
-        let name = self.fresh_name(&op.to_string());
-        self.gate(name, op, inputs)
+        assert_eq!(inputs.len(), op.arity(), "gate arity mismatch for {op}");
+        let out = self.add_fresh_net(&op.to_string(), NetDriver::Undriven);
+        self.netlist.add_cell(CellKind::Gate(op), inputs, out);
+        out
     }
 
     /// Named 2-input AND.
@@ -295,7 +289,18 @@ impl NetlistBuilder {
         nrst: Option<NetId>,
         nret: Option<NetId>,
     ) -> NetId {
-        let mut inputs = vec![d, clk];
+        self.reg_named(name.into(), kind, [d, clk], nrst, nret)
+    }
+
+    fn reg_named(
+        &mut self,
+        name: impl fmt::Display,
+        kind: RegKind,
+        [d, clk]: [NetId; 2],
+        nrst: Option<NetId>,
+        nret: Option<NetId>,
+    ) -> NetId {
+        let mut inputs = [d, clk, d, d];
         match kind {
             RegKind::Simple => {
                 assert!(
@@ -304,22 +309,17 @@ impl NetlistBuilder {
                 );
             }
             RegKind::AsyncReset { .. } => {
-                inputs.push(nrst.expect("AsyncReset register needs an NRST net"));
+                inputs[2] = nrst.expect("AsyncReset register needs an NRST net");
                 assert!(nret.is_none(), "AsyncReset register takes no NRET");
             }
             RegKind::Retention { .. } => {
-                inputs.push(nrst.expect("Retention register needs an NRST net"));
-                inputs.push(nret.expect("Retention register needs an NRET net"));
+                inputs[2] = nrst.expect("Retention register needs an NRST net");
+                inputs[3] = nret.expect("Retention register needs an NRET net");
             }
         }
-        let out = self.add_net(name.into(), NetDriver::Undriven);
-        let cell_id = CellId(self.cells.len() as u32);
-        self.cells.push(Cell {
-            kind: CellKind::Reg(kind),
-            inputs,
-            output: out,
-        });
-        self.nets[out.index()].driver = NetDriver::Cell(cell_id);
+        let out = self.add_net(name, NetDriver::Undriven);
+        self.netlist
+            .add_cell(CellKind::Reg(kind), &inputs[..kind.arity()], out);
         out
     }
 
@@ -335,7 +335,9 @@ impl NetlistBuilder {
     ) -> Vec<NetId> {
         d.iter()
             .enumerate()
-            .map(|(i, &bit)| self.reg(format!("{prefix}[{i}]"), kind, bit, clk, nrst, nret))
+            .map(|(i, &bit)| {
+                self.reg_named(format_args!("{prefix}[{i}]"), kind, [bit, clk], nrst, nret)
+            })
             .collect()
     }
 
@@ -563,7 +565,10 @@ impl NetlistBuilder {
             let named: Vec<NetId> = acc
                 .iter()
                 .enumerate()
-                .map(|(bit, &n)| self.buf(format!("{prefix}_rdata{port}[{bit}]"), n))
+                .map(|(bit, &n)| {
+                    let name = format_args!("{prefix}_rdata{port}[{bit}]");
+                    self.gate_named(name, GateOp::Buf, &[n])
+                })
                 .collect();
             read_data.push(named);
         }
@@ -584,7 +589,7 @@ impl NetlistBuilder {
             .map(|i| {
                 // Temporarily wire the data input to the clock; it is
                 // replaced by `patch_reg_data` before `finish`.
-                self.reg(format!("{prefix}[{i}]"), kind, clk, clk, nrst, nret)
+                self.reg_named(format_args!("{prefix}[{i}]"), kind, [clk, clk], nrst, nret)
             })
             .collect()
     }
@@ -594,18 +599,20 @@ impl NetlistBuilder {
     /// # Panics
     /// Panics if `q` is not driven by a register cell.
     pub fn patch_reg_data(&mut self, q: NetId, new_data: NetId) {
-        let cell_id = match self.nets[q.index()].driver {
+        let cell_id = match self.netlist.net(q).driver {
             NetDriver::Cell(c) => c,
             _ => panic!("net is not driven by a cell"),
         };
-        let cell = &mut self.cells[cell_id.index()];
-        assert!(cell.kind.is_state(), "net is not a register output");
-        cell.inputs[0] = new_data;
+        assert!(
+            self.netlist.cell(cell_id).kind.is_state(),
+            "net is not a register output"
+        );
+        self.netlist.set_cell_input(cell_id, 0, new_data);
     }
 
     /// Number of cells created so far.
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.netlist.cell_count()
     }
 
     /// Finishes the build, validating structural invariants.
@@ -614,15 +621,9 @@ impl NetlistBuilder {
     /// Returns the first structural violation found (undriven nets, arity
     /// mismatches, multiple drivers).
     pub fn finish(self) -> Result<Netlist, NetlistError> {
-        let netlist = Netlist::new_raw(
-            self.name,
-            self.nets,
-            self.cells,
-            self.inputs,
-            self.outputs,
-            self.by_name,
-        );
+        let mut netlist = self.netlist;
         netlist.validate()?;
+        netlist.shrink_to_fit();
         Ok(netlist)
     }
 }

@@ -186,19 +186,20 @@ impl CellKind {
     }
 }
 
-/// A cell instance: a gate or register with its input nets and output net.
-/// A cell has no name of its own; diagnostics name its output net.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cell {
+/// A cell instance, viewed in its [`crate::Netlist`]: a gate or register
+/// with its input nets and output net.  A cell has no name of its own;
+/// diagnostics name its output net.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cell<'a> {
     /// What the cell computes.
     pub kind: CellKind,
     /// Input nets in the order required by [`CellKind::arity`].
-    pub inputs: Vec<NetId>,
+    pub inputs: &'a [NetId],
     /// The single output net.
     pub output: NetId,
 }
 
-impl Cell {
+impl Cell<'_> {
     /// The data input of a register cell.
     ///
     /// # Panics
@@ -281,7 +282,7 @@ mod tests {
     fn cell_accessors() {
         let cell = Cell {
             kind: CellKind::Reg(RegKind::Retention { reset_value: false }),
-            inputs: vec![NetId(10), NetId(11), NetId(12), NetId(13)],
+            inputs: &[NetId(10), NetId(11), NetId(12), NetId(13)],
             output: NetId(14),
         };
         assert_eq!(cell.reg_data(), NetId(10));
@@ -293,7 +294,7 @@ mod tests {
 
         let gate = Cell {
             kind: CellKind::Gate(GateOp::And),
-            inputs: vec![NetId(1), NetId(2)],
+            inputs: &[NetId(1), NetId(2)],
             output: NetId(3),
         };
         assert_eq!(gate.reg_nrst(), None);

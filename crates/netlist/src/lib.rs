@@ -17,6 +17,20 @@
 //!   combinational-loop detection ([`topo`]);
 //! * area statistics ([`stats`]) used by the retention area/leakage model.
 //!
+//! ## Layout
+//!
+//! A [`Netlist`] is a few flat arrays, not one heap allocation per net or
+//! cell.  Per net it stores a [`NetDriver`] and an offset into one string
+//! arena that holds every name back to back; per cell a [`CellKind`], an
+//! output [`NetId`] and an offset into one array that holds every cell's
+//! inputs.  [`Netlist::find_net`] probes an open-addressing hash index of
+//! net ids that compares names in the arena, so no name is stored twice.
+//! [`Netlist::net`] and [`Netlist::cell`] return borrowed views
+//! ([`Net`], [`Cell`]) into the arrays.  The builder writes into them
+//! directly, numbering nets and cells in creation order.
+//! A generated paper core (67,093 nets, 67,046 cells) takes 3.6 MB this
+//! way; with its compiled model, a harness is 5.4 MB.
+//!
 //! ## Register semantics
 //!
 //! All state cells are rising-edge triggered.  The retention register

@@ -108,7 +108,7 @@ fn cycle_net(
             .find(|&p| stuck(p))
             .expect("a stuck cell has a stuck predecessor");
     }
-    netlist.net(netlist.cell(CellId(c)).output).name.clone()
+    netlist.net(netlist.cell(CellId(c)).output).name.to_owned()
 }
 
 #[cfg(test)]
@@ -163,40 +163,24 @@ mod tests {
         // it is the first cell the stalled sort leaves behind.
         use crate::cell::{Cell, CellKind, GateOp};
         use crate::netlist::{Net, NetDriver, Netlist};
-        use std::collections::HashMap;
-        let net = |name: &str, driver| Net {
-            name: name.into(),
-            driver,
-        };
-        let nets = vec![
+        let net = |name, driver| Net { name, driver };
+        let nets = [
             net("a", NetDriver::Input),
             net("x", NetDriver::Cell(CellId(1))),
             net("y", NetDriver::Cell(CellId(2))),
             net("z", NetDriver::Cell(CellId(0))),
         ];
-        let gate = |op, inputs: &[u32], output| Cell {
+        let gate = |op, inputs, output| Cell {
             kind: CellKind::Gate(op),
-            inputs: inputs.iter().map(|&i| NetId(i)).collect(),
+            inputs,
             output: NetId(output),
         };
-        let cells = vec![
-            gate(GateOp::Not, &[1], 3),
-            gate(GateOp::And, &[0, 2], 1),
-            gate(GateOp::Not, &[1], 2),
+        let cells = [
+            gate(GateOp::Not, &[NetId(1)], 3),
+            gate(GateOp::And, &[NetId(0), NetId(2)], 1),
+            gate(GateOp::Not, &[NetId(1)], 2),
         ];
-        let by_name: HashMap<String, NetId> = nets
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.name.clone(), NetId(i as u32)))
-            .collect();
-        let cyclic = Netlist::new_raw(
-            "cyclic".into(),
-            nets,
-            cells,
-            vec![NetId(0)],
-            vec![NetId(3)],
-            by_name,
-        );
+        let cyclic = Netlist::from_views("cyclic", &nets, &cells, &[NetId(0)], &[NetId(3)]);
         match eval_order(&cyclic) {
             Err(NetlistError::CombinationalLoop(name)) => {
                 assert!(name == "x" || name == "y", "{name} is not on the cycle");

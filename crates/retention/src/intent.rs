@@ -235,7 +235,7 @@ impl RetentionIntent {
         for domain in &self.domains {
             for rule in &domain.rules {
                 for (_, cell) in netlist.state_cells() {
-                    let out_name = &netlist.net(cell.output).name;
+                    let out_name = netlist.net(cell.output).name;
                     if !out_name.starts_with(&rule.prefix) {
                         continue;
                     }
@@ -251,7 +251,7 @@ impl RetentionIntent {
                         violations.push(IntentViolation {
                             domain: domain.name.clone(),
                             prefix: rule.prefix.clone(),
-                            net: out_name.clone(),
+                            net: out_name.to_owned(),
                             message: match rule.class {
                                 RetentionClass::Retain => {
                                     format!("`{out_name}` must be a retention register")

@@ -59,7 +59,7 @@ pub fn classify(netlist: &Netlist) -> Vec<StateClass> {
     };
 
     for (_, cell) in netlist.state_cells() {
-        let name = &netlist.net(cell.output).name;
+        let name = netlist.net(cell.output).name;
         let retained = matches!(cell.kind, CellKind::Reg(k) if k.is_retention());
         let slot = groups
             .iter()

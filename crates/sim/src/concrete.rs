@@ -6,7 +6,7 @@
 //! scalar-vs-symbolic experiment (E9) counts how many such runs are needed
 //! to cover what one symbolic run covers.
 
-use ssr_netlist::{CellKind, GateOp, NetDriver, NetId, RegKind};
+use ssr_netlist::{CellKind, GateOp, NetId, RegKind};
 use ssr_ternary::Ternary;
 
 use crate::model::CompiledModel;
@@ -125,10 +125,8 @@ impl<'m> ConcreteSimulator<'m> {
     }
 
     fn apply_constants(&self, nodes: &mut [Ternary]) {
-        for (id, net) in self.model.netlist().nets() {
-            if let NetDriver::Constant(v) = net.driver {
-                nodes[id.index()] = Ternary::from_bool(v);
-            }
+        for &(id, v) in self.model.constants() {
+            nodes[id.index()] = Ternary::from_bool(v);
         }
     }
 

@@ -3,12 +3,12 @@
 use std::sync::Arc;
 
 use ssr_netlist::topo::eval_order;
-use ssr_netlist::{CellId, CellKind, NetId, Netlist, NetlistError, RegKind};
+use ssr_netlist::{CellId, CellKind, NetDriver, NetId, Netlist, NetlistError, RegKind};
 
 /// A netlist together with the derived information both simulators need:
-/// a topological evaluation order for the combinational cells and the list
-/// of state cells, plus the fan-out and register tables the demand planner
-/// steps with.
+/// a topological evaluation order for the combinational cells, the list
+/// of state cells and the constant nets, plus the fan-out and register
+/// tables the demand planner steps with.
 ///
 /// The model *owns* its netlist behind an [`Arc`], so one compiled model —
 /// validation and topological sort included — can be shared immutably
@@ -22,6 +22,8 @@ pub struct CompiledModel {
     netlist: Arc<Netlist>,
     comb_order: Vec<CellId>,
     state_cells: Vec<CellId>,
+    /// The constant nets with their values, in net order.
+    constants: Vec<(NetId, bool)>,
     /// Net `n` is read by the gates at `comb_order` positions
     /// `readers[reader_start[n]..reader_start[n + 1]]`, in increasing order.
     reader_start: Vec<u32>,
@@ -71,6 +73,13 @@ impl CompiledModel {
         netlist.validate()?;
         let comb_order = eval_order(&netlist)?;
         let state_cells: Vec<CellId> = netlist.state_cells().map(|(id, _)| id).collect();
+        let constants = netlist
+            .nets()
+            .filter_map(|(id, net)| match net.driver {
+                NetDriver::Constant(value) => Some((id, value)),
+                _ => None,
+            })
+            .collect();
         let registers = state_cells
             .iter()
             .map(|&id| {
@@ -96,7 +105,7 @@ impl CompiledModel {
         for (position, &id) in comb_order.iter().enumerate() {
             let cell = netlist.cell(id);
             gate_of[cell.output.index()] = position as u32;
-            for input in &cell.inputs {
+            for input in cell.inputs {
                 reader_start[input.index() + 1] += 1;
             }
         }
@@ -106,7 +115,7 @@ impl CompiledModel {
         let mut fill = reader_start.clone();
         let mut readers = vec![0u32; reader_start[nets] as usize];
         for (position, &id) in comb_order.iter().enumerate() {
-            for input in &netlist.cell(id).inputs {
+            for input in netlist.cell(id).inputs {
                 let slot = &mut fill[input.index()];
                 readers[*slot as usize] = position as u32;
                 *slot += 1;
@@ -116,6 +125,7 @@ impl CompiledModel {
             netlist,
             comb_order,
             state_cells,
+            constants,
             reader_start,
             readers,
             gate_of,
@@ -143,6 +153,11 @@ impl CompiledModel {
     /// Number of state bits (registers).
     pub fn state_bits(&self) -> usize {
         self.state_cells.len()
+    }
+
+    /// The nets driven by a constant, with their values, in net order.
+    pub(crate) fn constants(&self) -> &[(NetId, bool)] {
+        &self.constants
     }
 
     /// The `comb_order` positions of the gates that read `net`, in

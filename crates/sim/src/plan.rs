@@ -409,11 +409,9 @@ fn abstract_run(model: &CompiledModel, drives: &[Vec<(NetId, SymTernary)>]) -> V
                 }
             }
         } else {
-            for (id, net) in netlist.nets() {
-                if let NetDriver::Constant(v) = net.driver {
-                    row[id.index()] = Abs::constant(Ternary::from_bool(v));
-                    touch(&mut dirty, id);
-                }
+            for &(id, v) in model.constants() {
+                row[id.index()] = Abs::constant(Ternary::from_bool(v));
+                touch(&mut dirty, id);
             }
         }
 
@@ -452,7 +450,7 @@ fn abstract_run(model: &CompiledModel, drives: &[Vec<(NetId, SymTernary)>]) -> V
             let bit = bits.trailing_zeros() as usize;
             dirty[word] &= !(1 << bit);
             let cell = netlist.cell(comb_order[word * 64 + bit]);
-            for (slot, &input) in inputs.iter_mut().zip(&cell.inputs) {
+            for (slot, &input) in inputs.iter_mut().zip(cell.inputs) {
                 *slot = row[input.index()];
             }
             let out = cell.output;
@@ -508,10 +506,8 @@ fn dense_run(model: &CompiledModel, drives: &[Vec<(NetId, SymTernary)>]) -> Vec<
                 row[reg.q.index()] = Abs::next_state(reg.kind, reg_inputs(reg, prev, before));
             }
         }
-        for (id, net) in netlist.nets() {
-            if let NetDriver::Constant(v) = net.driver {
-                row[id.index()] = Abs::constant(Ternary::from_bool(v));
-            }
+        for &(id, v) in model.constants() {
+            row[id.index()] = Abs::constant(Ternary::from_bool(v));
         }
         for &(id, value) in drive {
             row[id.index()] = row[id.index()].join(Abs::of(value));
@@ -538,22 +534,18 @@ fn check_against_dense(model: &CompiledModel, drives: &[Vec<(NetId, SymTernary)>
         .zip(dense.chunks(netlist.net_count().max(1)))
         .enumerate()
     {
-        if let Some((id, net)) = netlist
-            .nets()
-            .find(|(id, _)| row[id.index()] != dense_row[id.index()])
-        {
+        if let Some(n) = (0..row.len()).find(|&n| row[n] != dense_row[n]) {
+            let net = netlist.nets().nth(n).expect("one value per net").1;
             panic!(
                 "change-driven abstract run diverges from the dense run at step {t}, net `{}`: \
                  {:?} against {:?}",
-                net.name,
-                row[id.index()],
-                dense_row[id.index()]
+                net.name, row[n], dense_row[n]
             );
         }
     }
 }
 
-fn gate_op(cell: &Cell) -> GateOp {
+fn gate_op(cell: Cell<'_>) -> GateOp {
     match cell.kind {
         CellKind::Gate(op) => op,
         CellKind::Reg(_) => unreachable!("comb_order only holds gates"),
@@ -634,7 +626,7 @@ impl Walk<'_> {
                 Some(Ternary::One) => self.demand(t, cell.inputs[1]),
                 Some(Ternary::Zero) => self.demand(t, cell.inputs[2]),
                 _ => {
-                    for &input in &cell.inputs {
+                    for &input in cell.inputs {
                         self.demand(t, input);
                     }
                 }

@@ -1,7 +1,7 @@
 //! The ternary symbolic simulator — the STE excitation function.
 
 use ssr_bdd::BddManager;
-use ssr_netlist::{Cell, CellKind, GateOp, NetDriver, NetId, RegKind};
+use ssr_netlist::{Cell, CellKind, GateOp, NetId, RegKind};
 use ssr_ternary::SymTernary;
 
 use crate::model::CompiledModel;
@@ -172,7 +172,7 @@ impl<'m> SymSimulator<'m> {
         m: &mut BddManager,
         prev: &SymState,
         state_index: usize,
-        cell: &Cell,
+        cell: Cell<'_>,
     ) -> SymTernary {
         let kind = match cell.kind {
             CellKind::Reg(k) => k,
@@ -209,10 +209,8 @@ impl<'m> SymSimulator<'m> {
     }
 
     fn apply_constants(&self, nodes: &mut [SymTernary]) {
-        for (id, net) in self.model.netlist().nets() {
-            if let NetDriver::Constant(v) = net.driver {
-                nodes[id.index()] = SymTernary::from_bool(v);
-            }
+        for &(id, v) in self.model.constants() {
+            nodes[id.index()] = SymTernary::from_bool(v);
         }
     }
 

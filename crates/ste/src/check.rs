@@ -291,7 +291,7 @@ fn counterexample(
             let actual = actual.eval(m, &assignment).expect(decided);
             (!expected.leq(actual)).then(|| FailedNode {
                 time,
-                node: netlist.net(net).name.clone(),
+                node: netlist.net(net).name.to_owned(),
                 expected,
                 actual,
             })

@@ -44,7 +44,7 @@ fn planned_simulation_matches_full_simulation_on_every_small_core_assertion() {
                 for (t, drive) in a_seq.iter().enumerate() {
                     let state = sim.planned_step(&mut m, prev.as_ref(), drive, &plan, t);
                     for &(net, _) in drive.iter().chain(&c_seq[t]) {
-                        let name = &netlist.net(net).name;
+                        let name = netlist.net(net).name;
                         assert_eq!(state.node(net), full[t].node(net), "{what}: {name} at {t}");
                     }
                     for &(net, _) in drive {
