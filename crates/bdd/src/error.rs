@@ -32,8 +32,6 @@ impl BudgetKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BddError {
-    /// A variable index was used that has not been declared in the manager.
-    InvalidVariable(u32),
     /// Two bit-vector operands had mismatching widths.
     WidthMismatch {
         /// Width of the left operand.
@@ -57,7 +55,6 @@ pub enum BddError {
 impl fmt::Display for BddError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BddError::InvalidVariable(v) => write!(f, "variable {v} has not been declared"),
             BddError::WidthMismatch { left, right } => {
                 write!(f, "bit-vector width mismatch: {left} vs {right}")
             }
@@ -78,10 +75,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert_eq!(
-            BddError::InvalidVariable(7).to_string(),
-            "variable 7 has not been declared"
-        );
         assert_eq!(
             BddError::WidthMismatch { left: 8, right: 4 }.to_string(),
             "bit-vector width mismatch: 8 vs 4"

@@ -1,8 +1,7 @@
 //! A hand-rolled FxHash-style hasher for the kernel's small maps.
 //!
-//! The per-call scratch memos of `restrict`/`compose`/`rename` and
-//! quantification, the root registry and the name index are `HashMap`s
-//! with small keys, mostly single node handles.  The standard library's
+//! The name index and the visited sets of `size` and `support` are hash
+//! tables with small keys, mostly single node handles.  The standard library's
 //! default SipHash pays for DoS resistance the kernel does not need (keys
 //! are internal arena indices and names, never attacker-controlled), and
 //! on these tiny keys the setup cost dominates the probe.  This module

@@ -3,16 +3,14 @@
 //! A self-contained ROBDD engine used as the symbolic substrate of the
 //! selective-state-retention workspace.  The paper ("Selective State
 //! Retention Design using Symbolic Simulation", DATE 2009) relies on the
-//! Forte/CUDD BDD packages; this crate provides the same primitive
-//! operations from scratch:
+//! Forte/CUDD BDD packages; this crate implements, with no external
+//! dependency, the operations symbolic trajectory evaluation needs of them:
 //!
 //! * hash-consed unique table (structural sharing, canonical ROBDDs),
 //! * `ite` (if-then-else) with a computed table, from which all binary
 //!   Boolean connectives are derived,
-//! * cofactor/restrict, existential and universal quantification,
-//!   functional composition and variable substitution,
-//! * satisfiability helpers: `sat_count`, `one_sat` cube extraction,
-//!   `all_sat` enumeration, support computation,
+//! * evaluation and satisfiability helpers: `eval`, `one_sat` (a
+//!   counterexample's assignment), `sat_count`, `support` and `size`,
 //! * bit-vector ("word level") helpers in [`vec::BddVec`] used by the memory
 //!   and datapath models.
 //!
@@ -40,11 +38,14 @@
 //!   `FALSE = ¬TRUE`.  Canonical form: a node's low edge is never
 //!   complemented — `mk_node` restores the invariant by flipping both
 //!   children and complementing the returned handle.  By default nodes are never
-//!   freed during a run; callers that opt in can register external roots
-//!   ([`BddManager::protect`] / scoped [`BddManager::push_root_frame`]
-//!   sets) and run mark-and-sweep [`BddManager::gc`], which unlinks the
-//!   dead from the unique table, drops the computed-table entries that
-//!   name them and recycles slots deterministically.
+//!   freed during a run; callers that opt in root what they keep in scoped
+//!   frames ([`BddManager::push_root_frame`], [`BddManager::root`]), the
+//!   kernel's one root mechanism, and run mark-and-sweep
+//!   [`BddManager::gc`], which unlinks the dead from the unique table,
+//!   drops the computed-table entries that name them and recycles slots
+//!   deterministically.  In builds with debug assertions a freed slot is
+//!   marked and kept off the free list until the next pass, and reading a
+//!   node through a handle that missed its root panics.
 //!   [`BddManager::reset`] still recycles the whole manager — capacity
 //!   kept, contents cleared, tables back to their construction-time size —
 //!   for arena reuse across batch jobs.
@@ -58,10 +59,8 @@
 //!   (including the complement-edge standard-triple rules:
 //!   condition-polarity flip and `ite(f,g,h) = ¬ite(f,¬g,¬h)` canonical
 //!   output polarity, so complementary triples share one slot).
-//!   `restrict`, `compose`, `rename` and quantification memoise per call
-//!   in a reusable scratch map.  [`BddStats`] surfaces the ITE
-//!   hit/miss/normalisation counters, the live/peak node counts and the
-//!   GC counters.
+//!   [`BddStats`] surfaces the ITE hit/miss/normalisation counters, the
+//!   live/peak node counts and the GC counters.
 //! * Variable order: the declaration order — a variable's index is its
 //!   level.  Word-level operands that meet in an adder or comparator are
 //!   declared interleaved bit by bit ([`BddVec::new_interleaved_pair`]).

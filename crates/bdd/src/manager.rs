@@ -59,15 +59,6 @@ impl Assignment {
     pub fn iter(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
         self.values.iter().map(|(&v, &b)| (v, b))
     }
-
-    /// Removes the binding for `var`, returning the removed value if any.
-    ///
-    /// This is the O(log n) inverse of [`Assignment::set`], used by
-    /// enumeration code that unwinds a binding on frame exit without
-    /// rebuilding the whole assignment.
-    pub fn unset(&mut self, var: u32) -> Option<bool> {
-        self.values.remove(&var)
-    }
 }
 
 impl FromIterator<(u32, bool)> for Assignment {
@@ -241,7 +232,8 @@ pub struct BddManager {
     /// chains threaded through [`Node::next`].  Power-of-two length, grown
     /// in place by doubling so its load factor stays at most one.
     buckets: Vec<u32>,
-    /// Arena slots reclaimed by GC, reused LIFO by `mk_node`.
+    /// Arena slots reclaimed by GC, reused LIFO by `mk_node`.  With debug
+    /// assertions, only the slots an earlier pass freed.
     free: Vec<u32>,
     /// The ITE computed table: direct-mapped and lossy (the last writer
     /// wins), one slot per unique-table bucket, grown with the buckets.
@@ -252,9 +244,6 @@ pub struct BddManager {
     /// Name → variable index, maintained by `new_var` (first declaration
     /// wins for duplicate names, matching the old linear-scan semantics).
     name_to_var: FxHashMap<String, u32>,
-    /// Persistent external roots: handle → protect count.  Everything
-    /// reachable from a root survives [`BddManager::gc`].
-    roots: FxHashMap<Bdd, u32>,
     /// Scoped root sets: each frame is a batch of handles rooted together
     /// and released together ([`BddManager::push_root_frame`]).
     root_frames: Vec<Vec<Bdd>>,
@@ -270,11 +259,6 @@ pub struct BddManager {
     /// Live nodes left by the last automatic GC pass (`0` before the
     /// first); the next pass fires once that many again have accumulated.
     gc_survivors: usize,
-    /// Reusable per-call memo table for `restrict`/`compose`/`rename` and
-    /// quantification.  The recursions take it out of the manager
-    /// (`mem::take`), clear it (which keeps capacity) and put it back, so
-    /// repeated calls stop paying a fresh allocation each time.
-    scratch: FxHashMap<Bdd, Bdd>,
     ite_hits: u64,
     ite_misses: u64,
     ite_normalised: u64,
@@ -329,7 +313,6 @@ impl BddManager {
             initial_buckets: buckets,
             var_names: Vec::new(),
             name_to_var: FxHashMap::default(),
-            roots: FxHashMap::default(),
             root_frames: Vec::new(),
             live: 1,
             peak_live: 1,
@@ -337,7 +320,6 @@ impl BddManager {
             gc_reclaimed: 0,
             maintenance: None,
             gc_survivors: 0,
-            scratch: FxHashMap::default(),
             ite_hits: 0,
             ite_misses: 0,
             ite_normalised: 0,
@@ -351,8 +333,8 @@ impl BddManager {
 
     /// Clears the manager back to its freshly-constructed state — no
     /// variables, only the terminal node — while keeping every
-    /// allocation (arena, unique table, computed table, scratch cache) at
-    /// its current capacity.
+    /// allocation (arena, unique table, computed table) at its current
+    /// capacity.
     ///
     /// A reset manager is observationally identical to a new one: the same
     /// sequence of operations produces the same handles, node counts and
@@ -372,7 +354,6 @@ impl BddManager {
         self.computed.resize(self.initial_buckets, CacheSlot::EMPTY);
         self.var_names.clear();
         self.name_to_var.clear();
-        self.roots.clear();
         self.root_frames.clear();
         self.live = 1;
         self.peak_live = 1;
@@ -380,7 +361,6 @@ impl BddManager {
         self.gc_reclaimed = 0;
         self.maintenance = None;
         self.gc_survivors = 0;
-        self.scratch.clear();
         self.ite_hits = 0;
         self.ite_misses = 0;
         self.ite_normalised = 0;
@@ -517,16 +497,6 @@ impl BddManager {
     // ------------------------------------------------------------------
     // Node primitives
     // ------------------------------------------------------------------
-
-    /// The decision variable of `f`, or `None` for terminals.
-    pub fn var_of(&self, f: Bdd) -> Option<u32> {
-        let n = self.node(f);
-        if n.var == Node::TERMINAL_VAR {
-            None
-        } else {
-            Some(n.var)
-        }
-    }
 
     /// Low (`var = 0`) cofactor edge of `f`, with `f`'s complement
     /// attribute pushed into the edge (so the returned handle denotes the
@@ -707,12 +677,6 @@ impl BddManager {
         self.live
     }
 
-    /// Number of arena slots ever allocated (the arena's memory footprint),
-    /// regardless of reclamation.
-    pub fn arena_len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Allocated capacity of the node arena in slots.  [`reset`] keeps the
     /// allocation, so this is the manager's retained memory high-water mark
     /// — what a recycling pool pins if it caches the manager.
@@ -742,33 +706,11 @@ impl BddManager {
     /// canonicity).  Useful between benchmark iterations.
     pub fn clear_caches(&mut self) {
         self.computed.fill(CacheSlot::EMPTY);
-        self.scratch.clear();
     }
 
     // ------------------------------------------------------------------
     // External roots and garbage collection
     // ------------------------------------------------------------------
-
-    /// Registers `f` as a persistent external root: `f` and everything
-    /// reachable from it survive [`BddManager::gc`] until a matching
-    /// [`BddManager::release`].  Protecting the same handle repeatedly
-    /// nests (a protect count, not a flag).
-    pub fn protect(&mut self, f: Bdd) {
-        if !f.is_terminal() {
-            *self.roots.entry(f).or_insert(0) += 1;
-        }
-    }
-
-    /// Undoes one [`BddManager::protect`] of `f`.
-    pub fn release(&mut self, f: Bdd) {
-        if let Some(count) = self.roots.get_mut(&f) {
-            if *count <= 1 {
-                self.roots.remove(&f);
-            } else {
-                *count -= 1;
-            }
-        }
-    }
 
     /// Opens a scoped root set.  Handles passed to [`BddManager::root`] are
     /// registered in the innermost open frame and all dropped together by
@@ -796,39 +738,30 @@ impl BddManager {
         self.root_frames.pop();
     }
 
-    /// Number of root registrations currently outstanding: the sum of
-    /// nested protect counts plus every scoped frame entry (so duplicate
-    /// registrations count in both cases).
-    pub fn root_count(&self) -> usize {
-        self.roots.values().map(|&c| c as usize).sum::<usize>()
-            + self.root_frames.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Mark-and-sweep garbage collection: every node unreachable from the
-    /// registered roots (persistent and scoped) is reclaimed and unlinked
-    /// from its unique-table chain, and computed-table entries naming a
-    /// reclaimed node are dropped (reclaimed slots are reused, so stale
-    /// entries would otherwise alias new nodes).  Returns the number of
-    /// nodes reclaimed.
+    /// open root frames is reclaimed and unlinked from its unique-table
+    /// chain, and computed-table entries naming a reclaimed node are
+    /// dropped (reclaimed slots are reused, so stale entries would
+    /// otherwise alias new nodes).  Returns the number of nodes reclaimed.
     ///
     /// Handles not reachable from a root are dangling afterwards; callers
-    /// must [`BddManager::protect`]/[`BddManager::root`] everything they
-    /// intend to keep.  In builds with debug assertions every freed slot is
-    /// marked until an allocation reuses it, and any operation that reads
-    /// a node through a dangling handle in that window panics, naming the
-    /// slot.  Declared variables survive (their literal nodes are
-    /// rebuilt on demand), and reclaimed slots are reused in a
-    /// deterministic (descending-index) order, so a given operation
-    /// sequence still reproduces identical handles and statistics.
+    /// must [`BddManager::root`] everything they intend to keep.  In builds
+    /// with debug assertions every freed slot is marked and quarantined:
+    /// it stays off the free list until the next pass, and then stays
+    /// marked until an allocation reuses it, so any operation that reads a
+    /// node through a dangling handle in that window panics, naming the
+    /// slot.  The live count is what the sweep keeps, the quarantine left
+    /// out, so the GC trigger works as in a release build; only the arena
+    /// ([`BddStats::nodes_allocated`]) grows further.  Declared variables
+    /// survive (their literal nodes are rebuilt on demand), and reclaimed
+    /// slots are reused in a deterministic (descending-index) order, so a
+    /// given operation sequence still reproduces identical handles and
+    /// statistics.
     pub fn gc(&mut self) -> usize {
         self.note_peak();
         let mut marked = vec![false; self.nodes.len()];
         marked[0] = true; // the single terminal node
-        let mut stack: Vec<Bdd> = Vec::with_capacity(self.root_count());
-        stack.extend(self.roots.keys().copied());
-        for frame in &self.root_frames {
-            stack.extend(frame.iter().copied());
-        }
+        let mut stack: Vec<Bdd> = self.root_frames.concat();
         while let Some(f) = stack.pop() {
             let index = f.index();
             if marked[index] {
@@ -861,23 +794,27 @@ impl BddManager {
             }
         }
         self.free.clear();
+        let mut survivors = 1; // the terminal
         for (index, &live) in marked.iter().enumerate().skip(1) {
-            if !live {
+            if live {
+                survivors += 1;
+            } else if !cfg!(debug_assertions) || self.nodes[index].var == Node::FREED_VAR {
+                // Free since an earlier pass (or, without debug
+                // assertions, since this one): reusable now.
                 self.free.push(index as u32);
-                if cfg!(debug_assertions) {
-                    self.nodes[index].var = Node::FREED_VAR;
-                }
+            } else {
+                // Newly dead: marked, and quarantined until the next pass.
+                self.nodes[index].var = Node::FREED_VAR;
             }
         }
         let live_before = self.live;
-        self.live = self.nodes.len() - self.free.len();
+        self.live = survivors;
         let reclaimed = live_before - self.live;
         // Reclaimed slots will be reused: any cache entry naming them would
-        // silently alias a future node.  The scratch memo is cleared per
-        // call anyway; the computed table keeps exactly the entries whose
-        // operands and result all survived — throwing the warm cache away
-        // wholesale makes the steps after a collection recompute (and
-        // re-allocate) everything it was suppressing.
+        // silently alias a future node.  The computed table keeps exactly
+        // the entries whose operands and result all survived — throwing the
+        // warm cache away wholesale makes the steps after a collection
+        // recompute (and re-allocate) everything it was suppressing.
         for entry in &mut self.computed {
             if !(marked[entry.f.index()]
                 && marked[entry.g.index()]
@@ -887,7 +824,6 @@ impl BddManager {
                 *entry = CacheSlot::EMPTY;
             }
         }
-        self.scratch.clear();
         self.gc_passes += 1;
         self.gc_reclaimed += reclaimed as u64;
         reclaimed
@@ -906,12 +842,6 @@ impl BddManager {
     /// bookkeeping.
     pub fn maintenance_enabled(&self) -> bool {
         self.maintenance.is_some()
-    }
-
-    /// The installed maintenance policy, if any (for callers that need to
-    /// suspend and restore it around a region they cannot root).
-    pub fn maintenance(&self) -> Option<MaintainSettings> {
-        self.maintenance
     }
 
     /// `true` when a [`BddManager::maintain`] call would actually run a
@@ -1261,7 +1191,7 @@ impl BddManager {
     }
 
     // ------------------------------------------------------------------
-    // Evaluation, cofactors and quantification
+    // Evaluation and satisfiability helpers
     // ------------------------------------------------------------------
 
     /// Evaluates `f` under `assignment`.  Returns `None` if the assignment
@@ -1285,185 +1215,6 @@ impl BddManager {
             }
         }
     }
-
-    /// Takes the reusable scratch memo table out of the manager, cleared
-    /// and with its previous capacity intact.  Callers must hand it back
-    /// via `self.scratch = cache` when the recursion finishes.
-    fn take_scratch(&mut self) -> FxHashMap<Bdd, Bdd> {
-        let mut cache = std::mem::take(&mut self.scratch);
-        cache.clear();
-        cache
-    }
-
-    /// Restricts variable `var` to `value` in `f` (Shannon cofactor).
-    pub fn restrict(&mut self, f: Bdd, var: u32, value: bool) -> Bdd {
-        if f.is_terminal() {
-            return f;
-        }
-        let mut cache = self.take_scratch();
-        let r = self.restrict_inner(f, var, value, &mut cache);
-        self.scratch = cache;
-        r
-    }
-
-    fn restrict_inner(
-        &mut self,
-        f: Bdd,
-        var: u32,
-        value: bool,
-        cache: &mut FxHashMap<Bdd, Bdd>,
-    ) -> Bdd {
-        if f.is_terminal() {
-            return f;
-        }
-        if let Some(&r) = cache.get(&f) {
-            return r;
-        }
-        let n = self.node(f);
-        let c = f.0 & 1;
-        let result = if n.var > var {
-            // Variable does not appear in this subgraph.
-            f
-        } else if n.var == var {
-            if value {
-                Bdd(n.hi.0 ^ c)
-            } else {
-                Bdd(n.lo.0 ^ c)
-            }
-        } else {
-            let lo = self.restrict_inner(Bdd(n.lo.0 ^ c), var, value, cache);
-            let hi = self.restrict_inner(Bdd(n.hi.0 ^ c), var, value, cache);
-            self.mk_node(n.var, lo, hi)
-        };
-        cache.insert(f, result);
-        result
-    }
-
-    /// Existentially quantifies all variables in `vars` out of `f`.
-    pub fn exists(&mut self, f: Bdd, vars: &[u32]) -> Bdd {
-        self.quantify(f, vars, true)
-    }
-
-    /// Universally quantifies all variables in `vars` out of `f`.
-    pub fn forall(&mut self, f: Bdd, vars: &[u32]) -> Bdd {
-        self.quantify(f, vars, false)
-    }
-
-    /// Shared body of [`BddManager::exists`] and [`BddManager::forall`],
-    /// memoised per call in the scratch table (so results for different
-    /// variable sets or quantifiers never alias).
-    fn quantify(&mut self, f: Bdd, vars: &[u32], existential: bool) -> Bdd {
-        let var_set: FxHashSet<u32> = vars.iter().copied().collect();
-        let mut cache = self.take_scratch();
-        let r = self.quantify_rec(f, &var_set, existential, &mut cache);
-        self.scratch = cache;
-        r
-    }
-
-    fn quantify_rec(
-        &mut self,
-        f: Bdd,
-        vars: &FxHashSet<u32>,
-        existential: bool,
-        cache: &mut FxHashMap<Bdd, Bdd>,
-    ) -> Bdd {
-        if f.is_terminal() {
-            return f;
-        }
-        if let Some(&r) = cache.get(&f) {
-            return r;
-        }
-        let n = self.node(f);
-        let c = f.0 & 1;
-        let lo = self.quantify_rec(Bdd(n.lo.0 ^ c), vars, existential, cache);
-        let hi = self.quantify_rec(Bdd(n.hi.0 ^ c), vars, existential, cache);
-        let result = if vars.contains(&n.var) {
-            if existential {
-                self.or(lo, hi)
-            } else {
-                self.and(lo, hi)
-            }
-        } else {
-            self.mk_node(n.var, lo, hi)
-        };
-        cache.insert(f, result);
-        result
-    }
-
-    /// Functional composition: substitutes `g` for variable `var` in `f`.
-    pub fn compose(&mut self, f: Bdd, var: u32, g: Bdd) -> Bdd {
-        let mut cache = self.take_scratch();
-        let r = self.compose_rec(f, var, g, &mut cache);
-        self.scratch = cache;
-        r
-    }
-
-    fn compose_rec(&mut self, f: Bdd, var: u32, g: Bdd, cache: &mut FxHashMap<Bdd, Bdd>) -> Bdd {
-        if f.is_terminal() {
-            return f;
-        }
-        if let Some(&r) = cache.get(&f) {
-            return r;
-        }
-        let n = self.node(f);
-        let c = f.0 & 1;
-        let result = if n.var == var {
-            self.ite(g, Bdd(n.hi.0 ^ c), Bdd(n.lo.0 ^ c))
-        } else {
-            let lo = self.compose_rec(Bdd(n.lo.0 ^ c), var, g, cache);
-            let hi = self.compose_rec(Bdd(n.hi.0 ^ c), var, g, cache);
-            let v = self.literal(n.var);
-            self.ite(v, hi, lo)
-        };
-        cache.insert(f, result);
-        result
-    }
-
-    /// Simultaneously renames variables: `map[i] = (old, new)` replaces each
-    /// `old` variable by the (distinct, declared) `new` variable.
-    ///
-    /// # Errors
-    /// Returns [`BddError::InvalidVariable`] if a target variable has not
-    /// been declared.
-    pub fn rename(&mut self, f: Bdd, map: &[(u32, u32)]) -> Result<Bdd, BddError> {
-        for &(_, to) in map {
-            if to as usize >= self.var_names.len() {
-                return Err(BddError::InvalidVariable(to));
-            }
-        }
-        let mapping: FxHashMap<u32, u32> = map.iter().copied().collect();
-        let mut cache = self.take_scratch();
-        let r = self.rename_rec(f, &mapping, &mut cache);
-        self.scratch = cache;
-        Ok(r)
-    }
-
-    fn rename_rec(
-        &mut self,
-        f: Bdd,
-        mapping: &FxHashMap<u32, u32>,
-        cache: &mut FxHashMap<Bdd, Bdd>,
-    ) -> Bdd {
-        if f.is_terminal() {
-            return f;
-        }
-        if let Some(&r) = cache.get(&f) {
-            return r;
-        }
-        let n = self.node(f);
-        let c = f.0 & 1;
-        let lo = self.rename_rec(Bdd(n.lo.0 ^ c), mapping, cache);
-        let hi = self.rename_rec(Bdd(n.hi.0 ^ c), mapping, cache);
-        let var = mapping.get(&n.var).copied().unwrap_or(n.var);
-        let lit = self.literal(var);
-        let result = self.ite(lit, hi, lo);
-        cache.insert(f, result);
-        result
-    }
-
-    // ------------------------------------------------------------------
-    // Satisfiability helpers
-    // ------------------------------------------------------------------
 
     /// Set of variables `f` depends on, in ascending index order.
     pub fn support(&self, f: Bdd) -> Vec<u32> {
@@ -1509,7 +1260,7 @@ impl BddManager {
     /// Fraction of the full assignment space (over all declared variables)
     /// that satisfies `f`.  This is the order-independent primitive behind
     /// [`BddManager::sat_count`].
-    pub fn sat_fraction(&self, f: Bdd, cache: &mut HashMap<Bdd, f64>) -> f64 {
+    fn sat_fraction(&self, f: Bdd, cache: &mut HashMap<Bdd, f64>) -> f64 {
         if f.is_true() {
             return 1.0;
         }
@@ -1551,74 +1302,6 @@ impl BddManager {
         debug_assert!(cur.is_true());
         Some(asg)
     }
-
-    /// Enumerates all satisfying assignments of `f` restricted to the
-    /// variables in `vars`.
-    ///
-    /// The result can be exponential in `vars.len()`; intended for small
-    /// variable sets (counterexample reporting, tests).
-    pub fn all_sat(&mut self, f: Bdd, vars: &[u32]) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        let mut current = Assignment::new();
-        self.all_sat_rec(f, vars, 0, &mut current, &mut out);
-        out
-    }
-
-    fn all_sat_rec(
-        &mut self,
-        f: Bdd,
-        vars: &[u32],
-        idx: usize,
-        current: &mut Assignment,
-        out: &mut Vec<Assignment>,
-    ) {
-        if f.is_false() {
-            return;
-        }
-        if idx == vars.len() {
-            if !f.is_false() {
-                out.push(current.clone());
-            }
-            return;
-        }
-        let v = vars[idx];
-        // Remember any outer binding of the same variable so the frame exit
-        // can restore it instead of clobbering it (and instead of rebuilding
-        // the whole assignment, which made the enumeration O(n²)).
-        let saved = current.get(v);
-        for value in [false, true] {
-            let restricted = self.restrict(f, v, value);
-            current.set(v, value);
-            self.all_sat_rec(restricted, vars, idx + 1, current, out);
-        }
-        match saved {
-            Some(outer) => {
-                current.set(v, outer);
-            }
-            None => {
-                current.unset(v);
-            }
-        }
-    }
-
-    /// Builds the conjunction of literals described by `assignment` (a
-    /// "cube").
-    pub fn cube(&mut self, assignment: &Assignment) -> Bdd {
-        // Build bottom-up — deepest variable first, the reverse of the
-        // assignment's ascending iteration — so each conjunction adds
-        // exactly one node.
-        let pairs: Vec<(u32, bool)> = assignment.iter().collect();
-        let mut acc = Bdd::TRUE;
-        for &(var, val) in pairs.iter().rev() {
-            let lit = if val {
-                self.literal(var)
-            } else {
-                self.nliteral(var)
-            };
-            acc = self.and(lit, acc);
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -1657,8 +1340,6 @@ mod tests {
     fn terminals_and_literals() {
         let (mut m, a, _, _) = setup();
         assert_eq!(m.literal(0), a);
-        assert_eq!(m.var_of(a), Some(0));
-        assert_eq!(m.var_of(Bdd::TRUE), None);
         assert_eq!(m.lo(a), Bdd::FALSE);
         assert_eq!(m.hi(a), Bdd::TRUE);
         let na = m.nliteral(0);
@@ -1740,55 +1421,6 @@ mod tests {
     }
 
     #[test]
-    fn restrict_cofactors() {
-        let (mut m, a, b, _) = setup();
-        let f = m.xor(a, b);
-        let f_a1 = m.restrict(f, 0, true);
-        let f_a0 = m.restrict(f, 0, false);
-        assert_eq!(f_a1, m.not(b));
-        assert_eq!(f_a0, b);
-    }
-
-    #[test]
-    fn quantification() {
-        let (mut m, a, b, c) = setup();
-        let f = m.and(a, b);
-        // ∃a. a∧b == b
-        assert_eq!(m.exists(f, &[0]), b);
-        // ∀a. a∧b == false
-        assert_eq!(m.forall(f, &[0]), Bdd::FALSE);
-        // ∃b. (a∧b) ∨ c
-        let g = m.or(f, c);
-        let e = m.exists(g, &[1]);
-        let expect = m.or(a, c);
-        assert_eq!(e, expect);
-        // Quantifying a variable not in the support is a no-op.
-        assert_eq!(m.exists(f, &[2]), f);
-    }
-
-    #[test]
-    fn compose_substitution() {
-        let (mut m, a, b, c) = setup();
-        let f = m.and(a, b);
-        // f[b := c] == a ∧ c
-        let g = m.compose(f, 1, c);
-        assert_eq!(g, m.and(a, c));
-        // f[b := ¬a] == false is wrong: a ∧ ¬a == false
-        let na = m.not(a);
-        let h = m.compose(f, 1, na);
-        assert_eq!(h, Bdd::FALSE);
-    }
-
-    #[test]
-    fn rename_variables() {
-        let (mut m, a, b, c) = setup();
-        let f = m.and(a, b);
-        let g = m.rename(f, &[(1, 2)]).expect("rename");
-        assert_eq!(g, m.and(a, c));
-        assert!(m.rename(f, &[(1, 99)]).is_err());
-    }
-
-    #[test]
     fn support_and_size() {
         let (mut m, a, b, c) = setup();
         let f = {
@@ -1819,19 +1451,6 @@ mod tests {
         let asg = m.one_sat(f).expect("satisfiable");
         assert_eq!(m.eval(f, &asg), Some(true));
         assert_eq!(m.one_sat(Bdd::FALSE), None);
-        let cube = m.cube(&asg);
-        assert!(m.implies_valid(cube, f));
-    }
-
-    #[test]
-    fn all_sat_enumeration() {
-        let (mut m, a, b, _) = setup();
-        let f = m.or(a, b);
-        let sols = m.all_sat(f, &[0, 1]);
-        assert_eq!(sols.len(), 3);
-        for s in &sols {
-            assert_eq!(m.eval(f, s), Some(true));
-        }
     }
 
     #[test]
@@ -2081,11 +1700,8 @@ mod tests {
         let build = |m: &mut BddManager, rng: &mut XorShift64| -> (Bdd, BddStats) {
             let vars: Vec<Bdd> = (0..6).map(|i| m.new_var(format!("r{i}"))).collect();
             let f = random_formula(m, &vars, rng, 60);
-            let ex = m.exists(f, &[0, 2]);
-            let fa = m.forall(f, &[1]);
-            let composed = m.compose(f, 3, ex);
-            let renamed = m.rename(composed, &[(4, 5)]).expect("rename");
-            let g = m.and(renamed, fa);
+            let h = random_formula(m, &vars, rng, 30);
+            let g = m.ite(vars[3], f, h);
             // Enough work to grow the tables of a fresh manager.
             let eq = sequential_equality(m, "e", 11);
             let g = m.xor(g, eq);
@@ -2099,8 +1715,8 @@ mod tests {
 
         let mut pooled = BddManager::new();
         // Dirty the manager with unrelated work — including the lifetime
-        // machinery: grown tables, protected roots, an explicit GC pass and
-        // a maintained one all leave sizes, counters, free slots and
+        // machinery: grown tables, an open root frame, an explicit GC pass
+        // and a maintained one all leave sizes, counters, free slots and
         // maintenance state that `reset` must clear back to the
         // fresh-manager baseline.
         let _ = sequential_equality(&mut pooled, "grow", 14);
@@ -2110,8 +1726,9 @@ mod tests {
         let d0 = pooled.new_var("dirty0");
         let d1 = pooled.new_var("dirty1");
         let dirty = pooled.xor(d0, d1);
-        let _ = pooled.exists(d0, &[0]);
-        pooled.protect(dirty);
+        let _ = pooled.ite(d1, dirty, d0);
+        pooled.push_root_frame();
+        pooled.root(dirty);
         pooled.gc();
         pooled.set_maintenance(Some(MaintainSettings { gc_threshold: 1 }));
         pooled.maintain();
@@ -2158,47 +1775,6 @@ mod tests {
         assert_eq!(pooled.var_by_name("dirty0"), None);
     }
 
-    /// Results for different (overlapping) variable sets on the *same*
-    /// node must never alias each other, in either order, with the
-    /// quantifier polarity distinguished too — and a GC pass that recycles
-    /// slots must not leak stale results into a later quantification.
-    #[test]
-    fn overlapping_quantifications_on_one_node_never_alias() {
-        let (mut m, a, b, _) = setup();
-        let f = m.and(a, b);
-        // ∃a. a∧b == b, then ∃{a,b}. a∧b == TRUE on the same node: a stale
-        // hit for the first set would return b for the second.
-        assert_eq!(m.exists(f, &[0]), b);
-        assert_eq!(m.exists(f, &[0, 1]), Bdd::TRUE);
-        assert_eq!(m.exists(f, &[0]), b, "first set still correct after");
-        assert_eq!(m.exists(f, &[1]), a, "overlapping singleton distinct");
-        // Polarity is part of the tag: ∀ must not see ∃'s entries.
-        assert_eq!(m.forall(f, &[0]), Bdd::FALSE);
-        assert_eq!(m.exists(f, &[0]), b);
-        // Duplicates and order do not change a set's identity.
-        assert_eq!(m.exists(f, &[1, 0, 1]), Bdd::TRUE);
-
-        // Collect (recycling slots) and requantify a wider function:
-        // correctness must not depend on any pre-GC result.
-        let vars: Vec<Bdd> = (0..8).map(|i| m.new_var(format!("q{i}"))).collect();
-        let mut g = Bdd::TRUE;
-        for w in vars.chunks(2) {
-            let x = m.xor(w[0], w[1]);
-            g = m.and(g, x);
-        }
-        let first = m.exists(g, &[3, 5]);
-        m.protect(g);
-        m.protect(first);
-        m.gc();
-        for v in 0..4 {
-            // Garbage that reuses the reclaimed slots.
-            let x = m.literal(v);
-            let y = m.literal(v + 4);
-            let _ = m.xor(x, y);
-        }
-        assert_eq!(m.exists(g, &[3, 5]), first);
-    }
-
     /// Evaluates `f` on every assignment of `vars` — the semantics of the
     /// function, one entry per truth-table row.
     fn truth_mask(m: &BddManager, f: Bdd, vars: usize) -> Vec<bool> {
@@ -2240,7 +1816,8 @@ mod tests {
         let kept = pool[pool.len() - 1];
         let kept_mask = truth_mask(&m, kept, VARS);
         let live_before = m.node_count();
-        m.protect(kept);
+        m.push_root_frame();
+        m.root(kept);
         let reclaimed = m.gc();
         assert!(reclaimed > 0, "the pool must contain garbage");
         assert!(m.node_count() < live_before);
@@ -2251,15 +1828,39 @@ mod tests {
         assert_eq!(stats.live_nodes, m.node_count());
         assert!(stats.peak_live_nodes >= live_before);
         // Reclaimed slots are reused: rebuilding work does not regrow the
-        // arena beyond its old footprint.
-        let arena = m.arena_len();
+        // arena beyond its old footprint.  With debug assertions a freed
+        // slot is quarantined until the next pass, so take one first.
+        assert_eq!(m.gc(), 0, "nothing died since the first pass");
+        let arena = m.stats().nodes_allocated;
         let x = m.literal(0);
         let y = m.literal(1);
         let _ = m.xor(x, y);
-        assert_eq!(m.arena_len(), arena, "new nodes reuse freed slots");
-        m.release(kept);
+        assert_eq!(
+            m.stats().nodes_allocated,
+            arena,
+            "new nodes reuse freed slots"
+        );
+        m.pop_root_frame();
         m.gc();
-        assert_eq!(m.node_count(), 1, "releasing the root frees everything");
+        assert_eq!(m.node_count(), 1, "popping the root frees everything");
+    }
+
+    /// With debug assertions a pass quarantines the slots it frees, so a
+    /// handle that missed its root still panics once enough nodes have been
+    /// allocated to take every one of those slots.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale BDD handle")]
+    fn a_stale_handle_panics_after_as_many_allocations_as_the_pass_freed() {
+        let (mut m, a, b, c) = setup();
+        let ab = m.and(a, b);
+        let stale = m.xor(ab, c);
+        let reclaimed = m.gc();
+        // One new node each: without the quarantine they would reuse every
+        // freed slot, `stale`'s included, and the read below would see one
+        // of them.
+        let _ = m.new_vars("fresh", reclaimed);
+        let _ = m.size(stale);
     }
 
     /// Scoped root frames protect exactly while they are open.
@@ -2286,7 +1887,8 @@ mod tests {
         let pool = random_pool(&mut m, 6, 60, 0xCAFE);
         m.maintain();
         assert_eq!(m.stats().gc_passes, 0, "no policy, no GC");
-        m.protect(*pool.last().expect("non-empty"));
+        m.push_root_frame();
+        m.root(*pool.last().expect("non-empty"));
         m.set_maintenance(Some(MaintainSettings::default()));
         m.maintain();
         assert_eq!(m.stats().gc_passes, 0, "below the threshold, no GC");
@@ -2305,7 +1907,8 @@ mod tests {
         let mut m = BddManager::new();
         let vars = m.new_vars("w", 24);
         let kept = m.and(vars[0], vars[1]);
-        m.protect(kept);
+        m.push_root_frame();
+        m.root(kept);
         let settings = MaintainSettings::default();
         assert!(CEILING < settings.gc_threshold as u64);
         m.set_maintenance(Some(settings));
@@ -2318,11 +1921,19 @@ mod tests {
             for _ in 0..100 {
                 // ~50 random 24-literal cubes: over a thousand nodes of
                 // garbage per safe point, well under an eighth of the
-                // ceiling.
+                // ceiling.  Each is built bottom-up from fresh literals: a
+                // literal handle from before a pass may be stale.
                 for _ in 0..50 {
                     let bits = rng.next();
-                    let cube: Assignment = (0..24).map(|v| (v, bits >> v & 1 == 1)).collect();
-                    let _ = m.cube(&cube);
+                    let mut cube = Bdd::TRUE;
+                    for v in (0..24).rev() {
+                        let literal = if bits >> v & 1 == 1 {
+                            m.literal(v)
+                        } else {
+                            m.nliteral(v)
+                        };
+                        cube = m.and(literal, cube);
+                    }
                 }
                 m.maintain();
             }
@@ -2339,55 +1950,6 @@ mod tests {
         assert_eq!(m.and(a, b), kept, "the rooted function survived");
     }
 
-    /// The `unset`-based frame unwinding must leave `all_sat` results
-    /// identical to the specification on wider variable sets (every
-    /// emitted assignment satisfies `f`, and the count matches the
-    /// satisfying-assignment count over those variables).
-    #[test]
-    fn all_sat_unwinding_is_exact_on_wider_sets() {
-        let mut m = BddManager::new();
-        let vars: Vec<Bdd> = (0..6).map(|i| m.new_var(format!("s{i}"))).collect();
-        // f = (s0 ∨ s1) ∧ (s2 xor s3) ∧ ¬s4  (s5 unconstrained).
-        let or01 = m.or(vars[0], vars[1]);
-        let x23 = m.xor(vars[2], vars[3]);
-        let n4 = m.not(vars[4]);
-        let f = {
-            let t = m.and(or01, x23);
-            m.and(t, n4)
-        };
-        let idx: Vec<u32> = (0..6).collect();
-        let sols = m.all_sat(f, &idx);
-        assert_eq!(sols.len() as f64, m.sat_count(f, 6));
-        for s in &sols {
-            assert_eq!(m.eval(f, s), Some(true));
-            assert_eq!(s.len(), 6, "every enumerated variable is bound");
-        }
-    }
-
-    /// Cube construction must stay linear (and correct) over a sparse
-    /// subset of the variables: it conjoins the deepest level first.
-    #[test]
-    fn cube_follows_level_order_not_index_order() {
-        let mut m = BddManager::new();
-        // Declare interleaved: a[0] b[0] a[1] b[1] — a cube over only-a
-        // skips every other level.
-        let a0 = m.new_var("a0");
-        let _b0 = m.new_var("b0");
-        let a1 = m.new_var("a1");
-        let _b1 = m.new_var("b1");
-        let asg: Assignment = [(0, true), (2, false)].into_iter().collect();
-        let cube = m.cube(&asg);
-        let na1 = m.not(a1);
-        let expect = m.and(a0, na1);
-        assert_eq!(cube, expect);
-        // Node growth is linear: the cube over n literals allocates at most
-        // n new nodes beyond the literals themselves.
-        let before = m.node_count();
-        let wide: Assignment = (0..4).map(|v| (v, v % 2 == 0)).collect();
-        let _ = m.cube(&wide);
-        assert!(m.node_count() - before <= 4 + 4);
-    }
-
     #[test]
     fn var_by_name_uses_the_index_map() {
         let mut m = BddManager::new();
@@ -2397,17 +1959,6 @@ mod tests {
         assert_eq!(m.var_by_name("alpha"), Some(0));
         assert_eq!(m.var_by_name("beta"), Some(1));
         assert_eq!(m.var_by_name("gamma"), None);
-    }
-
-    #[test]
-    fn assignment_unset_removes_and_returns() {
-        let mut asg = Assignment::new();
-        assert_eq!(asg.unset(3), None);
-        asg.set(3, true);
-        asg.set(5, false);
-        assert_eq!(asg.unset(3), Some(true));
-        assert_eq!(asg.get(3), None);
-        assert_eq!(asg.len(), 1);
     }
 
     /// Runs `work` under `catch_unwind` and returns the [`BddError`]

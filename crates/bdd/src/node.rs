@@ -117,7 +117,9 @@ impl Node {
     pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
     /// The variable a collection writes into every slot it frees, in
     /// builds with debug assertions, so that reading a node through a
-    /// handle that missed its root fails loudly (`BddManager::node`).
+    /// handle that missed its root fails loudly (`BddManager::node`).  The
+    /// next pass reads it to tell a quarantined slot, which may now be
+    /// reused, from a newly dead one.
     pub(crate) const FREED_VAR: u32 = u32::MAX - 1;
 
     pub(crate) fn terminal() -> Node {

@@ -404,61 +404,65 @@ impl CampaignSpec {
     ) {
         let pool = ManagerPool::global();
         let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // One leased arena per worker, reset between jobs.
-                    let mut manager = pool.acquire();
-                    loop {
-                        // Admission check: a cancelled campaign stops
-                        // pulling work.  Checked before the cursor moves so
-                        // a cancelled run never claims a job it won't run.
-                        if hooks.cancel.is_some_and(CancelToken::is_cancelled) {
-                            break;
-                        }
-                        let at = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = pending.get(at) else { break };
-                        let (index, harness) = (job.index, job.claim());
-                        let spec = &jobs[index];
-                        if self.verbose {
-                            eprintln!(
-                                "[job {}/{}] start {} {} {} {}",
-                                spec.id + 1,
-                                jobs.len(),
-                                spec.config_name,
-                                spec.policy_name,
-                                spec.suite.name(),
-                                spec.part.render(),
-                            );
-                        }
-                        let (result, exhausted) =
-                            run_governed(spec, harness.get(), &mut manager, self.budget);
-                        drop(harness);
-                        if exhausted {
-                            // Telemetry for `ssr stats`: this lease tripped
-                            // a budget (whether or not the retry recovered)
-                            // and its arena was discarded, not recycled.
-                            pool.note_budget_exhausted();
-                        }
-                        if self.verbose {
-                            eprintln!(
-                                "[job {}/{}] {} in {} ms ({} nodes)",
-                                spec.id + 1,
-                                jobs.len(),
-                                if result.holds { "holds" } else { "FAILS" },
-                                result.wall_ms,
-                                result.bdd_nodes,
-                            );
-                        }
-                        record_checkpoint(checkpoint, &result);
-                        if let Some(on_job) = hooks.on_job {
-                            on_job(&result);
-                        }
-                        *slots[index].lock().expect("result slot poisoned") = Some(result);
-                    }
-                    pool.release(manager);
-                });
+        let worker = || {
+            // One leased arena per worker, reset between jobs.
+            let mut manager = pool.acquire();
+            loop {
+                // Admission check: a cancelled campaign stops
+                // pulling work.  Checked before the cursor moves so
+                // a cancelled run never claims a job it won't run.
+                if hooks.cancel.is_some_and(CancelToken::is_cancelled) {
+                    break;
+                }
+                let at = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = pending.get(at) else { break };
+                let (index, harness) = (job.index, job.claim());
+                let spec = &jobs[index];
+                if self.verbose {
+                    eprintln!(
+                        "[job {}/{}] start {} {} {} {}",
+                        spec.id + 1,
+                        jobs.len(),
+                        spec.config_name,
+                        spec.policy_name,
+                        spec.suite.name(),
+                        spec.part.render(),
+                    );
+                }
+                let (result, exhausted) =
+                    run_governed(spec, harness.get(), &mut manager, self.budget);
+                drop(harness);
+                if exhausted {
+                    // Telemetry for `ssr stats`: this lease tripped
+                    // a budget (whether or not the retry recovered)
+                    // and its arena was discarded, not recycled.
+                    pool.note_budget_exhausted();
+                }
+                if self.verbose {
+                    eprintln!(
+                        "[job {}/{}] {} in {} ms ({} nodes)",
+                        spec.id + 1,
+                        jobs.len(),
+                        if result.holds { "holds" } else { "FAILS" },
+                        result.wall_ms,
+                        result.bdd_nodes,
+                    );
+                }
+                record_checkpoint(checkpoint, &result);
+                if let Some(on_job) = hooks.on_job {
+                    on_job(&result);
+                }
+                *slots[index].lock().expect("result slot poisoned") = Some(result);
             }
+            pool.release(manager);
+        };
+        // The calling thread is worker 0, so a one-worker campaign starts
+        // no thread.
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(worker);
+            }
+            worker();
         });
     }
 }

@@ -64,8 +64,8 @@
 //! * registers with `NRST = 0` at `t-1` (and, for retention registers,
 //!   `NRET = 1`) load their reset value at `t`.
 //!
-//! This one-step-delayed timing is documented in `EXPERIMENTS.md`; the
-//! property suites in `ssr-properties` are written against it.
+//! The property suites in `ssr-properties` are written against this
+//! one-step-delayed timing.
 //!
 //! ```
 //! use ssr_bdd::BddManager;

@@ -98,9 +98,11 @@ impl<'m> Ste<'m> {
     ///
     /// The trajectory is streamed: only the newest state is kept, and the
     /// point-wise `⊑` conditions that are not trivially true are kept as a
-    /// partition list, conjoined at the end smallest first.  The
-    /// assertion's guards and its antecedent/consequent constraints stay
-    /// rooted throughout.
+    /// partition list, conjoined at the end smallest first.  One root frame
+    /// holds, for the whole check, the assertion's guards, its
+    /// antecedent/consequent constraints, each partition condition with
+    /// the trajectory value it was read from, and each antecedent-conflict
+    /// accumulator.
     ///
     /// States are rooted only where a collection runs: the end of each
     /// step roots the newest state in a scoped frame when
@@ -176,9 +178,12 @@ impl<'m> Ste<'m> {
             for &(net, _) in drive {
                 let top_here = state.node(net).is_top(m);
                 let next = m.or(conflict, top_here);
-                m.protect(next);
-                m.release(conflict);
-                conflict = next;
+                if next != conflict {
+                    // The superseded accumulator stays rooted until the
+                    // frame pops: a few handles per check.
+                    m.root(next);
+                    conflict = next;
+                }
             }
             // The verification condition: ∀ t, n. [C] t n ⊑ [[A]] t n.
             for &(net, required) in &c_seq[t] {
@@ -189,9 +194,9 @@ impl<'m> Ste<'m> {
                 // it leaves `ok`, the verdict and the counterexample as
                 // they are.
                 if !cond.is_true() {
-                    m.protect(cond);
-                    m.protect(actual.hi());
-                    m.protect(actual.lo());
+                    m.root(cond);
+                    m.root(actual.hi());
+                    m.root(actual.lo());
                     parts.push(cond);
                     violated.push((t, net, required, actual));
                 }
@@ -210,15 +215,6 @@ impl<'m> Ste<'m> {
 
         let holds = ok.is_true();
         let counterexample = counterexample(m, netlist, ok, &violated);
-
-        for &(_, _, _, actual) in &violated {
-            m.release(actual.hi());
-            m.release(actual.lo());
-        }
-        for &part in &parts {
-            m.release(part);
-        }
-        m.release(conflict);
         m.pop_root_frame();
 
         Ok(CheckReport {
@@ -710,8 +706,9 @@ mod tests {
 
     /// Checks the assertion `build` makes on a fresh manager, once with no
     /// maintenance policy and once per GC threshold from 1 to that run's
-    /// peak live count, and requires every run's verdict and
-    /// counterexample to equal the unmaintained run's.
+    /// peak live count, and requires every run's verdict, counterexample,
+    /// vacuity and antecedent-conflict count to equal the unmaintained
+    /// run's.
     ///
     /// A fresh manager's first collection fires at the first safe point
     /// whose live count reaches the threshold, and nothing is freed before
@@ -726,16 +723,22 @@ mod tests {
             m.set_maintenance(maintenance);
             let assertion = build(&mut m);
             let report = Ste::new(model).check(&mut m, &assertion).expect("checks");
-            (report.holds, report.counterexample, m.stats())
+            let conflicts = m.sat_count(report.antecedent_conflict, m.var_count());
+            let outcome = (
+                report.holds,
+                report.is_vacuous(),
+                conflicts,
+                report.counterexample,
+            );
+            (outcome, m.stats())
         };
-        let (holds, counterexample, stats) = run(None);
+        let (unmaintained, stats) = run(None);
         let mut collected = false;
         for gc_threshold in 1..=stats.peak_live_nodes {
-            let (h, c, s) = run(Some(MaintainSettings { gc_threshold }));
+            let (outcome, s) = run(Some(MaintainSettings { gc_threshold }));
             collected |= s.gc_passes > 0;
             assert_eq!(
-                (h, &c),
-                (holds, &counterexample),
+                outcome, unmaintained,
                 "first collection at {gc_threshold} live nodes"
             );
         }
@@ -905,6 +908,36 @@ mod tests {
     }
 
     #[test]
+    fn a_collection_between_two_conflicting_drives_keeps_the_conflict() {
+        // `a` is driven with two fresh variables at step 1 and again at
+        // step 3, so the antecedent conflict changes twice: to `u1 ⊕ u2`,
+        // then to `(u1 ⊕ u2) ∨ (u3 ⊕ u4)`.  Nothing but the accumulator
+        // refers to either.  `b` takes a fresh variable at every step and
+        // the weak claim `out is 0 when ¬x` reads the gate at every step,
+        // so it allocates at each of them and a collection can land
+        // between the two changes and after the second.
+        let n = and_gate();
+        let model = CompiledModel::new(&n).expect("compiles");
+        let depth = 5;
+        agrees_wherever_the_first_collection_lands(&model, |m| {
+            let mut a = Formula::True;
+            let mut c = Formula::True;
+            for t in 0..depth {
+                let x = m.new_var(format!("x{t}"));
+                a = a.and(Formula::is_bdd(m, "b", x).delay(t));
+                if t % 2 == 1 {
+                    for k in 0..2 {
+                        let u = m.new_var(format!("u{t}_{k}"));
+                        a = a.and(Formula::is_bdd(m, "a", u).delay(t));
+                    }
+                }
+                c = c.and(Formula::is0("out").when(x.negate()).delay(t));
+            }
+            Assertion::named("two_conflicts", a, c)
+        });
+    }
+
+    #[test]
     fn collected_checks_keep_peak_live_nodes_flat_in_trajectory_depth() {
         // Under a GC policy only the newest state is live across a step,
         // so checking four times as deep must not need more memory.  The
@@ -956,7 +989,7 @@ mod tests {
             let mut m = BddManager::new();
             let report = check_counter(&mut m, &model, depth);
             assert!(report.holds);
-            assert!(m.maintenance().is_none(), "no policy was installed");
+            assert!(!m.maintenance_enabled(), "no policy was installed");
             let stats = m.stats();
             assert_eq!(stats.gc_passes, 0, "depth {depth}");
             if stats.nodes_allocated > threshold {
